@@ -10,12 +10,13 @@
 //! 1. opens N connections (default 10,000; `GITCITE_LOAD_CONNS`
 //!    overrides) from a small pool of driver threads,
 //! 2. drives request waves across every open connection — each wave
-//!    writes one line-framed read request per connection, then collects
-//!    every reply, timing each round trip — while v3 binary writer
-//!    clients push fresh commits concurrently,
+//!    writes one framed read request per connection, then collects every
+//!    reply, timing each round trip — while writer clients push fresh
+//!    commits concurrently,
 //! 3. reports client-observed latency percentiles and throughput,
-//! 4. measures the v3 framing win: the same 5k-commit bundle encoded as
-//!    a v2 hex envelope vs the v3 compressed binary side channel, and
+//! 4. measures the side-channel win: the same 5k-commit bundle framed
+//!    with its objects inline as hex vs on the compressed binary side
+//!    channel, and
 //! 5. runs the **overload scenario**: a second server child capped at
 //!    256 open connections takes offered load at 2× its capacity, and
 //!    the bench checks the overflow is shed with typed `server_busy`
@@ -27,7 +28,7 @@
 
 use gitlite::{path, Repository, Signature};
 use hub::transport::frame;
-use hub::{ApiResponse, Hub, HubClient, RepoBundle, SocketServer};
+use hub::{ApiRequest, ApiResponse, Hub, HubClient, RepoBundle, SocketServer};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
@@ -149,23 +150,30 @@ fn connect_retrying(addr: &str) -> Option<TcpStream> {
     None
 }
 
-/// Reads one `\n`-terminated reply without a per-connection BufReader
-/// (10k of those would cost 80 MB of idle buffers).
-fn read_reply(stream: &mut TcpStream, scratch: &mut Vec<u8>) -> bool {
-    scratch.clear();
-    let mut byte = [0u8; 256];
-    loop {
-        match stream.read(&mut byte) {
-            Ok(0) => return false,
-            Ok(n) => {
-                scratch.extend_from_slice(&byte[..n]);
-                if scratch.contains(&b'\n') {
-                    return true;
-                }
-            }
-            Err(_) => return false,
+/// One read request as a complete frame: `branches`, or a one-entry
+/// `log_page` when `paged`.
+fn read_request(paged: bool) -> Vec<u8> {
+    let repo_id = "ann/p".to_owned();
+    let request = if paged {
+        ApiRequest::LogPage {
+            repo_id,
+            branch: "main".into(),
+            cursor: None,
+            limit: Some(1),
         }
-    }
+    } else {
+        ApiRequest::Branches { repo_id }
+    };
+    frame::encode_message(&request.encode(), &[])
+}
+
+/// Reads one reply envelope straight off the socket, without a
+/// per-connection BufReader (10k of those would cost 80 MB of idle
+/// buffers).
+fn read_reply(stream: &mut TcpStream) -> Option<String> {
+    frame::read_message(stream)
+        .ok()
+        .map(|(envelope, _)| envelope)
 }
 
 /// One driver thread's slice of the fleet: open `count` connections,
@@ -180,29 +188,26 @@ fn drive(addr: String, count: usize, parity: usize) -> (usize, Vec<u64>) {
         }
     }
     let achieved = conns.len();
-    // Mixed read traffic: v1 and v2 envelopes alternate across the fleet
-    // (the server sniffs framing per connection, so this also pins 10k
-    // simultaneous line-framed peers).
-    let v1 = b"{\"v\":1,\"method\":\"branches\",\"params\":{\"repo_id\":\"ann/p\"}}\n";
-    let v2 =
-        b"{\"v\":2,\"method\":\"log_page\",\"params\":{\"repo_id\":\"ann/p\",\"branch\":\"main\",\"limit\":1}}\n";
+    // Mixed read traffic: `branches` and one-entry `log_page` requests
+    // alternate across the fleet.
+    let branches = read_request(false);
+    let log_page = read_request(true);
     let mut latencies = Vec::with_capacity(achieved * WAVES);
-    let mut scratch = Vec::with_capacity(512);
     let mut sent_at: Vec<Instant> = Vec::with_capacity(achieved);
     for _wave in 0..WAVES {
         sent_at.clear();
         let mut alive = vec![true; conns.len()];
         for (i, conn) in conns.iter_mut().enumerate() {
             let req: &[u8] = if (i + parity).is_multiple_of(2) {
-                v1
+                &branches
             } else {
-                v2
+                &log_page
             };
             alive[i] = conn.write_all(req).is_ok();
             sent_at.push(Instant::now());
         }
         for (i, conn) in conns.iter_mut().enumerate() {
-            if alive[i] && read_reply(conn, &mut scratch) {
+            if alive[i] && read_reply(conn).is_some() {
                 latencies.push(sent_at[i].elapsed().as_micros() as u64);
             }
         }
@@ -210,7 +215,7 @@ fn drive(addr: String, count: usize, parity: usize) -> (usize, Vec<u64>) {
     (achieved, latencies)
 }
 
-/// A v3 binary writer: push traffic concurrent with the read waves.
+/// A writer client: push traffic concurrent with the read waves.
 fn write_load(addr: String, id: usize) -> usize {
     let client = match HubClient::connect(&addr) {
         Ok(c) => c,
@@ -253,8 +258,8 @@ fn write_load(addr: String, id: usize) -> usize {
 /// The capped server's `max_open_conns` for the overload scenario.
 const OVERLOAD_CAPACITY: usize = 256;
 
-/// Opens `count` connections at once, sends one v1 read on each, and
-/// classifies every reply: a `server_busy` line is a shed, anything
+/// Opens `count` connections at once, sends one read on each, and
+/// classifies every reply: a `server_busy` error is a shed, anything
 /// else a served request with its round-trip latency.
 fn offered_wave(addr: &str, count: usize) -> (Vec<u64>, usize, usize) {
     let mut conns: Vec<TcpStream> = Vec::with_capacity(count);
@@ -264,20 +269,19 @@ fn offered_wave(addr: &str, count: usize) -> (Vec<u64>, usize, usize) {
             None => break,
         }
     }
-    let request = b"{\"v\":1,\"method\":\"branches\",\"params\":{\"repo_id\":\"ann/p\"}}\n";
+    let request = read_request(false);
     let mut sent_at = Vec::with_capacity(conns.len());
     let mut alive = vec![true; conns.len()];
     for (i, conn) in conns.iter_mut().enumerate() {
-        alive[i] = conn.write_all(request).is_ok();
+        alive[i] = conn.write_all(&request).is_ok();
         sent_at.push(Instant::now());
     }
     let (mut served_lat, mut served, mut shed) = (Vec::new(), 0usize, 0usize);
-    let mut scratch = Vec::with_capacity(512);
     for (i, conn) in conns.iter_mut().enumerate() {
-        if !alive[i] || !read_reply(conn, &mut scratch) {
+        let Some(reply) = alive[i].then(|| read_reply(conn)).flatten() else {
             continue;
-        }
-        if scratch.windows(11).any(|w| w == b"server_busy") {
+        };
+        if reply.contains("server_busy") {
             shed += 1;
         } else {
             served += 1;
@@ -339,16 +343,17 @@ fn overload() {
 }
 
 // ---------------------------------------------------------------------
-// Bundle bytes: v2 hex envelope vs v3 binary side channel
+// Bundle bytes: inline hex envelope vs binary side channel
 // ---------------------------------------------------------------------
 
 fn bundle_bytes() {
     let repo = deep_repo("big", BUNDLE_COMMITS);
     let bundle = RepoBundle::from_branch(&repo, "main").unwrap();
     let response = ApiResponse::Bundle(bundle);
-    // The line framing: hex-in-sjson envelope plus its newline.
-    let line_bytes = response.encode().len() + 1;
-    // The v3 binary framing: envelope with objects_ext, objects as
+    // Objects inline: the hex-in-sjson envelope in one frame (reported
+    // under the `line` key the bench script reads).
+    let line_bytes = frame::encode_message(&response.encode(), &[]).len();
+    // The side channel: envelope with objects_ext, objects as
     // compressed raw records.
     let (envelope, objects) = response.encode_ext();
     let binary_bytes = frame::encode_message(&envelope, &objects).len();

@@ -65,7 +65,7 @@ fn populate(hub: &Hub) -> (String, Token) {
     (repo_id, token)
 }
 
-/// The measured read-path mix: a file read, a log walk, and the cheap
+/// The measured read-path mix: a file read, a log page, and the cheap
 /// listing — the same shape the load bench drives over the socket.
 fn read_mix(hub: &Hub, repo_id: &str, i: usize) {
     let f = i % FILES;
@@ -75,11 +75,16 @@ fn read_mix(hub: &Hub, repo_id: &str, i: usize) {
             branch: "main".into(),
             path: path(&format!("src/d{}/f{f}.txt", f % 8)),
         },
-        1 => ApiRequest::Log {
+        1 => ApiRequest::LogPage {
             repo_id: repo_id.to_owned(),
             branch: "main".into(),
+            cursor: None,
+            limit: None,
         },
-        _ => ApiRequest::ListRepos,
+        _ => ApiRequest::ListReposPage {
+            cursor: None,
+            limit: None,
+        },
     };
     if let ApiResponse::Error(e) = criterion::black_box(hub.dispatch(req)) {
         panic!("read path errored: {e:?}")

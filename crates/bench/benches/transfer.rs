@@ -3,10 +3,10 @@
 //! new commits landing on a 5k-commit hosted repository — measured two
 //! ways on the same hub build:
 //!
-//! * `push_full` — the v1 path: `RepoBundle::from_branch` ships the
+//! * `push_full` — the full path: `RepoBundle::from_branch` ships the
 //!   entire branch closure every time.
-//! * `push_negotiated` — the v2 path: `negotiate` finds the common
-//!   frontier, the delta bundle ships only the objects past it.
+//! * `push_negotiated` — the negotiated path: `negotiate` finds the
+//!   common frontier, the delta bundle ships only the objects past it.
 //!
 //! Bytes on the wire are counted by a transport wrapper and printed as
 //! `transfer_bytes ...` / `transfer_objects ...` lines (stderr), which

@@ -164,7 +164,7 @@ impl<T: Transport> Popup<T> {
     }
 
     /// Fills the log pane with the newest page of the branch's history
-    /// via the paginated v2 endpoint — the popup never materializes the
+    /// via the paginated endpoint — the popup never materializes the
     /// full log. A reload starts over from the tip.
     pub fn load_history(&mut self) -> Result<()> {
         let page = self.client.log_page(
@@ -207,29 +207,11 @@ impl<T: Transport> Popup<T> {
     /// Provides credentials ("Users provide their credentials on GitHub to
     /// obtain access to the repository").
     ///
-    /// Against a protocol-v3 hub the whole sign-in render — identity,
-    /// write capability, and the selected node's citation state — travels
-    /// in one batch envelope: one round trip instead of three. A pre-v3
-    /// server refuses the batch with a protocol error and the popup falls
-    /// back to the sequential calls transparently.
+    /// The whole sign-in render — identity, write capability, and the
+    /// selected node's citation state — travels in one batch envelope:
+    /// one round trip instead of three. A refused or malformed batch
+    /// reply is an error, never a silent retry.
     pub fn sign_in(&mut self, token: Token) -> Result<()> {
-        if self.sign_in_batched(&token)? {
-            return Ok(());
-        }
-        let user = self.client.whoami(&token)?;
-        let is_member = self.client.can_write(&token, &self.view.repo_id)?;
-        self.finish_sign_in(token, user.username, is_member);
-        // Re-run the selection flow under the new identity.
-        if let Some(path) = self.view.selected.clone() {
-            self.select(&path)?;
-        }
-        Ok(())
-    }
-
-    /// The batched sign-in path. `Ok(false)` means the server refused the
-    /// batch envelope (it predates protocol v3) and the caller should go
-    /// sequential on the same connection.
-    fn sign_in_batched(&mut self, token: &Token) -> Result<bool> {
         let mut requests = vec![
             ApiRequest::Whoami {
                 token: token.as_str().to_owned(),
@@ -254,12 +236,7 @@ impl<T: Transport> Popup<T> {
                 path: path.clone(),
             });
         }
-        let responses = match self.client.batch(requests) {
-            Ok(responses) => responses,
-            Err(HubError::Protocol(_)) => return Ok(false),
-            Err(e) => return Err(e.into()),
-        };
-        let mut responses = responses.into_iter();
+        let mut responses = self.client.batch(requests)?.into_iter();
         let mut next = || responses.next().expect("batch() verified the length");
         let user = match next().into_result()? {
             ApiResponse::User(u) => u,
@@ -269,7 +246,7 @@ impl<T: Transport> Popup<T> {
             ApiResponse::Bool(b) => b,
             other => return Err(unexpected(&other)),
         };
-        self.finish_sign_in(token.clone(), user.username, is_member);
+        self.finish_sign_in(token, user.username, is_member);
         if self.view.selected.is_some() {
             if is_member {
                 match next().into_result()? {
@@ -284,7 +261,7 @@ impl<T: Transport> Popup<T> {
                 }
             }
         }
-        Ok(true)
+        Ok(())
     }
 
     fn finish_sign_in(&mut self, token: Token, username: String, is_member: bool) {
@@ -780,5 +757,33 @@ mod tests {
         // Member view of an uncited node: the box is now empty.
         assert!(popup.view().text_box.is_empty());
         assert!(popup.view().buttons.add);
+    }
+
+    /// Serves the hub in-process but drops the last item of every batch
+    /// reply — a malformed reply with the wrong item count.
+    struct TruncatingTransport<'h>(&'h Hub);
+
+    impl Transport for TruncatingTransport<'_> {
+        fn send(&self, request: &str) -> String {
+            match self.0.dispatch(ApiRequest::parse(request).unwrap()) {
+                ApiResponse::Batch(mut items) => {
+                    items.pop();
+                    ApiResponse::Batch(items).encode()
+                }
+                other => other.encode(),
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_batch_reply_fails_sign_in() {
+        let (hub, owner, _, repo_id) = setup();
+        let client = HubClient::new(TruncatingTransport(&hub));
+        let mut popup = Popup::open_with(client, &repo_id, "main").unwrap();
+        popup.select(&path("f1.txt")).unwrap();
+        // The short reply surfaces as an error instead of a silent
+        // sequential re-render.
+        assert!(popup.sign_in(owner).is_err());
+        assert_eq!(popup.view().signed_in_as, None);
     }
 }

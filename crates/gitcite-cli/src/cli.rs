@@ -151,7 +151,7 @@ git-like citation operators
   fork --to <dir> --name <n> --owner <o> --url <u> --author <name> [--no-restamp true]
   retro --owner <o> --url <u> --author <name> [--max-depth <n>] [--min-files <n>]
 
-remote hub (wire protocol v3 over TCP; v1/v2 clients still served)
+remote hub (wire protocol over TCP)
   hub serve --bind <ip:port> [--data-dir <dir>]     run a hub server (blocks;
         [--require-secrets true] [--operator-secret <s>] [--allow-insecure true]
         port 0 picks a free port, the bound address is printed on stdout.
@@ -766,7 +766,7 @@ fn page_size(p: &Parsed) -> Result<u32> {
 }
 
 /// The `gitcite hub` family: serve a hub over TCP, or drive a remote one
-/// through the wire protocol (v2: negotiated pushes, paginated reads).
+/// through the wire protocol (negotiated pushes, paginated reads).
 fn cmd_hub(args: &[String], cwd: &Path) -> Result<String> {
     let Some(sub) = args.first().map(String::as_str) else {
         return Err(CliError::Usage(
@@ -853,7 +853,7 @@ fn cmd_hub(args: &[String], cwd: &Path) -> Result<String> {
                 .unwrap_or_else(|| branch.to_owned());
             let token = remote_login(&client, &p)?;
             let force = p.flag("force").is_some();
-            // Negotiated (v2) with automatic full-bundle fallback.
+            // Negotiated, with automatic full-bundle fallback.
             let tip = client.push(&token, repo_id, branch, &local, &local_branch, force)?;
             Ok(format!(
                 "pushed {local_branch} -> {repo_id}:{branch} at {}\n",
@@ -1050,8 +1050,8 @@ fn render_top(snap: &hub::MetricsSnapshot) -> String {
                 t.open_connections, t.queue_depth, t.busy_workers
             ));
             out.push_str(&format!(
-                "  bytes in: {} line / {} binary   bytes out: {} line / {} binary\n",
-                t.bytes_in_line, t.bytes_in_binary, t.bytes_out_line, t.bytes_out_binary
+                "  bytes in: {}   bytes out: {}\n",
+                t.bytes_in_binary, t.bytes_out_binary
             ));
             out.push_str(&format!(
                 "  frames rejected: {}   abrupt closes: {}\n",

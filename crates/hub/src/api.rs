@@ -1,4 +1,4 @@
-//! The versioned wire protocol of the Cloud Platform API.
+//! The wire protocol of the Cloud Platform API.
 //!
 //! The paper's Figure 1 places a "Cloud Platform API" between the browser
 //! extension, the local tool and the hosting platform. This module is that
@@ -11,10 +11,10 @@
 //!
 //! # Wire format
 //!
-//! A request is one JSON object:
+//! A request is one JSON object stamped with [`PROTOCOL_VERSION`]:
 //!
 //! ```text
-//! {"v": 1, "method": "add_cite", "params": {"token": "...", "repo_id":
+//! {"v": 3, "method": "add_cite", "params": {"token": "...", "repo_id":
 //!  "alice/p", "branch": "main", "path": "src/lib.rs", "citation": {...}}}
 //! ```
 //!
@@ -22,80 +22,62 @@
 //! never both:
 //!
 //! ```text
-//! {"v": 1, "result": {"type": "commit", "id": "<40-hex>"}}
-//! {"v": 1, "error": {"code": "permission_denied", "message": "...",
+//! {"v": 3, "result": {"type": "commit", "id": "<40-hex>"}}
+//! {"v": 3, "error": {"code": "permission_denied", "message": "...",
 //!  "detail": "bob"}}
 //! ```
 //!
-//! Results are self-describing (`type` tag), so responses parse without
-//! knowing which request produced them. Binary payloads (file contents,
-//! object bytes in a [`RepoBundle`]) travel hex-encoded; object ids are
-//! their 40-char hex form; repository paths are `/`-joined strings with
-//! `""` meaning the root.
-//!
-//! # Versioning rules
-//!
-//! * `v` is the protocol major version. This build speaks every version
-//!   from [`PROTOCOL_V1`] through [`PROTOCOL_VERSION`] (currently 3): a
-//!   request outside that range is refused with a `protocol` error.
-//! * Every envelope is stamped with the *lowest* version that can carry
-//!   it ([`ApiRequest::version`] / [`ApiResponse::version`]), so a
-//!   v1-era method still encodes byte-identically to the v1 wire form —
-//!   the golden fixtures in `tests/wire_protocol.rs` pin this. Using a
-//!   v2 construct (a v2-only method, or a delta [`RepoBundle`]) inside a
-//!   `"v":1` envelope is a `protocol` error: a v1 peer would misread it.
-//!   The same rule applies one version up: v3 constructs (`batch`,
-//!   `objects_ext`) inside a `"v":1` or `"v":2` envelope are refused.
-//! * Within a version, *adding* a method or a new optional param is
-//!   compatible; renaming/removing methods, changing a param's type, or
-//!   changing a result's shape requires bumping `v`.
-//! * Unknown methods fail with `protocol`; unknown params are ignored
-//!   (callers from a newer minor revision may send extras).
-//!
-//! # What protocol v2 adds
-//!
-//! * **Push negotiation** — `negotiate` sends the client's ref tips plus
-//!   a sample of recent commit ids ("haves"); the server partitions them
-//!   into `common` (reachable from its refs, computed via the
-//!   commit-graph-accelerated ancestor walk) and `missing`. The client
-//!   then ships a *delta* [`RepoBundle`] ([`RepoBundle::delta_from_branch`])
-//!   carrying only the objects past the common frontier; the bundle's
-//!   `basis` field names the commits the receiver must already have.
+//! * Results are self-describing (`type` tag), so responses parse without
+//!   knowing which request produced them. Binary payloads (file contents,
+//!   inline object bytes) travel hex-encoded; object ids are their 40-char
+//!   hex form; repository paths are `/`-joined strings with `""` meaning
+//!   the root.
+//! * An envelope stamped with any other `v` is refused with a `protocol`
+//!   error, as are unknown methods; unknown params are ignored. Optional
+//!   fields follow the *absent-field rule*: the key is left out while the
+//!   value is empty, so adding an optional field changes no existing
+//!   bytes.
 //! * **Paginated reads** — `log_page`, `audit_log_page` and
-//!   `list_repos_page` take an opaque `cursor` plus a `limit` and return
-//!   a typed [`Page`] (`items` + `next` cursor), so no read materializes
-//!   an unbounded array. Cursors pin their position (a log cursor pins
-//!   the tip it started from), so pages stay stable while writers
-//!   advance the branch.
-//! * A **line-framed TCP transport** rides on the same envelopes — see
-//!   [`crate::transport`] for framing and per-connection auth scoping.
-//!
-//! # What protocol v3 adds
-//!
-//! v3 changes no method semantics; it changes how envelopes travel.
-//!
-//! * **Binary framing with an object side channel** — over the v3
-//!   length-prefixed framing ([`crate::transport`]), a bundle-carrying
-//!   envelope may externalize its object payloads: the `objects` array
-//!   is replaced by `"objects_ext": n`, and the *n* `(id, bytes)` records
-//!   travel beside the envelope as compressed raw-byte frames, in order.
-//!   This ends the hex doubling of v1/v2 bundles (~2× wire bytes).
+//!   `list_repos_page` take an opaque `cursor` plus a `limit` and return a
+//!   typed [`Page`] (`items` + `next` cursor), so no read materializes an
+//!   unbounded array. Cursors pin their position (a log cursor pins the
+//!   tip it started from), so pages stay stable while writers advance the
+//!   branch. The typed `log`, `audit_log` and `list_repos` helpers of
+//!   [`crate::Hub`] and [`crate::HubClient`] walk these pages.
+//! * **Push negotiation** — `negotiate` sends the client's ref tips plus a
+//!   sample of recent commit ids ("haves"); the server partitions them
+//!   into `common` (reachable from its refs) and `missing`. The client
+//!   then ships a *delta* [`RepoBundle`] ([`RepoBundle::delta_from_branch`])
+//!   carrying only the objects past the common frontier; its `basis`
+//!   names the commits the receiver must already have.
+//! * **Object side channel** — over the length-prefixed framing of
+//!   [`crate::transport`], a bundle's `objects` array is replaced by
+//!   `"objects_ext": n`, and the *n* `(id, bytes)` records travel beside
+//!   the envelope as compressed raw-byte frames, in order.
 //!   [`ApiRequest::encode_ext`] / [`ApiRequest::parse_ext`] (and the
-//!   [`ApiResponse`] counterparts) are the split/join points. The rules:
-//!   an `objects_ext` envelope is only valid with a side channel, must be
-//!   stamped `"v":3`, must consume the side channel exactly (no
-//!   leftovers), and a bundle may not carry both `objects` and
-//!   `objects_ext`. Plain [`ApiRequest::parse`] of an `objects_ext`
-//!   envelope is a `protocol` error — the line framing has no side
-//!   channel to draw from.
+//!   [`ApiResponse`] counterparts) are the split/join points. The side
+//!   channel must be consumed exactly, a bundle may not carry both
+//!   `objects` and `objects_ext`, and plain [`ApiRequest::parse`] refuses
+//!   `objects_ext` — it has no side channel to draw from.
 //! * **Batch envelopes** — `{"v":3,"method":"batch","params":
 //!   {"requests":[<envelope>, ...]}}` carries several requests in one
 //!   round trip; the response is `{"type":"batch","responses":
 //!   [<envelope>, ...]}` in request order, items individually succeeding
 //!   or failing. Batches cannot nest, and batch items always carry their
-//!   objects inline (no `objects_ext` inside a batch). The extension
-//!   popup's sign-in (`whoami` + `can_write` + citation lookup) rides in
-//!   one batch.
+//!   objects inline. The extension popup's sign-in (`whoami` +
+//!   `can_write` + citation lookup) rides in one batch.
+//!
+//! Every method is declared once, as one row of the method table
+//! (`methods!` below): its wire name, variant and params, plus which param
+//! is its auth token, what it does to a connection's tokens, whether it is
+//! idempotent, how a follower hub treats it, which param the per-repo rate
+//! limiter charges, and whether the socket serves it. The enum,
+//! [`METHOD_NAMES`], the codecs and every classifier are generated from
+//! that row. Adding a method is one table row plus one arm in the hub's
+//! `route` match; forgetting the arm is a compile error, and no
+//! classifier has a default to fall back on. Result shapes are declared
+//! the same way (`results!`), and every value type states its encoding
+//! once, in its `Wire` impl.
 //!
 //! # Error codes
 //!
@@ -164,27 +146,12 @@ use crate::zenodo::Deposit;
 use citekit::{Citation, MergeStrategy, Resolution};
 use gitlite::{CacheStats, ObjectId, ObjectStore, RepoPath, Repository};
 use sjson::{Object, Value};
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 use std::fmt;
 
-/// Protocol major version 1: the original method surface, full-closure
-/// bundles, unbounded reads.
-pub const PROTOCOL_V1: i64 = 1;
-
-/// Protocol major version 2: adds push negotiation (`negotiate` + delta
-/// bundles) and paginated reads (`log_page`, `audit_log_page`,
-/// `list_repos_page`).
-pub const PROTOCOL_V2: i64 = 2;
-
-/// Protocol major version 3: adds batch envelopes and the binary-framing
-/// object side channel (`objects_ext`). See the module docs; the framing
-/// itself lives in [`crate::transport`].
-pub const PROTOCOL_V3: i64 = 3;
-
-/// The newest protocol major version this build speaks. Envelopes are
-/// stamped with the lowest version that can carry them, so bumping this
-/// never changes the bytes of older methods.
-pub const PROTOCOL_VERSION: i64 = PROTOCOL_V3;
+/// The protocol version every envelope is stamped with. An envelope
+/// stamped with anything else is refused with a `protocol` error.
+pub const PROTOCOL_VERSION: i64 = 3;
 
 /// Default page size applied when a paginated request omits `limit`.
 pub const DEFAULT_PAGE_SIZE: usize = 100;
@@ -200,131 +167,71 @@ pub type WireResult<T> = std::result::Result<T, WireError>;
 // Error codes
 // ---------------------------------------------------------------------
 
-/// Stable machine-readable failure categories (see the module-level
-/// error-code table).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)] // the table in the module docs is the documentation
-pub enum ErrorCode {
-    AuthFailed,
-    PermissionDenied,
-    UserNotFound,
-    UserExists,
-    RepoNotFound,
-    RepoExists,
-    DoiNotFound,
-    SwhidNotFound,
-    BadRequest,
-    BranchNotFound,
-    BranchExists,
-    NonFastForward,
-    FileNotFound,
-    ObjectNotFound,
-    NothingToCommit,
-    MergeConflicts,
-    EmptyRepository,
-    Git,
-    AlreadyCited,
-    NotCited,
-    RootCitationRequired,
-    PathMissing,
-    ReservedPath,
-    UnresolvedConflict,
-    DestinationExists,
-    SourceMissing,
-    BadCitationFile,
-    Cite,
-    TokenExpired,
-    RateLimited,
-    QuotaExceeded,
-    ServerBusy,
-    NotPrimary,
-    Protocol,
-    TransportClosed,
+macro_rules! error_codes {
+    ($($code:ident = $wire:literal,)*) => {
+        /// Stable machine-readable failure categories (see the module-level
+        /// error-code table).
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[allow(missing_docs)] // the table in the module docs is the documentation
+        pub enum ErrorCode {
+            $($code,)*
+        }
+
+        impl ErrorCode {
+            /// The wire spelling.
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $(ErrorCode::$code => $wire,)*
+                }
+            }
+
+            /// Parses the wire spelling.
+            pub fn parse(s: &str) -> Option<ErrorCode> {
+                match s {
+                    $($wire => Some(ErrorCode::$code),)*
+                    _ => None,
+                }
+            }
+        }
+    };
 }
 
-impl ErrorCode {
-    /// The wire spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ErrorCode::AuthFailed => "auth_failed",
-            ErrorCode::PermissionDenied => "permission_denied",
-            ErrorCode::UserNotFound => "user_not_found",
-            ErrorCode::UserExists => "user_exists",
-            ErrorCode::RepoNotFound => "repo_not_found",
-            ErrorCode::RepoExists => "repo_exists",
-            ErrorCode::DoiNotFound => "doi_not_found",
-            ErrorCode::SwhidNotFound => "swhid_not_found",
-            ErrorCode::BadRequest => "bad_request",
-            ErrorCode::BranchNotFound => "branch_not_found",
-            ErrorCode::BranchExists => "branch_exists",
-            ErrorCode::NonFastForward => "non_fast_forward",
-            ErrorCode::FileNotFound => "file_not_found",
-            ErrorCode::ObjectNotFound => "object_not_found",
-            ErrorCode::NothingToCommit => "nothing_to_commit",
-            ErrorCode::MergeConflicts => "merge_conflicts",
-            ErrorCode::EmptyRepository => "empty_repository",
-            ErrorCode::Git => "git",
-            ErrorCode::AlreadyCited => "already_cited",
-            ErrorCode::NotCited => "not_cited",
-            ErrorCode::RootCitationRequired => "root_citation_required",
-            ErrorCode::PathMissing => "path_missing",
-            ErrorCode::ReservedPath => "reserved_path",
-            ErrorCode::UnresolvedConflict => "unresolved_conflict",
-            ErrorCode::DestinationExists => "destination_exists",
-            ErrorCode::SourceMissing => "source_missing",
-            ErrorCode::BadCitationFile => "bad_citation_file",
-            ErrorCode::Cite => "cite",
-            ErrorCode::TokenExpired => "token_expired",
-            ErrorCode::RateLimited => "rate_limited",
-            ErrorCode::QuotaExceeded => "quota_exceeded",
-            ErrorCode::ServerBusy => "server_busy",
-            ErrorCode::NotPrimary => "not_primary",
-            ErrorCode::Protocol => "protocol",
-            ErrorCode::TransportClosed => "transport_closed",
-        }
-    }
-
-    /// Parses the wire spelling.
-    pub fn parse(s: &str) -> Option<ErrorCode> {
-        Some(match s {
-            "auth_failed" => ErrorCode::AuthFailed,
-            "permission_denied" => ErrorCode::PermissionDenied,
-            "user_not_found" => ErrorCode::UserNotFound,
-            "user_exists" => ErrorCode::UserExists,
-            "repo_not_found" => ErrorCode::RepoNotFound,
-            "repo_exists" => ErrorCode::RepoExists,
-            "doi_not_found" => ErrorCode::DoiNotFound,
-            "swhid_not_found" => ErrorCode::SwhidNotFound,
-            "bad_request" => ErrorCode::BadRequest,
-            "branch_not_found" => ErrorCode::BranchNotFound,
-            "branch_exists" => ErrorCode::BranchExists,
-            "non_fast_forward" => ErrorCode::NonFastForward,
-            "file_not_found" => ErrorCode::FileNotFound,
-            "object_not_found" => ErrorCode::ObjectNotFound,
-            "nothing_to_commit" => ErrorCode::NothingToCommit,
-            "merge_conflicts" => ErrorCode::MergeConflicts,
-            "empty_repository" => ErrorCode::EmptyRepository,
-            "git" => ErrorCode::Git,
-            "already_cited" => ErrorCode::AlreadyCited,
-            "not_cited" => ErrorCode::NotCited,
-            "root_citation_required" => ErrorCode::RootCitationRequired,
-            "path_missing" => ErrorCode::PathMissing,
-            "reserved_path" => ErrorCode::ReservedPath,
-            "unresolved_conflict" => ErrorCode::UnresolvedConflict,
-            "destination_exists" => ErrorCode::DestinationExists,
-            "source_missing" => ErrorCode::SourceMissing,
-            "bad_citation_file" => ErrorCode::BadCitationFile,
-            "cite" => ErrorCode::Cite,
-            "token_expired" => ErrorCode::TokenExpired,
-            "rate_limited" => ErrorCode::RateLimited,
-            "quota_exceeded" => ErrorCode::QuotaExceeded,
-            "server_busy" => ErrorCode::ServerBusy,
-            "not_primary" => ErrorCode::NotPrimary,
-            "protocol" => ErrorCode::Protocol,
-            "transport_closed" => ErrorCode::TransportClosed,
-            _ => return None,
-        })
-    }
+error_codes! {
+    AuthFailed = "auth_failed",
+    PermissionDenied = "permission_denied",
+    UserNotFound = "user_not_found",
+    UserExists = "user_exists",
+    RepoNotFound = "repo_not_found",
+    RepoExists = "repo_exists",
+    DoiNotFound = "doi_not_found",
+    SwhidNotFound = "swhid_not_found",
+    BadRequest = "bad_request",
+    BranchNotFound = "branch_not_found",
+    BranchExists = "branch_exists",
+    NonFastForward = "non_fast_forward",
+    FileNotFound = "file_not_found",
+    ObjectNotFound = "object_not_found",
+    NothingToCommit = "nothing_to_commit",
+    MergeConflicts = "merge_conflicts",
+    EmptyRepository = "empty_repository",
+    Git = "git",
+    AlreadyCited = "already_cited",
+    NotCited = "not_cited",
+    RootCitationRequired = "root_citation_required",
+    PathMissing = "path_missing",
+    ReservedPath = "reserved_path",
+    UnresolvedConflict = "unresolved_conflict",
+    DestinationExists = "destination_exists",
+    SourceMissing = "source_missing",
+    BadCitationFile = "bad_citation_file",
+    Cite = "cite",
+    TokenExpired = "token_expired",
+    RateLimited = "rate_limited",
+    QuotaExceeded = "quota_exceeded",
+    ServerBusy = "server_busy",
+    NotPrimary = "not_primary",
+    Protocol = "protocol",
+    TransportClosed = "transport_closed",
 }
 
 impl fmt::Display for ErrorCode {
@@ -518,30 +425,6 @@ impl WireError {
             ErrorCode::Cite => HubError::Cite(citekit::CiteError::BadCitationFile(message)),
         }
     }
-
-    fn to_value(&self) -> Value {
-        let mut o = Object::new();
-        o.insert("code", self.code.as_str());
-        o.insert("message", self.message.as_str());
-        if let Some(d) = &self.detail {
-            o.insert("detail", d.as_str());
-        }
-        Value::Object(o)
-    }
-
-    fn from_value(v: &Value) -> WireResult<WireError> {
-        let o = v
-            .as_object()
-            .ok_or_else(|| proto("error must be an object"))?;
-        let code_str = req_str(o, "code")?;
-        let code = ErrorCode::parse(&code_str)
-            .ok_or_else(|| proto(format!("unknown error code {code_str:?}")))?;
-        Ok(WireError {
-            code,
-            message: req_str(o, "message")?,
-            detail: opt_str(o, "detail")?,
-        })
-    }
 }
 
 impl fmt::Display for WireError {
@@ -577,6 +460,357 @@ fn proto(msg: impl Into<String>) -> WireError {
 }
 
 // ---------------------------------------------------------------------
+// Value codecs
+// ---------------------------------------------------------------------
+
+/// Where bundle object payloads go while one message is encoded or
+/// parsed. `Some` is the binary framing's side channel: encoding moves
+/// every bundle's objects into it (the envelope then says
+/// `"objects_ext": n`) and parsing draws them back out, in order. `None`
+/// keeps objects inline as hex — plain envelopes and every batch item.
+struct Side(Option<VecDeque<(ObjectId, Vec<u8>)>>);
+
+impl Side {
+    fn inline() -> Side {
+        Side(None)
+    }
+
+    fn channel(objects: Vec<(ObjectId, Vec<u8>)>) -> Side {
+        Side(Some(objects.into()))
+    }
+
+    fn into_objects(self) -> Vec<(ObjectId, Vec<u8>)> {
+        self.0.map(Vec::from).unwrap_or_default()
+    }
+
+    /// After a parse: every side-channel object must have been claimed.
+    fn finish(self) -> WireResult<()> {
+        match self.0 {
+            Some(rest) if !rest.is_empty() => Err(proto(format!(
+                "side channel carried {} unconsumed objects",
+                rest.len()
+            ))),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// How one value type travels as sjson. Params, results, bundles and
+/// metrics are all built from these impls, so each type's encoding is
+/// stated exactly once.
+trait Wire: Sized {
+    fn to_wire(&self, side: &mut Side) -> Value;
+    fn from_wire(v: &Value, side: &mut Side) -> WireResult<Self>;
+}
+
+/// Types that travel as the fields of an enclosing object. Structs are
+/// `Body`s, and a result may carry one flattened beside its `type` tag.
+trait Body: Sized {
+    fn put_body(&self, o: &mut Object, side: &mut Side);
+    fn get_body(o: &Object, side: &mut Side) -> WireResult<Self>;
+}
+
+fn expected(what: &str) -> WireError {
+    proto(format!("expected {what}"))
+}
+
+fn object(v: &Value) -> WireResult<&Object> {
+    v.as_object().ok_or_else(|| expected("an object"))
+}
+
+/// Reads a field every peer writes. A missing key reads as `null`, which
+/// only `Option` fields accept.
+fn field<T: Wire>(o: &Object, key: &str, side: &mut Side) -> WireResult<T> {
+    match o.get(key) {
+        Some(v) => T::from_wire(v, side),
+        None => T::from_wire(&Value::Null, side),
+    }
+    .map_err(|e| proto(format!("field {key:?}: {}", e.message)))
+}
+
+/// Reads a field under the absent-field rule: missing or `null` is the
+/// default value.
+fn sparse_field<T: Wire + Default>(o: &Object, key: &str, side: &mut Side) -> WireResult<T> {
+    match o.get(key) {
+        None | Some(Value::Null) => Ok(T::default()),
+        Some(v) => {
+            T::from_wire(v, side).map_err(|e| proto(format!("field {key:?}: {}", e.message)))
+        }
+    }
+}
+
+fn is_default<T: Default + PartialEq>(v: &T) -> bool {
+    *v == T::default()
+}
+
+/// Writes one field; a `sparse` field is left out while it holds its
+/// default value (the absent-field rule).
+macro_rules! put {
+    ($o:expr, $side:expr, $key:expr, $v:expr) => {{
+        $o.insert($key, Wire::to_wire($v, $side));
+    }};
+    ($o:expr, $side:expr, $key:expr, $v:expr, sparse) => {
+        if !is_default($v) {
+            put!($o, $side, $key, $v);
+        }
+    };
+}
+
+/// Reads one field written by [`put!`].
+macro_rules! get {
+    ($o:expr, $side:expr, $key:expr) => {
+        field($o, $key, $side)?
+    };
+    ($o:expr, $side:expr, $key:expr, sparse) => {
+        sparse_field($o, $key, $side)?
+    };
+}
+
+/// Declares structs that travel as objects holding the listed fields
+/// under their own names, in the listed order. `#[sparse]` fields follow
+/// the absent-field rule.
+macro_rules! wire_structs {
+    ($($ty:ident { $($(#[$mark:ident])? $field:ident),* $(,)? })*) => {$(
+        impl Body for $ty {
+            fn put_body(&self, o: &mut Object, side: &mut Side) {
+                $(put!(o, side, stringify!($field), &self.$field $(, $mark)?);)*
+            }
+
+            fn get_body(o: &Object, side: &mut Side) -> WireResult<Self> {
+                Ok($ty {
+                    $($field: get!(o, side, stringify!($field) $(, $mark)?),)*
+                })
+            }
+        }
+
+        impl Wire for $ty {
+            fn to_wire(&self, side: &mut Side) -> Value {
+                let mut o = Object::new();
+                self.put_body(&mut o, side);
+                Value::Object(o)
+            }
+
+            fn from_wire(v: &Value, side: &mut Side) -> WireResult<Self> {
+                Self::get_body(object(v)?, side)
+            }
+        }
+    )*};
+}
+
+/// Declares enums that travel as one of a fixed set of strings.
+macro_rules! wire_enums {
+    ($($ty:ident { $($var:ident = $wire:literal),* $(,)? })*) => {$(
+        impl Wire for $ty {
+            fn to_wire(&self, _: &mut Side) -> Value {
+                Value::from(match self {
+                    $($ty::$var => $wire,)*
+                })
+            }
+
+            fn from_wire(v: &Value, _: &mut Side) -> WireResult<Self> {
+                match v.as_str() {
+                    $(Some($wire) => Ok($ty::$var),)*
+                    _ => Err(proto(format!("unknown {} {v}", stringify!($ty)))),
+                }
+            }
+        }
+    )*};
+}
+
+impl Wire for String {
+    fn to_wire(&self, _: &mut Side) -> Value {
+        Value::from(self.as_str())
+    }
+
+    fn from_wire(v: &Value, _: &mut Side) -> WireResult<Self> {
+        v.as_str()
+            .map(str::to_owned)
+            .ok_or_else(|| expected("a string"))
+    }
+}
+
+impl Wire for bool {
+    fn to_wire(&self, _: &mut Side) -> Value {
+        Value::from(*self)
+    }
+
+    fn from_wire(v: &Value, _: &mut Side) -> WireResult<Self> {
+        v.as_bool().ok_or_else(|| expected("a boolean"))
+    }
+}
+
+impl Wire for i64 {
+    fn to_wire(&self, _: &mut Side) -> Value {
+        Value::from(*self)
+    }
+
+    fn from_wire(v: &Value, _: &mut Side) -> WireResult<Self> {
+        v.as_i64().ok_or_else(|| expected("an integer"))
+    }
+}
+
+// Counters and sizes ride as sjson's i64.
+impl Wire for u64 {
+    fn to_wire(&self, _: &mut Side) -> Value {
+        Value::from(*self as i64)
+    }
+
+    fn from_wire(v: &Value, _: &mut Side) -> WireResult<Self> {
+        v.as_i64()
+            .map(|n| n as u64)
+            .ok_or_else(|| expected("an integer"))
+    }
+}
+
+impl Wire for usize {
+    fn to_wire(&self, _: &mut Side) -> Value {
+        Value::from(*self as i64)
+    }
+
+    fn from_wire(v: &Value, _: &mut Side) -> WireResult<Self> {
+        v.as_i64()
+            .map(|n| n as usize)
+            .ok_or_else(|| expected("an integer"))
+    }
+}
+
+impl Wire for u32 {
+    fn to_wire(&self, _: &mut Side) -> Value {
+        Value::from(*self as i64)
+    }
+
+    fn from_wire(v: &Value, _: &mut Side) -> WireResult<Self> {
+        v.as_i64()
+            .and_then(|n| u32::try_from(n).ok())
+            .ok_or_else(|| expected("a non-negative integer"))
+    }
+}
+
+impl Wire for ObjectId {
+    fn to_wire(&self, _: &mut Side) -> Value {
+        Value::from(self.to_hex())
+    }
+
+    fn from_wire(v: &Value, _: &mut Side) -> WireResult<Self> {
+        v.as_str()
+            .and_then(ObjectId::from_hex)
+            .ok_or_else(|| expected("a 40-char hex id"))
+    }
+}
+
+impl Wire for RepoPath {
+    fn to_wire(&self, _: &mut Side) -> Value {
+        Value::from(self.to_string())
+    }
+
+    fn from_wire(v: &Value, _: &mut Side) -> WireResult<Self> {
+        let s = v.as_str().ok_or_else(|| expected("a path string"))?;
+        RepoPath::parse(s).map_err(|e| proto(format!("bad path {s:?}: {e}")))
+    }
+}
+
+/// Byte payloads (file contents, inline objects) travel as hex.
+impl Wire for Vec<u8> {
+    fn to_wire(&self, _: &mut Side) -> Value {
+        Value::from(hex_encode(self))
+    }
+
+    fn from_wire(v: &Value, _: &mut Side) -> WireResult<Self> {
+        v.as_str()
+            .and_then(hex_decode)
+            .ok_or_else(|| expected("hex bytes"))
+    }
+}
+
+impl Wire for Citation {
+    fn to_wire(&self, _: &mut Side) -> Value {
+        self.to_value()
+    }
+
+    fn from_wire(v: &Value, _: &mut Side) -> WireResult<Self> {
+        Citation::from_value(v).map_err(|e| proto(format!("bad citation: {e}")))
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn to_wire(&self, side: &mut Side) -> Value {
+        Value::Array(self.iter().map(|x| x.to_wire(side)).collect())
+    }
+
+    fn from_wire(v: &Value, side: &mut Side) -> WireResult<Self> {
+        v.as_array()
+            .ok_or_else(|| expected("an array"))?
+            .iter()
+            .map(|x| T::from_wire(x, side))
+            .collect()
+    }
+}
+
+/// `None` travels as `null`; a sparse field leaves it out instead.
+impl<T: Wire> Wire for Option<T> {
+    fn to_wire(&self, side: &mut Side) -> Value {
+        match self {
+            Some(x) => x.to_wire(side),
+            None => Value::Null,
+        }
+    }
+
+    fn from_wire(v: &Value, side: &mut Side) -> WireResult<Self> {
+        match v {
+            Value::Null => Ok(None),
+            v => T::from_wire(v, side).map(Some),
+        }
+    }
+}
+
+/// Pairs travel as two-element arrays.
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn to_wire(&self, side: &mut Side) -> Value {
+        Value::Array(vec![self.0.to_wire(side), self.1.to_wire(side)])
+    }
+
+    fn from_wire(v: &Value, side: &mut Side) -> WireResult<Self> {
+        match v.as_array() {
+            Some([a, b]) => Ok((A::from_wire(a, side)?, B::from_wire(b, side)?)),
+            _ => Err(expected("a two-element array")),
+        }
+    }
+}
+
+impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
+    fn to_wire(&self, side: &mut Side) -> Value {
+        Value::Array(vec![
+            self.0.to_wire(side),
+            self.1.to_wire(side),
+            self.2.to_wire(side),
+        ])
+    }
+
+    fn from_wire(v: &Value, side: &mut Side) -> WireResult<Self> {
+        match v.as_array() {
+            Some([a, b, c]) => Ok((
+                A::from_wire(a, side)?,
+                B::from_wire(b, side)?,
+                C::from_wire(c, side)?,
+            )),
+            _ => Err(expected("a three-element array")),
+        }
+    }
+}
+
+impl Wire for ErrorCode {
+    fn to_wire(&self, _: &mut Side) -> Value {
+        Value::from(self.as_str())
+    }
+
+    fn from_wire(v: &Value, _: &mut Side) -> WireResult<Self> {
+        v.as_str()
+            .and_then(ErrorCode::parse)
+            .ok_or_else(|| proto(format!("unknown error code {v}")))
+    }
+}
+
+// ---------------------------------------------------------------------
 // Wire-level compound types
 // ---------------------------------------------------------------------
 
@@ -587,14 +821,13 @@ fn proto(msg: impl Into<String>) -> WireError {
 ///
 /// A bundle comes in two forms. A **full** bundle (`basis` empty) carries
 /// the complete closure of its refs and can materialize a standalone
-/// repository. A **delta** bundle (protocol v2) carries only the objects
-/// past a negotiated frontier: `basis` names commits the receiver must
-/// already hold, and `objects` is everything reachable from the refs
-/// that is not covered by the basis commits' closures. Delta bundles can
-/// only be *applied* to a repository that has the basis
-/// ([`crate::Hub`]'s push path); materializing one standalone fails with
-/// `ObjectNotFound`. On the wire the `basis` key is simply absent for
-/// full bundles, so the v1 encoding is unchanged.
+/// repository. A **delta** bundle carries only the objects past a
+/// negotiated frontier: `basis` names commits the receiver must already
+/// hold, and `objects` is everything reachable from the refs that is not
+/// covered by the basis commits' closures. Delta bundles can only be
+/// *applied* to a repository that has the basis ([`crate::Hub`]'s push
+/// path); materializing one standalone fails with `ObjectNotFound`. On
+/// the wire the `basis` key is absent for full bundles.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RepoBundle {
     /// Repository name.
@@ -651,8 +884,8 @@ impl RepoBundle {
         })
     }
 
-    /// True for the negotiated delta form (protocol v2): the bundle is
-    /// only complete relative to its `basis` commits.
+    /// True for the negotiated delta form: the bundle is only complete
+    /// relative to its `basis` commits.
     pub fn is_delta(&self) -> bool {
         !self.basis.is_empty()
     }
@@ -671,11 +904,46 @@ impl RepoBundle {
         common: &HashSet<ObjectId>,
     ) -> gitlite::Result<RepoBundle> {
         let tip = repo.branch_tip(branch)?;
-        // New commits: everything from the tip down to the frontier.
+        Self::delta(
+            repo,
+            vec![(branch.to_owned(), tip)],
+            Some(branch.to_owned()),
+            common,
+        )
+    }
+
+    /// Bundles *every* branch of `repo` incrementally past the `common`
+    /// frontier — the replication fetch payload ([`crate::repl`]): the
+    /// walk starts from all branch tips at once, stop commits become the
+    /// shared `basis`, and `head`/`refs` mirror the whole repository so
+    /// the receiver can force its refs to match. With an empty `common`
+    /// this degrades to a full bundle (same objects as
+    /// [`RepoBundle::from_repository`]), which is also how a follower
+    /// bootstraps a repository it has never seen.
+    pub fn delta_from_refs(
+        repo: &Repository,
+        common: &HashSet<ObjectId>,
+    ) -> gitlite::Result<RepoBundle> {
+        let refs: Vec<(String, ObjectId)> = repo
+            .branches()
+            .map(|(b, tip)| (b.to_owned(), tip))
+            .collect();
+        Self::delta(repo, refs, repo.current_branch().map(str::to_owned), common)
+    }
+
+    /// The walk behind both delta forms: new commits from every ref tip
+    /// down to the `common` frontier, then their trees minus what the
+    /// frontier's closures already cover.
+    fn delta(
+        repo: &Repository,
+        refs: Vec<(String, ObjectId)>,
+        head: Option<String>,
+        common: &HashSet<ObjectId>,
+    ) -> gitlite::Result<RepoBundle> {
         let mut new_commits = Vec::new();
         let mut basis = Vec::new();
         let mut seen = HashSet::new();
-        let mut stack = vec![tip];
+        let mut stack: Vec<ObjectId> = refs.iter().map(|(_, tip)| *tip).collect();
         while let Some(id) = stack.pop() {
             if !seen.insert(id) {
                 continue;
@@ -713,69 +981,7 @@ impl RepoBundle {
         }
         Ok(RepoBundle {
             name: repo.name().to_owned(),
-            head: Some(branch.to_owned()),
-            refs: vec![(branch.to_owned(), tip)],
-            objects,
-            basis,
-        })
-    }
-
-    /// Bundles *every* branch of `repo` incrementally past the `common`
-    /// frontier — the replication fetch payload ([`crate::repl`]): the
-    /// walk starts from all branch tips at once, stop commits become the
-    /// shared `basis`, and `head`/`refs` mirror the whole repository so
-    /// the receiver can force its refs to match. With an empty `common`
-    /// this degrades to a full bundle (same objects as
-    /// [`RepoBundle::from_repository`]), which is also how a follower
-    /// bootstraps a repository it has never seen.
-    pub fn delta_from_refs(
-        repo: &Repository,
-        common: &HashSet<ObjectId>,
-    ) -> gitlite::Result<RepoBundle> {
-        let refs: Vec<(String, ObjectId)> = repo
-            .branches()
-            .map(|(b, tip)| (b.to_owned(), tip))
-            .collect();
-        let mut new_commits = Vec::new();
-        let mut basis = Vec::new();
-        let mut seen = HashSet::new();
-        let mut stack: Vec<ObjectId> = refs.iter().map(|(_, tip)| *tip).collect();
-        while let Some(id) = stack.pop() {
-            if !seen.insert(id) {
-                continue;
-            }
-            if common.contains(&id) {
-                basis.push(id);
-                continue;
-            }
-            let obj = repo.odb().commit_ref(id)?;
-            stack.extend_from_slice(&obj.as_commit().expect("checked kind").parents);
-            new_commits.push(id);
-        }
-        let mut known: HashSet<ObjectId> = HashSet::new();
-        for &b in &basis {
-            collect_tree_closure(repo, repo.tree_of(b)?, &mut known)?;
-        }
-        let mut objects = Vec::new();
-        for &id in &new_commits {
-            objects.push((id, repo.odb().get(id)?.canonical_bytes()));
-            let mut stack = vec![repo.tree_of(id)?];
-            while let Some(oid) = stack.pop() {
-                if !known.insert(oid) {
-                    continue;
-                }
-                let obj = repo.odb().get(oid)?;
-                if let gitlite::Object::Tree(t) = &*obj {
-                    for (_, e) in t.iter() {
-                        stack.push(e.id);
-                    }
-                }
-                objects.push((oid, obj.canonical_bytes()));
-            }
-        }
-        Ok(RepoBundle {
-            name: repo.name().to_owned(),
-            head: repo.current_branch().map(str::to_owned),
+            head,
             refs,
             objects,
             basis,
@@ -808,139 +1014,60 @@ impl RepoBundle {
         }
         Ok(repo)
     }
+}
 
-    /// The envelope keys every bundle form shares: `name`, `head`, `refs`.
-    fn header_value(&self) -> Object {
+/// Inline, `objects` is an array of `[id, hex bytes]` pairs; on the side
+/// channel it becomes the `objects_ext` count of records travelling
+/// beside the envelope.
+impl Wire for RepoBundle {
+    fn to_wire(&self, side: &mut Side) -> Value {
         let mut o = Object::new();
-        o.insert("name", self.name.as_str());
-        if let Some(h) = &self.head {
-            o.insert("head", h.as_str());
+        put!(o, side, "name", &self.name);
+        put!(o, side, "head", &self.head, sparse);
+        put!(o, side, "refs", &self.refs);
+        match side.0.as_mut() {
+            Some(channel) => {
+                o.insert("objects_ext", self.objects.len() as i64);
+                channel.extend(self.objects.iter().cloned());
+            }
+            None => put!(o, side, "objects", &self.objects),
         }
-        o.insert(
-            "refs",
-            Value::Array(
-                self.refs
-                    .iter()
-                    .map(|(b, tip)| Value::Array(vec![Value::from(b.as_str()), id_value(*tip)]))
-                    .collect(),
-            ),
-        );
-        o
-    }
-
-    fn to_value(&self) -> Value {
-        let mut o = self.header_value();
-        o.insert(
-            "objects",
-            Value::Array(
-                self.objects
-                    .iter()
-                    .map(|(id, bytes)| {
-                        Value::Array(vec![id_value(*id), Value::from(hex_encode(bytes))])
-                    })
-                    .collect(),
-            ),
-        );
-        // Absent for full bundles, so the v1 wire form is unchanged.
-        if !self.basis.is_empty() {
-            o.insert(
-                "basis",
-                Value::Array(self.basis.iter().map(|id| id_value(*id)).collect()),
-            );
-        }
+        put!(o, side, "basis", &self.basis, sparse);
         Value::Object(o)
     }
 
-    /// Like `to_value` but externalizing the object payloads (protocol
-    /// v3): the envelope carries `"objects_ext": n` and the `(id, bytes)`
-    /// pairs are appended to `sink`, in order, to travel as raw bytes on
-    /// the binary side channel instead of hex inside the envelope.
-    fn to_value_ext(&self, sink: &mut Vec<(ObjectId, Vec<u8>)>) -> Value {
-        let mut o = self.header_value();
-        o.insert("objects_ext", self.objects.len() as i64);
-        sink.extend(self.objects.iter().cloned());
-        if !self.basis.is_empty() {
-            o.insert(
-                "basis",
-                Value::Array(self.basis.iter().map(|id| id_value(*id)).collect()),
-            );
-        }
-        Value::Object(o)
-    }
-
-    fn from_value_inner(v: &Value, sidecar: Option<&mut Sidecar>) -> WireResult<RepoBundle> {
-        let o = v
-            .as_object()
-            .ok_or_else(|| proto("bundle must be an object"))?;
-        let mut refs = Vec::new();
-        for pair in req_arr(o, "refs")? {
-            let [b, tip] = two(pair, "ref")?;
-            refs.push((str_of(b, "ref branch")?, parse_id(tip, "ref tip")?));
-        }
+    fn from_wire(v: &Value, side: &mut Side) -> WireResult<Self> {
+        let o = object(v)?;
         let objects = match o.get("objects_ext") {
+            None => get!(o, side, "objects"),
             Some(count) => {
-                if o.get("objects").is_some() {
+                if o.contains_key("objects") {
                     return Err(proto("bundle cannot carry both objects and objects_ext"));
                 }
                 let n = count
                     .as_i64()
                     .and_then(|n| usize::try_from(n).ok())
                     .ok_or_else(|| proto("objects_ext must be a non-negative count"))?;
-                let Some(sc) = sidecar else {
-                    return Err(proto(
-                        "objects_ext bundle requires the v3 binary side channel",
-                    ));
+                let Some(channel) = side.0.as_mut() else {
+                    return Err(proto("objects_ext bundle requires the binary side channel"));
                 };
-                sc.used = true;
-                if sc.objects.len() < n {
+                if channel.len() < n {
                     return Err(proto(format!(
                         "objects_ext claims {n} objects, side channel carried {}",
-                        sc.objects.len()
+                        channel.len()
                     )));
                 }
-                sc.objects.drain(..n).collect()
-            }
-            None => {
-                let mut objects = Vec::new();
-                for pair in req_arr(o, "objects")? {
-                    let [id, bytes] = two(pair, "object")?;
-                    let bytes = hex_decode(
-                        bytes
-                            .as_str()
-                            .ok_or_else(|| proto("object bytes must be hex"))?,
-                    )
-                    .ok_or_else(|| proto("object bytes must be hex"))?;
-                    objects.push((parse_id(id, "object id")?, bytes));
-                }
-                objects
+                channel.drain(..n).collect()
             }
         };
-        let mut basis = Vec::new();
-        if let Some(v) = o.get("basis") {
-            for id in v
-                .as_array()
-                .ok_or_else(|| proto("basis must be an array"))?
-            {
-                basis.push(parse_id(id, "basis commit")?);
-            }
-        }
         Ok(RepoBundle {
-            name: req_str(o, "name")?,
-            head: opt_str(o, "head")?,
-            refs,
+            name: get!(o, side, "name"),
+            head: get!(o, side, "head", sparse),
+            refs: get!(o, side, "refs"),
             objects,
-            basis,
+            basis: get!(o, side, "basis", sparse),
         })
     }
-}
-
-/// Raw object payloads traveling beside a v3 envelope on the binary side
-/// channel. Bundles that say `objects_ext` draw from this queue in order;
-/// `used` records that the envelope referenced the side channel at all
-/// (which requires a `"v":3` stamp, even for an empty one).
-struct Sidecar {
-    objects: std::collections::VecDeque<(ObjectId, Vec<u8>)>,
-    used: bool,
 }
 
 /// Adds every tree and blob reachable from `root` (a tree id) to `out`.
@@ -964,7 +1091,7 @@ fn collect_tree_closure(
     Ok(())
 }
 
-/// Server's answer to a v2 `negotiate` request: the offered commit ids
+/// Server's answer to a `negotiate` request: the offered commit ids
 /// partitioned by whether they are reachable from the repository's refs.
 /// `common` commits (and their closures) need not be re-sent; `missing`
 /// ones the server has never seen.
@@ -976,47 +1103,66 @@ pub struct Negotiation {
     pub missing: Vec<ObjectId>,
 }
 
-impl Negotiation {
-    fn to_value(&self) -> Value {
-        let mut o = Object::new();
-        o.insert(
-            "common",
-            Value::Array(self.common.iter().map(|id| id_value(*id)).collect()),
-        );
-        o.insert(
-            "missing",
-            Value::Array(self.missing.iter().map(|id| id_value(*id)).collect()),
-        );
-        Value::Object(o)
-    }
-
-    fn from_value(v: &Value) -> WireResult<Negotiation> {
-        let o = v
-            .as_object()
-            .ok_or_else(|| proto("negotiation must be an object"))?;
-        let ids = |key: &str| -> WireResult<Vec<ObjectId>> {
-            req_arr(o, key)?
-                .iter()
-                .map(|id| parse_id(id, "negotiation commit"))
-                .collect()
-        };
-        Ok(Negotiation {
-            common: ids("common")?,
-            missing: ids("missing")?,
-        })
-    }
-}
-
-/// One page of a paginated read (protocol v2). `next` is an opaque
-/// cursor to pass back for the following page; `None` means the listing
-/// is exhausted. Cursors pin their position, so a page sequence stays
-/// stable while writers append.
+/// One page of a paginated read. `next` is an opaque cursor to pass back
+/// for the following page; `None` means the listing is exhausted.
+/// Cursors pin their position, so a page sequence stays stable while
+/// writers append.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Page<T> {
     /// The items of this page, at most the requested (clamped) limit.
     pub items: Vec<T>,
     /// Cursor for the next page, absent on the last one.
     pub next: Option<String>,
+}
+
+/// Listing items that travel in [`Page`]s, under their result's own key.
+trait PageItem: Wire {
+    const KEY: &'static str;
+}
+
+impl PageItem for LogEntry {
+    const KEY: &'static str = "entries";
+}
+
+impl PageItem for AuditEvent {
+    const KEY: &'static str = "events";
+}
+
+impl PageItem for String {
+    const KEY: &'static str = "names";
+}
+
+impl<T: PageItem> Body for Page<T> {
+    fn put_body(&self, o: &mut Object, side: &mut Side) {
+        put!(o, side, T::KEY, &self.items);
+        put!(o, side, "next", &self.next, sparse);
+    }
+
+    fn get_body(o: &Object, side: &mut Side) -> WireResult<Self> {
+        Ok(Page {
+            items: get!(o, side, T::KEY),
+            next: get!(o, side, "next", sparse),
+        })
+    }
+}
+
+/// Collects a whole paginated listing by following `next` cursors from
+/// the first page, asking for the largest pages the hub serves — the one
+/// walker behind the typed `log`, `audit_log` and `list_repos` helpers
+/// of [`crate::Hub`] and [`crate::HubClient`].
+pub(crate) fn walk_pages<T, E>(
+    mut page: impl FnMut(Option<&str>, Option<u32>) -> Result<Page<T>, E>,
+) -> Result<Vec<T>, E> {
+    let mut items = Vec::new();
+    let mut cursor: Option<String> = None;
+    loop {
+        let p = page(cursor.as_deref(), Some(MAX_PAGE_SIZE as u32))?;
+        items.extend(p.items);
+        match p.next {
+            Some(next) => cursor = Some(next),
+            None => return Ok(items),
+        }
+    }
 }
 
 /// Version-level outcome of a server-side merge.
@@ -1028,6 +1174,62 @@ pub enum MergeOutcome {
     FastForwarded(ObjectId),
     /// A merge commit was created.
     Merged(ObjectId),
+}
+
+impl Wire for MergeOutcome {
+    fn to_wire(&self, side: &mut Side) -> Value {
+        let mut o = Object::new();
+        let (kind, commit) = match self {
+            MergeOutcome::AlreadyUpToDate => ("already_up_to_date", None),
+            MergeOutcome::FastForwarded(id) => ("fast_forwarded", Some(id)),
+            MergeOutcome::Merged(id) => ("merged", Some(id)),
+        };
+        o.insert("kind", kind);
+        if let Some(id) = commit {
+            put!(o, side, "commit", id);
+        }
+        Value::Object(o)
+    }
+
+    fn from_wire(v: &Value, side: &mut Side) -> WireResult<Self> {
+        let o = object(v)?;
+        Ok(match o.get("kind").and_then(Value::as_str) {
+            Some("already_up_to_date") => MergeOutcome::AlreadyUpToDate,
+            Some("fast_forwarded") => MergeOutcome::FastForwarded(get!(o, side, "commit")),
+            Some("merged") => MergeOutcome::Merged(get!(o, side, "commit")),
+            _ => return Err(proto(format!("unknown merge outcome {v}"))),
+        })
+    }
+}
+
+impl Wire for Resolution {
+    fn to_wire(&self, side: &mut Side) -> Value {
+        let mut o = Object::new();
+        let kind = match self {
+            Resolution::Ours => "ours",
+            Resolution::Theirs => "theirs",
+            Resolution::Drop => "drop",
+            Resolution::Unresolved => "unresolved",
+            Resolution::Custom(_) => "custom",
+        };
+        o.insert("kind", kind);
+        if let Resolution::Custom(c) = self {
+            put!(o, side, "citation", c);
+        }
+        Value::Object(o)
+    }
+
+    fn from_wire(v: &Value, side: &mut Side) -> WireResult<Self> {
+        let o = object(v)?;
+        Ok(match o.get("kind").and_then(Value::as_str) {
+            Some("ours") => Resolution::Ours,
+            Some("theirs") => Resolution::Theirs,
+            Some("drop") => Resolution::Drop,
+            Some("unresolved") => Resolution::Unresolved,
+            Some("custom") => Resolution::Custom(get!(o, side, "citation")),
+            _ => return Err(proto(format!("unknown resolution {v}"))),
+        })
+    }
 }
 
 /// Wire form of a server-side `MergeCite` report: the outcome plus how
@@ -1043,107 +1245,6 @@ pub struct MergeSummary {
     pub dropped: Vec<RepoPath>,
 }
 
-fn resolution_to_value(r: &Resolution) -> Value {
-    let mut o = Object::new();
-    let kind = match r {
-        Resolution::Ours => "ours",
-        Resolution::Theirs => "theirs",
-        Resolution::Drop => "drop",
-        Resolution::Unresolved => "unresolved",
-        Resolution::Custom(_) => "custom",
-    };
-    o.insert("kind", kind);
-    if let Resolution::Custom(c) = r {
-        o.insert("citation", c.to_value());
-    }
-    Value::Object(o)
-}
-
-fn resolution_from_value(v: &Value) -> WireResult<Resolution> {
-    let o = v
-        .as_object()
-        .ok_or_else(|| proto("resolution must be an object"))?;
-    Ok(match req_str(o, "kind")?.as_str() {
-        "ours" => Resolution::Ours,
-        "theirs" => Resolution::Theirs,
-        "drop" => Resolution::Drop,
-        "unresolved" => Resolution::Unresolved,
-        "custom" => Resolution::Custom(parse_citation(
-            o.get("citation")
-                .ok_or_else(|| proto("custom resolution needs a citation"))?,
-        )?),
-        other => return Err(proto(format!("unknown resolution kind {other:?}"))),
-    })
-}
-
-impl MergeSummary {
-    fn to_value(&self) -> Value {
-        let mut outcome = Object::new();
-        match self.outcome {
-            MergeOutcome::AlreadyUpToDate => {
-                outcome.insert("kind", "already_up_to_date");
-            }
-            MergeOutcome::FastForwarded(id) => {
-                outcome.insert("kind", "fast_forwarded");
-                outcome.insert("commit", id.to_hex());
-            }
-            MergeOutcome::Merged(id) => {
-                outcome.insert("kind", "merged");
-                outcome.insert("commit", id.to_hex());
-            }
-        }
-        let mut o = Object::new();
-        o.insert("outcome", Value::Object(outcome));
-        o.insert(
-            "citation_conflicts",
-            Value::Array(
-                self.citation_conflicts
-                    .iter()
-                    .map(|(p, r)| Value::Array(vec![path_value(p), resolution_to_value(r)]))
-                    .collect(),
-            ),
-        );
-        o.insert(
-            "dropped",
-            Value::Array(self.dropped.iter().map(path_value).collect()),
-        );
-        Value::Object(o)
-    }
-
-    fn from_value(v: &Value) -> WireResult<MergeSummary> {
-        let o = v
-            .as_object()
-            .ok_or_else(|| proto("merge summary must be an object"))?;
-        let oc = req_obj(o, "outcome")?;
-        let outcome = match req_str(oc, "kind")?.as_str() {
-            "already_up_to_date" => MergeOutcome::AlreadyUpToDate,
-            "fast_forwarded" => MergeOutcome::FastForwarded(parse_id(
-                oc.get("commit").ok_or_else(|| proto("missing commit"))?,
-                "merge commit",
-            )?),
-            "merged" => MergeOutcome::Merged(parse_id(
-                oc.get("commit").ok_or_else(|| proto("missing commit"))?,
-                "merge commit",
-            )?),
-            other => return Err(proto(format!("unknown merge outcome {other:?}"))),
-        };
-        let mut citation_conflicts = Vec::new();
-        for pair in req_arr(o, "citation_conflicts")? {
-            let [p, r] = two(pair, "citation conflict")?;
-            citation_conflicts.push((parse_path_value(p)?, resolution_from_value(r)?));
-        }
-        let mut dropped = Vec::new();
-        for p in req_arr(o, "dropped")? {
-            dropped.push(parse_path_value(p)?);
-        }
-        Ok(MergeSummary {
-            outcome,
-            citation_conflicts,
-            dropped,
-        })
-    }
-}
-
 /// Object-store statistics for one hosted repository — the wire surface
 /// of [`gitlite::CacheStats`] plus the store's object count.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1156,79 +1257,15 @@ pub struct StoreStats {
     pub cache: Option<CacheStats>,
     /// Commits indexed by the store's commit-graph, when the backend
     /// maintains one (pack-backed repositories after their first
-    /// maintenance run). `None` on graph-less backends — both the field
-    /// and its wire key are simply absent, so pre-graph peers parse
-    /// unchanged.
+    /// maintenance run). `None` on graph-less backends, where the wire
+    /// key is absent too.
     pub graph_commits: Option<u64>,
     /// Pack records stored as deltas rather than full bytes. `None`
-    /// (key absent) on backends without delta packs — same absent-field
-    /// rule as `graph_commits`, so pre-delta peers parse unchanged.
+    /// (key absent) on backends without delta packs.
     pub delta_objects: Option<u64>,
     /// Commits whose graph record carries a changed-path Bloom filter.
     /// `None` (key absent) on graph-less backends.
     pub bloom_commits: Option<u64>,
-}
-
-impl StoreStats {
-    fn to_value(&self) -> Value {
-        let mut o = Object::new();
-        o.insert("repo_id", self.repo_id.as_str());
-        o.insert("objects", self.objects as i64);
-        if let Some(c) = &self.cache {
-            let mut co = Object::new();
-            co.insert("hits", c.hits as i64);
-            co.insert("misses", c.misses as i64);
-            co.insert("evictions", c.evictions as i64);
-            co.insert("len", c.len as i64);
-            co.insert("capacity", c.capacity as i64);
-            o.insert("cache", Value::Object(co));
-        }
-        if let Some(n) = self.graph_commits {
-            o.insert("graph_commits", n as i64);
-        }
-        if let Some(n) = self.delta_objects {
-            o.insert("delta_objects", n as i64);
-        }
-        if let Some(n) = self.bloom_commits {
-            o.insert("bloom_commits", n as i64);
-        }
-        Value::Object(o)
-    }
-
-    fn from_value(v: &Value) -> WireResult<StoreStats> {
-        let o = v
-            .as_object()
-            .ok_or_else(|| proto("stats must be an object"))?;
-        let cache = match o.get("cache") {
-            None | Some(Value::Null) => None,
-            Some(Value::Object(co)) => Some(CacheStats {
-                hits: req_i64(co, "hits")? as u64,
-                misses: req_i64(co, "misses")? as u64,
-                evictions: req_i64(co, "evictions")? as u64,
-                len: req_i64(co, "len")? as usize,
-                capacity: req_i64(co, "capacity")? as usize,
-            }),
-            Some(_) => return Err(proto("cache must be an object")),
-        };
-        let opt_u64 = |key: &'static str| -> WireResult<Option<u64>> {
-            match o.get(key) {
-                None | Some(Value::Null) => Ok(None),
-                Some(v) => Ok(Some(
-                    v.as_i64()
-                        .ok_or_else(|| proto(format!("{key} must be a number")))?
-                        as u64,
-                )),
-            }
-        };
-        Ok(StoreStats {
-            repo_id: req_str(o, "repo_id")?,
-            objects: req_i64(o, "objects")? as u64,
-            cache,
-            graph_commits: opt_u64("graph_commits")?,
-            delta_objects: opt_u64("delta_objects")?,
-            bloom_commits: opt_u64("bloom_commits")?,
-        })
-    }
 }
 
 /// What hub-side maintenance did to one hosted repository. A failed gc
@@ -1249,35 +1286,8 @@ pub struct RepoMaintenance {
     pub error: Option<String>,
 }
 
-impl RepoMaintenance {
-    fn to_value(&self) -> Value {
-        let mut o = Object::new();
-        o.insert("repo_id", self.repo_id.as_str());
-        o.insert("supported", self.supported);
-        o.insert("packed", self.packed as i64);
-        o.insert("dropped", self.dropped as i64);
-        if let Some(e) = &self.error {
-            o.insert("error", e.as_str());
-        }
-        Value::Object(o)
-    }
-
-    fn from_value(v: &Value) -> WireResult<RepoMaintenance> {
-        let o = v
-            .as_object()
-            .ok_or_else(|| proto("maintenance entry must be an object"))?;
-        Ok(RepoMaintenance {
-            repo_id: req_str(o, "repo_id")?,
-            supported: req_bool(o, "supported")?,
-            packed: req_i64(o, "packed")? as u64,
-            dropped: req_i64(o, "dropped")? as u64,
-            error: opt_str(o, "error")?,
-        })
-    }
-}
-
 // ---------------------------------------------------------------------
-// Server metrics (v3)
+// Server metrics
 // ---------------------------------------------------------------------
 
 /// A latency distribution on the wire: the sparse form of a
@@ -1317,55 +1327,6 @@ impl WireHistogram {
             self.max_us,
         )
     }
-
-    fn to_value(&self) -> Value {
-        let mut o = Object::new();
-        o.insert("count", self.count as i64);
-        o.insert("sum_us", self.sum_us as i64);
-        o.insert("max_us", self.max_us as i64);
-        if !self.buckets.is_empty() {
-            o.insert(
-                "buckets",
-                Value::Array(
-                    self.buckets
-                        .iter()
-                        .map(|&(i, n)| {
-                            Value::Array(vec![Value::from(i as i64), Value::from(n as i64)])
-                        })
-                        .collect(),
-                ),
-            );
-        }
-        Value::Object(o)
-    }
-
-    fn from_value(v: &Value) -> WireResult<WireHistogram> {
-        let o = v
-            .as_object()
-            .ok_or_else(|| proto("histogram must be an object"))?;
-        let mut buckets = Vec::new();
-        if let Some(arr) = o.get("buckets") {
-            let arr = arr
-                .as_array()
-                .ok_or_else(|| proto("buckets must be an array"))?;
-            for pair in arr {
-                let [i, n] = two(pair, "bucket")?;
-                let i = i
-                    .as_i64()
-                    .ok_or_else(|| proto("bucket index must be an integer"))?;
-                let n = n
-                    .as_i64()
-                    .ok_or_else(|| proto("bucket count must be an integer"))?;
-                buckets.push((i as u32, n as u64));
-            }
-        }
-        Ok(WireHistogram {
-            count: req_i64(o, "count")? as u64,
-            sum_us: req_i64(o, "sum_us")? as u64,
-            max_us: req_i64(o, "max_us")? as u64,
-            buckets,
-        })
-    }
 }
 
 /// Per-method dispatch statistics: call count, latency distribution and
@@ -1373,7 +1334,7 @@ impl WireHistogram {
 /// failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MethodMetrics {
-    /// Wire method name (`"log"`, `"push"`, ...).
+    /// Wire method name (`"log_page"`, `"push"`, ...).
     pub method: String,
     /// Total dispatches, successes and failures alike.
     pub calls: u64,
@@ -1383,56 +1344,6 @@ pub struct MethodMetrics {
     /// calls (always including a method's first), so `latency.count` is
     /// the number of *timed* calls and may trail `calls`.
     pub latency: WireHistogram,
-}
-
-impl MethodMetrics {
-    fn to_value(&self) -> Value {
-        let mut o = Object::new();
-        o.insert("method", self.method.as_str());
-        o.insert("calls", self.calls as i64);
-        if !self.errors.is_empty() {
-            o.insert(
-                "errors",
-                Value::Array(
-                    self.errors
-                        .iter()
-                        .map(|(code, n)| {
-                            Value::Array(vec![Value::from(code.as_str()), Value::from(*n as i64)])
-                        })
-                        .collect(),
-                ),
-            );
-        }
-        o.insert("latency", self.latency.to_value());
-        Value::Object(o)
-    }
-
-    fn from_value(v: &Value) -> WireResult<MethodMetrics> {
-        let o = v
-            .as_object()
-            .ok_or_else(|| proto("method metrics must be an object"))?;
-        let mut errors = Vec::new();
-        if let Some(arr) = o.get("errors") {
-            let arr = arr
-                .as_array()
-                .ok_or_else(|| proto("errors must be an array"))?;
-            for pair in arr {
-                let [code, n] = two(pair, "error tally")?;
-                let n = n
-                    .as_i64()
-                    .ok_or_else(|| proto("error count must be an integer"))?;
-                errors.push((str_of(code, "error code")?, n as u64));
-            }
-        }
-        Ok(MethodMetrics {
-            method: req_str(o, "method")?,
-            calls: req_i64(o, "calls")? as u64,
-            errors,
-            latency: WireHistogram::from_value(
-                o.get("latency").ok_or_else(|| proto("missing latency"))?,
-            )?,
-        })
-    }
 }
 
 /// Socket-layer gauges and counters, exported by the reactor. Absent
@@ -1446,13 +1357,14 @@ pub struct TransportMetrics {
     pub queue_depth: i64,
     /// Workers executing a request right now.
     pub busy_workers: i64,
-    /// Request bytes received over line framing (v1/v2).
+    /// Always 0: the hub no longer serves line framing. The key stays on
+    /// the wire so existing readers of the snapshot keep parsing it.
     pub bytes_in_line: u64,
-    /// Response bytes sent over line framing.
+    /// Always 0, like `bytes_in_line`.
     pub bytes_out_line: u64,
-    /// Request bytes received over v3 binary framing.
+    /// Request bytes received over the length-prefixed framing.
     pub bytes_in_binary: u64,
-    /// Response bytes sent over v3 binary framing.
+    /// Response bytes sent over the length-prefixed framing.
     pub bytes_out_binary: u64,
     /// Frames refused by the size/count caps before execution.
     pub frames_rejected: u64,
@@ -1467,46 +1379,11 @@ pub struct TransportMetrics {
     pub obj_deflate_bytes: u64,
 }
 
-impl TransportMetrics {
-    fn to_value(&self) -> Value {
-        let mut o = Object::new();
-        o.insert("open_connections", self.open_connections);
-        o.insert("queue_depth", self.queue_depth);
-        o.insert("busy_workers", self.busy_workers);
-        o.insert("bytes_in_line", self.bytes_in_line as i64);
-        o.insert("bytes_out_line", self.bytes_out_line as i64);
-        o.insert("bytes_in_binary", self.bytes_in_binary as i64);
-        o.insert("bytes_out_binary", self.bytes_out_binary as i64);
-        o.insert("frames_rejected", self.frames_rejected as i64);
-        o.insert("transport_closed", self.transport_closed as i64);
-        o.insert("obj_raw_bytes", self.obj_raw_bytes as i64);
-        o.insert("obj_deflate_bytes", self.obj_deflate_bytes as i64);
-        Value::Object(o)
-    }
-
-    fn from_value(v: &Value) -> WireResult<TransportMetrics> {
-        let o = v
-            .as_object()
-            .ok_or_else(|| proto("transport metrics must be an object"))?;
-        Ok(TransportMetrics {
-            open_connections: req_i64(o, "open_connections")?,
-            queue_depth: req_i64(o, "queue_depth")?,
-            busy_workers: req_i64(o, "busy_workers")?,
-            bytes_in_line: req_i64(o, "bytes_in_line")? as u64,
-            bytes_out_line: req_i64(o, "bytes_out_line")? as u64,
-            bytes_in_binary: req_i64(o, "bytes_in_binary")? as u64,
-            bytes_out_binary: req_i64(o, "bytes_out_binary")? as u64,
-            frames_rejected: req_i64(o, "frames_rejected")? as u64,
-            transport_closed: req_i64(o, "transport_closed")? as u64,
-            obj_raw_bytes: req_i64(o, "obj_raw_bytes")? as u64,
-            obj_deflate_bytes: req_i64(o, "obj_deflate_bytes")? as u64,
-        })
-    }
-}
-
 /// Storage-layer counters aggregated across every hosted repository:
 /// read-cache totals plus the process-wide pack/loose and
-/// graph/fallback tallies from [`gitlite::metrics`].
+/// graph/fallback tallies from [`gitlite::metrics`]. The delta and Bloom
+/// counters follow the absent-field rule: their keys appear once they
+/// have fired.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StoreMetrics {
     /// Hosted repositories.
@@ -1539,66 +1416,12 @@ impl StoreMetrics {
         let total = self.cache_hits + self.cache_misses;
         (total > 0).then(|| self.cache_hits as f64 / total as f64)
     }
-
-    fn to_value(&self) -> Value {
-        let mut o = Object::new();
-        o.insert("repos", self.repos as i64);
-        o.insert("cache_hits", self.cache_hits as i64);
-        o.insert("cache_misses", self.cache_misses as i64);
-        o.insert("pack_reads", self.pack_reads as i64);
-        o.insert("loose_reads", self.loose_reads as i64);
-        o.insert("graph_walks", self.graph_walks as i64);
-        o.insert("fallback_walks", self.fallback_walks as i64);
-        // Newer counters follow the absent-field rule: the key is only
-        // emitted once the counter has fired, so pre-delta/Bloom peers
-        // (and the pinned goldens) see byte-identical objects.
-        for (key, v) in [
-            ("delta_resolutions", self.delta_resolutions),
-            ("bloom_hits", self.bloom_hits),
-            ("bloom_skips", self.bloom_skips),
-            ("bloom_false_positives", self.bloom_false_positives),
-        ] {
-            if v > 0 {
-                o.insert(key, v as i64);
-            }
-        }
-        Value::Object(o)
-    }
-
-    fn from_value(v: &Value) -> WireResult<StoreMetrics> {
-        let o = v
-            .as_object()
-            .ok_or_else(|| proto("store metrics must be an object"))?;
-        let opt_counter = |key: &'static str| -> WireResult<u64> {
-            match o.get(key) {
-                None | Some(Value::Null) => Ok(0),
-                Some(v) => Ok(v
-                    .as_i64()
-                    .ok_or_else(|| proto(format!("{key} must be a number")))?
-                    as u64),
-            }
-        };
-        Ok(StoreMetrics {
-            repos: req_i64(o, "repos")? as u64,
-            cache_hits: req_i64(o, "cache_hits")? as u64,
-            cache_misses: req_i64(o, "cache_misses")? as u64,
-            pack_reads: req_i64(o, "pack_reads")? as u64,
-            loose_reads: req_i64(o, "loose_reads")? as u64,
-            graph_walks: req_i64(o, "graph_walks")? as u64,
-            fallback_walks: req_i64(o, "fallback_walks")? as u64,
-            delta_resolutions: opt_counter("delta_resolutions")?,
-            bloom_hits: opt_counter("bloom_hits")?,
-            bloom_skips: opt_counter("bloom_skips")?,
-            bloom_false_positives: opt_counter("bloom_false_positives")?,
-        })
-    }
 }
 
 /// Abuse-resistance counters: how often the hub said *no* for reasons
 /// other than the request being wrong. Every field follows the
-/// absent-field rule (key emitted only once the counter has fired), and
-/// the whole section is absent from a [`MetricsSnapshot`] until any
-/// fires — pre-existing goldens never see it.
+/// absent-field rule, and the whole section is absent from a
+/// [`MetricsSnapshot`] until any fires.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LimitsMetrics {
     /// Failed authentications: bad/expired/revoked tokens, wrong or
@@ -1617,54 +1440,14 @@ impl LimitsMetrics {
     /// True when nothing has ever been refused — the section stays off
     /// the wire.
     pub fn is_empty(&self) -> bool {
-        self.auth_failures == 0
-            && self.rate_rejections == 0
-            && self.quota_rejections == 0
-            && self.conns_shed == 0
-    }
-
-    fn to_value(&self) -> Value {
-        let mut o = Object::new();
-        for (key, v) in [
-            ("auth_failures", self.auth_failures),
-            ("rate_rejections", self.rate_rejections),
-            ("quota_rejections", self.quota_rejections),
-            ("conns_shed", self.conns_shed),
-        ] {
-            if v > 0 {
-                o.insert(key, v as i64);
-            }
-        }
-        Value::Object(o)
-    }
-
-    fn from_value(v: &Value) -> WireResult<LimitsMetrics> {
-        let o = v
-            .as_object()
-            .ok_or_else(|| proto("limits metrics must be an object"))?;
-        let opt_counter = |key: &'static str| -> WireResult<u64> {
-            match o.get(key) {
-                None | Some(Value::Null) => Ok(0),
-                Some(v) => Ok(v
-                    .as_i64()
-                    .ok_or_else(|| proto(format!("{key} must be a number")))?
-                    as u64),
-            }
-        };
-        Ok(LimitsMetrics {
-            auth_failures: opt_counter("auth_failures")?,
-            rate_rejections: opt_counter("rate_rejections")?,
-            quota_rejections: opt_counter("quota_rejections")?,
-            conns_shed: opt_counter("conns_shed")?,
-        })
+        *self == LimitsMetrics::default()
     }
 }
 
 /// Replication health of a follower hub (see [`crate::repl`]): who the
 /// primary is, how far behind the follower sits, and how rocky the link
 /// has been. The whole section is absent from a [`MetricsSnapshot`]
-/// (field and wire key both) on a hub that is not following anyone, so
-/// pre-replication peers and the pinned goldens never see it.
+/// (field and wire key both) on a hub that is not following anyone.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ReplMetrics {
     /// Wire address of the primary being followed.
@@ -1686,60 +1469,6 @@ pub struct ReplMetrics {
     pub reconnects: u64,
 }
 
-impl ReplMetrics {
-    fn to_value(&self) -> Value {
-        let mut o = Object::new();
-        o.insert("primary", self.primary.as_str());
-        o.insert("lag_seconds", self.lag_seconds);
-        o.insert("epoch", self.epoch);
-        o.insert("repos_behind", self.repos_behind as i64);
-        if !self.behind.is_empty() {
-            o.insert(
-                "behind",
-                Value::Array(
-                    self.behind
-                        .iter()
-                        .map(|(repo, n)| {
-                            Value::Array(vec![Value::from(repo.as_str()), Value::from(*n as i64)])
-                        })
-                        .collect(),
-                ),
-            );
-        }
-        o.insert("rounds", self.rounds as i64);
-        o.insert("reconnects", self.reconnects as i64);
-        Value::Object(o)
-    }
-
-    fn from_value(v: &Value) -> WireResult<ReplMetrics> {
-        let o = v
-            .as_object()
-            .ok_or_else(|| proto("repl metrics must be an object"))?;
-        let mut behind = Vec::new();
-        if let Some(v) = o.get("behind") {
-            for pair in v
-                .as_array()
-                .ok_or_else(|| proto("behind must be an array"))?
-            {
-                let [repo, n] = two(pair, "behind entry")?;
-                let n = n
-                    .as_i64()
-                    .ok_or_else(|| proto("behind delta must be an integer"))?;
-                behind.push((str_of(repo, "behind repo")?, n as u64));
-            }
-        }
-        Ok(ReplMetrics {
-            primary: req_str(o, "primary")?,
-            lag_seconds: req_i64(o, "lag_seconds")?,
-            epoch: req_i64(o, "epoch")?,
-            repos_behind: req_i64(o, "repos_behind")? as u64,
-            behind,
-            rounds: req_i64(o, "rounds")? as u64,
-            reconnects: req_i64(o, "reconnects")? as u64,
-        })
-    }
-}
-
 /// One repository's replication frontier in a [`ReplStatus`] reply: its
 /// head and every `(branch, tip)` pair. A follower compares this against
 /// its local copy to decide whether a fetch is needed — the per-repo
@@ -1752,42 +1481,6 @@ pub struct ReplRepoStatus {
     pub head: Option<String>,
     /// `(branch, tip)` pairs in the server's canonical order.
     pub refs: Vec<(String, ObjectId)>,
-}
-
-impl ReplRepoStatus {
-    fn to_value(&self) -> Value {
-        let mut o = Object::new();
-        o.insert("repo_id", self.repo_id.as_str());
-        if let Some(h) = &self.head {
-            o.insert("head", h.as_str());
-        }
-        o.insert(
-            "refs",
-            Value::Array(
-                self.refs
-                    .iter()
-                    .map(|(b, tip)| Value::Array(vec![Value::from(b.as_str()), id_value(*tip)]))
-                    .collect(),
-            ),
-        );
-        Value::Object(o)
-    }
-
-    fn from_value(v: &Value) -> WireResult<ReplRepoStatus> {
-        let o = v
-            .as_object()
-            .ok_or_else(|| proto("repl repo status must be an object"))?;
-        let mut refs = Vec::new();
-        for pair in req_arr(o, "refs")? {
-            let [b, tip] = two(pair, "ref")?;
-            refs.push((str_of(b, "ref branch")?, parse_id(tip, "ref tip")?));
-        }
-        Ok(ReplRepoStatus {
-            repo_id: req_str(o, "repo_id")?,
-            head: opt_str(o, "head")?,
-            refs,
-        })
-    }
 }
 
 /// The primary's answer to `repl_status` (see [`crate::repl`]): its
@@ -1807,43 +1500,6 @@ pub struct ReplStatus {
     pub deposits: Vec<Deposit>,
 }
 
-impl ReplStatus {
-    fn to_value(&self) -> Value {
-        let mut o = Object::new();
-        o.insert("epoch", self.epoch);
-        o.insert("audit_seq", self.audit_seq as i64);
-        o.insert(
-            "repos",
-            Value::Array(self.repos.iter().map(|r| r.to_value()).collect()),
-        );
-        o.insert(
-            "deposits",
-            Value::Array(self.deposits.iter().map(deposit_value).collect()),
-        );
-        Value::Object(o)
-    }
-
-    fn from_value(v: &Value) -> WireResult<ReplStatus> {
-        let o = v
-            .as_object()
-            .ok_or_else(|| proto("repl status must be an object"))?;
-        let mut repos = Vec::new();
-        for r in req_arr(o, "repos")? {
-            repos.push(ReplRepoStatus::from_value(r)?);
-        }
-        let mut deposits = Vec::new();
-        for d in req_arr(o, "deposits")? {
-            deposits.push(parse_deposit(d)?);
-        }
-        Ok(ReplStatus {
-            epoch: req_i64(o, "epoch")?,
-            audit_seq: req_i64(o, "audit_seq")? as u64,
-            repos,
-            deposits,
-        })
-    }
-}
-
 /// The fleet's placement map as served over the wire (`placement`): the
 /// participating hub addresses, plus — when the request named a
 /// repository — the hub that homes it per rendezvous hashing
@@ -1859,38 +1515,10 @@ pub struct PlacementInfo {
     pub primary: Option<String>,
 }
 
-impl PlacementInfo {
-    fn to_value(&self) -> Value {
-        let mut o = Object::new();
-        o.insert(
-            "hubs",
-            Value::Array(self.hubs.iter().map(|h| Value::from(h.as_str())).collect()),
-        );
-        if let Some(p) = &self.primary {
-            o.insert("primary", p.as_str());
-        }
-        Value::Object(o)
-    }
-
-    fn from_value(v: &Value) -> WireResult<PlacementInfo> {
-        let o = v
-            .as_object()
-            .ok_or_else(|| proto("placement must be an object"))?;
-        let mut hubs = Vec::new();
-        for h in req_arr(o, "hubs")? {
-            hubs.push(str_of(h, "placement hub")?);
-        }
-        Ok(PlacementInfo {
-            hubs,
-            primary: opt_str(o, "primary")?,
-        })
-    }
-}
-
 /// The full answer to [`ApiRequest::ServerMetrics`]: one point-in-time
 /// view of the hub's health, from the dispatch layer down to storage.
 /// Optional sections omit their wire key entirely when absent, per the
-/// protocol's absent-field rule.
+/// absent-field rule.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MetricsSnapshot {
     /// Per-method dispatch stats, ascending by method name. Only
@@ -2027,1253 +1655,647 @@ impl MetricsSnapshot {
         }
         out
     }
+}
 
-    fn to_value(&self) -> Value {
-        let mut o = Object::new();
-        o.insert(
-            "methods",
-            Value::Array(self.methods.iter().map(|m| m.to_value()).collect()),
-        );
-        if let Some(t) = &self.transport {
-            o.insert("transport", t.to_value());
-        }
-        if let Some(s) = &self.store {
-            o.insert("store", s.to_value());
-        }
-        if let Some(l) = &self.limits {
-            o.insert("limits", l.to_value());
-        }
-        if let Some(r) = &self.repl {
-            o.insert("repl", r.to_value());
-        }
-        Value::Object(o)
+wire_structs! {
+    WireError { code, message, #[sparse] detail }
+    User { username, display_name, email }
+    LogEntry { id, author, timestamp, message }
+    AuditEvent { seq, timestamp, actor, action, target, ok }
+    Deposit { doi, repo_id, version, tree, title, creators, deposited_at }
+    ArchiveReport { origin, heads, new_objects }
+    Negotiation { common, missing }
+    MergeSummary { outcome, citation_conflicts, dropped }
+    CacheStats { hits, misses, evictions, len, capacity }
+    StoreStats {
+        repo_id,
+        objects,
+        #[sparse] cache,
+        #[sparse] graph_commits,
+        #[sparse] delta_objects,
+        #[sparse] bloom_commits,
     }
-
-    fn from_value(v: &Value) -> WireResult<MetricsSnapshot> {
-        let o = v
-            .as_object()
-            .ok_or_else(|| proto("metrics must be an object"))?;
-        let mut methods = Vec::new();
-        for m in req_arr(o, "methods")? {
-            methods.push(MethodMetrics::from_value(m)?);
-        }
-        let transport = match o.get("transport") {
-            None | Some(Value::Null) => None,
-            Some(v) => Some(TransportMetrics::from_value(v)?),
-        };
-        let store = match o.get("store") {
-            None | Some(Value::Null) => None,
-            Some(v) => Some(StoreMetrics::from_value(v)?),
-        };
-        let limits = match o.get("limits") {
-            None | Some(Value::Null) => None,
-            Some(v) => Some(LimitsMetrics::from_value(v)?),
-        };
-        let repl = match o.get("repl") {
-            None | Some(Value::Null) => None,
-            Some(v) => Some(ReplMetrics::from_value(v)?),
-        };
-        Ok(MetricsSnapshot {
-            methods,
-            transport,
-            store,
-            limits,
-            repl,
-        })
+    RepoMaintenance { repo_id, supported, packed, dropped, #[sparse] error }
+    WireHistogram { count, sum_us, max_us, #[sparse] buckets }
+    MethodMetrics { method, calls, #[sparse] errors, latency }
+    TransportMetrics {
+        open_connections,
+        queue_depth,
+        busy_workers,
+        bytes_in_line,
+        bytes_out_line,
+        bytes_in_binary,
+        bytes_out_binary,
+        frames_rejected,
+        transport_closed,
+        obj_raw_bytes,
+        obj_deflate_bytes,
+    }
+    StoreMetrics {
+        repos,
+        cache_hits,
+        cache_misses,
+        pack_reads,
+        loose_reads,
+        graph_walks,
+        fallback_walks,
+        #[sparse] delta_resolutions,
+        #[sparse] bloom_hits,
+        #[sparse] bloom_skips,
+        #[sparse] bloom_false_positives,
+    }
+    LimitsMetrics {
+        #[sparse] auth_failures,
+        #[sparse] rate_rejections,
+        #[sparse] quota_rejections,
+        #[sparse] conns_shed,
+    }
+    ReplMetrics {
+        primary,
+        lag_seconds,
+        epoch,
+        repos_behind,
+        #[sparse] behind,
+        rounds,
+        reconnects,
+    }
+    ReplRepoStatus { repo_id, #[sparse] head, refs }
+    ReplStatus { epoch, audit_seq, repos, deposits }
+    PlacementInfo { hubs, #[sparse] primary }
+    MetricsSnapshot {
+        methods,
+        #[sparse] transport,
+        #[sparse] store,
+        #[sparse] limits,
+        #[sparse] repl,
     }
 }
 
+wire_enums! {
+    Role { Reader = "reader", Member = "member", Owner = "owner" }
+    MergeStrategy { Union = "union", Ours = "ours", Theirs = "theirs", ThreeWay = "three-way" }
+    SwhKind { Content = "cnt", Directory = "dir", Revision = "rev" }
+}
+
 // ---------------------------------------------------------------------
-// Requests
+// Requests: the method table
 // ---------------------------------------------------------------------
 
-/// Every operation the platform exposes, as a typed request.
-///
-/// Tokens travel as their raw string form (the credential itself);
-/// repositories travel as [`RepoBundle`]s.
-#[derive(Debug, Clone, PartialEq)]
-#[allow(missing_docs)] // field meanings match the typed `Hub` methods
-pub enum ApiRequest {
-    // auth
-    /// `secret` (v3, absent-field rule) enrolls a credential: the hub
-    /// stores a salted hash and every future login must present the
-    /// secret. Absent = open registration (the paper simulator's model).
-    RegisterUser {
+/// How a follower hub (see [`crate::repl`]) treats a method.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FollowerClass<'a> {
+    /// Writes, and reads whose truth lives only on the primary (roles
+    /// are not replicated; archive state is per-hub): always redirected
+    /// to the primary with `not_primary`.
+    Write,
+    /// Replicated reads: served locally while the last successful sync
+    /// is inside the staleness bound, redirected past it.
+    Read,
+    /// Session plumbing, operator seams and the replication endpoints:
+    /// always served locally, so a follower stays observable (and
+    /// clonable by a further replica) even when it has fallen behind.
+    Local,
+    /// `login`: accounts are not replicated, so it redirects — except
+    /// for the named user when provisioned directly on this hub (the
+    /// operator bootstrap), who must be able to log in locally.
+    KnownUser(&'a str),
+}
+
+/// What the socket transport does with a method before dispatch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SocketPolicy {
+    /// Served to anyone who can reach the port (tokens still scoped).
+    Open,
+    /// Operator/test seams that carry no token in-process: on a network
+    /// port "anonymous" means anyone, so the socket refuses them.
+    Refused,
+    /// Served only to a connection-minted token of an operator.
+    Operator,
+}
+
+/// What a successful request does to the set of tokens its connection
+/// minted (see [`crate::transport`] on token scoping).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Session {
+    /// Leaves it alone.
+    Keep,
+    /// Adds the token the reply carries.
+    Mint,
+    /// Removes the request's token.
+    Retire,
+    /// Removes the request's token and adds the reply's.
+    Swap,
+}
+
+/// `Some` of the named `String` or `Option<String>` param.
+trait AsKey {
+    fn as_key(&self) -> Option<&str>;
+}
+
+impl AsKey for String {
+    fn as_key(&self) -> Option<&str> {
+        Some(self)
+    }
+}
+
+impl AsKey for Option<String> {
+    fn as_key(&self) -> Option<&str> {
+        self.as_deref()
+    }
+}
+
+macro_rules! key_of {
+    () => {
+        None
+    };
+    ($param:ident) => {
+        AsKey::as_key($param)
+    };
+}
+
+/// Declares the method table. Each row is one method: its variant, wire
+/// name and params (`#[sparse]` ones follow the absent-field rule), then
+/// `auth(param)` — the auth token it carries, `session(..)` — what it
+/// does to the connection's minted tokens, `idempotent(..)` — whether
+/// the client may resend it after an ambiguous failure, `follower(..)` —
+/// its [`FollowerClass`], `limit(param)` — the repository the per-repo
+/// rate limiter charges, and `socket(..)` — its [`SocketPolicy`].
+macro_rules! methods {
+    ($(
+        $(#[$attr:meta])*
+        $var:ident = $name:literal $({ $($(#[$mark:ident])? $param:ident: $ty:ty),* $(,)? })?
+        => auth($($auth:ident)?) session($session:ident) idempotent($idem:literal)
+        follower($follower:ident $(($user:ident))?) limit($($limit:ident)?) socket($socket:ident);
+    )*) => {
+        /// Every operation the platform exposes, as a typed request.
+        ///
+        /// Tokens travel as their raw string form (the credential itself);
+        /// repositories travel as [`RepoBundle`]s.
+        #[derive(Debug, Clone, PartialEq)]
+        #[allow(missing_docs)] // field meanings match the typed `Hub` methods
+        pub enum ApiRequest {
+            $($(#[$attr])* $var $({ $($param: $ty),* })?,)*
+        }
+
+        /// Every wire method name, indexed by [`ApiRequest::method_index`].
+        /// The hub keys its per-method dispatch stats by this index so the
+        /// hot path is one array access, not a map lookup.
+        pub const METHOD_NAMES: &[&str] = &[$($name),*];
+
+        /// Table order: a method's position in [`METHOD_NAMES`].
+        enum MethodSlot {
+            $($var),*
+        }
+
+        // Each classifier binds every param of a row and reads at most one.
+        #[allow(unused_variables)]
+        impl ApiRequest {
+            /// This request's position in [`METHOD_NAMES`].
+            pub fn method_index(&self) -> usize {
+                match self {
+                    $(ApiRequest::$var { .. } => MethodSlot::$var as usize,)*
+                }
+            }
+
+            /// The auth token this request carries, if the method is
+            /// authenticated. Transports use this for per-connection token
+            /// scoping without knowing anything about individual methods.
+            pub fn token(&self) -> Option<&str> {
+                match self {
+                    $(ApiRequest::$var $({ $($param),* })? => key_of!($($auth)?),)*
+                }
+            }
+
+            /// What this request does to its connection's minted tokens.
+            pub fn session(&self) -> Session {
+                match self {
+                    $(ApiRequest::$var { .. } => Session::$session,)*
+                }
+            }
+
+            /// True when re-sending this request after an ambiguous failure
+            /// (the connection died before a response arrived) cannot change
+            /// server state beyond what the first attempt did. The client's
+            /// automatic retry loop only ever fires for these; everything
+            /// that mints, mutates or commits is resubmitted deliberately by
+            /// the caller.
+            pub fn is_idempotent(&self) -> bool {
+                match self {
+                    $(ApiRequest::$var { .. } => $idem,)*
+                }
+            }
+
+            /// How a follower hub treats this request.
+            pub fn follower_class(&self) -> FollowerClass<'_> {
+                match self {
+                    $(ApiRequest::$var $({ $($param),* })? => FollowerClass::$follower $(($user))?,)*
+                }
+            }
+
+            /// The repository this request operates on, when it names one —
+            /// the key the hub's per-repo rate limiter charges.
+            pub fn target_repo(&self) -> Option<&str> {
+                match self {
+                    $(ApiRequest::$var $({ $($param),* })? => key_of!($($limit)?),)*
+                }
+            }
+
+            /// What the socket transport does with this request.
+            pub fn socket_policy(&self) -> SocketPolicy {
+                match self {
+                    $(ApiRequest::$var { .. } => SocketPolicy::$socket,)*
+                }
+            }
+
+            fn put_params(&self, p: &mut Object, side: &mut Side) {
+                match self {
+                    $(ApiRequest::$var $({ $($param),* })? => {
+                        $($(put!(p, side, stringify!($param), $param $(, $mark)?);)*)?
+                    })*
+                }
+            }
+
+            fn from_params(method: &str, p: &Object, side: &mut Side) -> WireResult<ApiRequest> {
+                Ok(match method {
+                    $($name => ApiRequest::$var $({
+                        $($param: get!(p, side, stringify!($param) $(, $mark)?),)*
+                    })?,)*
+                    other => return Err(proto(format!("unknown method {other:?}"))),
+                })
+            }
+        }
+    };
+}
+
+methods! {
+    // ----- auth -----
+    /// `secret` enrolls a credential: the hub stores a salted hash and
+    /// every future login must present the secret. Absent = open
+    /// registration (the paper simulator's model).
+    RegisterUser = "register_user" {
         username: String,
         display_name: String,
-        secret: Option<String>,
-    },
-    /// `secret` (v3, absent-field rule) is required for users registered
-    /// with one, verified constant-time against the stored salted hash.
-    Login {
-        username: String,
-        secret: Option<String>,
-    },
-    /// v3: exchange a known (possibly expired) token for a fresh one with
-    /// a new lifetime, revoking the old. The one call an expired token is
+        #[sparse] secret: Option<String>,
+    } => auth() session(Keep) idempotent(false) follower(Write) limit() socket(Open);
+    /// `secret` is required for users registered with one, verified
+    /// constant-time against the stored salted hash.
+    Login = "login" { username: String, #[sparse] secret: Option<String> }
+    => auth() session(Mint) idempotent(false) follower(KnownUser(username)) limit() socket(Open);
+    /// Exchange a known (possibly expired) token for a fresh one with a
+    /// new lifetime, revoking the old. The one call an expired token is
     /// still good for.
-    Refresh {
-        token: String,
-    },
-    Revoke {
-        token: String,
-    },
-    Whoami {
-        token: String,
-    },
-    // repositories
-    CreateRepo {
-        token: String,
-        name: String,
-    },
-    ImportRepo {
-        token: String,
-        name: String,
-        bundle: RepoBundle,
-    },
-    AddMember {
-        token: String,
-        repo_id: String,
-        username: String,
-        role: Role,
-    },
-    RoleOf {
-        repo_id: String,
-        username: String,
-    },
-    CanWrite {
-        token: String,
-        repo_id: String,
-    },
-    ListRepos,
-    // public reads
-    Branches {
-        repo_id: String,
-    },
-    ListFiles {
+    Refresh = "refresh" { token: String }
+    => auth(token) session(Swap) idempotent(false) follower(Local) limit() socket(Open);
+    Revoke = "revoke" { token: String }
+    => auth(token) session(Retire) idempotent(false) follower(Local) limit() socket(Open);
+    Whoami = "whoami" { token: String }
+    => auth(token) session(Keep) idempotent(true) follower(Local) limit() socket(Open);
+
+    // ----- repositories -----
+    // `create_repo` and `import_repo` name a repository that does not
+    // exist yet, so they charge only the per-user bucket; `fork` charges
+    // its source.
+    CreateRepo = "create_repo" { token: String, name: String }
+    => auth(token) session(Keep) idempotent(false) follower(Write) limit() socket(Open);
+    ImportRepo = "import_repo" { token: String, name: String, bundle: RepoBundle }
+    => auth(token) session(Keep) idempotent(false) follower(Write) limit() socket(Open);
+    AddMember = "add_member" { token: String, repo_id: String, username: String, role: Role }
+    => auth(token) session(Keep) idempotent(false) follower(Write) limit(repo_id) socket(Open);
+    RoleOf = "role_of" { repo_id: String, username: String }
+    => auth() session(Keep) idempotent(true) follower(Write) limit(repo_id) socket(Open);
+    CanWrite = "can_write" { token: String, repo_id: String }
+    => auth(token) session(Keep) idempotent(true) follower(Write) limit(repo_id) socket(Open);
+    /// One page of the repository listing (cursor = last id seen).
+    ListReposPage = "list_repos_page" { #[sparse] cursor: Option<String>, #[sparse] limit: Option<u32> }
+    => auth() session(Keep) idempotent(true) follower(Read) limit() socket(Open);
+
+    // ----- public reads -----
+    Branches = "branches" { repo_id: String }
+    => auth() session(Keep) idempotent(true) follower(Read) limit(repo_id) socket(Open);
+    ListFiles = "list_files" { repo_id: String, branch: String }
+    => auth() session(Keep) idempotent(true) follower(Read) limit(repo_id) socket(Open);
+    ReadFile = "read_file" { repo_id: String, branch: String, path: RepoPath }
+    => auth() session(Keep) idempotent(true) follower(Read) limit(repo_id) socket(Open);
+    /// One page of a branch's log. `cursor` is opaque (obtained from a
+    /// previous page); `limit` is clamped to [`MAX_PAGE_SIZE`].
+    LogPage = "log_page" {
         repo_id: String,
         branch: String,
-    },
-    ReadFile {
-        repo_id: String,
-        branch: String,
-        path: RepoPath,
-    },
-    Log {
-        repo_id: String,
-        branch: String,
-    },
-    /// v2: one page of a branch's log. `cursor` is opaque (obtained from
-    /// a previous page); `limit` is clamped to [`MAX_PAGE_SIZE`].
-    LogPage {
-        repo_id: String,
-        branch: String,
-        cursor: Option<String>,
-        limit: Option<u32>,
-    },
-    CloneRepo {
-        repo_id: String,
-    },
-    /// v2: have/want exchange ahead of an incremental push — ref tips
-    /// plus a sample of recent commit ids the client holds.
-    Negotiate {
-        repo_id: String,
-        haves: Vec<ObjectId>,
-    },
-    // citations
-    GenerateCitation {
-        repo_id: String,
-        branch: String,
-        path: RepoPath,
-    },
-    CitationEntry {
-        repo_id: String,
-        branch: String,
-        path: RepoPath,
-    },
-    AddCite {
+        #[sparse] cursor: Option<String>,
+        #[sparse] limit: Option<u32>,
+    } => auth() session(Keep) idempotent(true) follower(Read) limit(repo_id) socket(Open);
+    CloneRepo = "clone_repo" { repo_id: String }
+    => auth() session(Keep) idempotent(true) follower(Read) limit(repo_id) socket(Open);
+    /// Have/want exchange ahead of an incremental push — ref tips plus a
+    /// sample of recent commit ids the client holds.
+    Negotiate = "negotiate" { repo_id: String, haves: Vec<ObjectId> }
+    => auth() session(Keep) idempotent(true) follower(Read) limit(repo_id) socket(Open);
+
+    // ----- citations -----
+    GenerateCitation = "generate_citation" { repo_id: String, branch: String, path: RepoPath }
+    => auth() session(Keep) idempotent(true) follower(Read) limit(repo_id) socket(Open);
+    CitationEntry = "citation_entry" { repo_id: String, branch: String, path: RepoPath }
+    => auth() session(Keep) idempotent(true) follower(Read) limit(repo_id) socket(Open);
+    AddCite = "add_cite" {
         token: String,
         repo_id: String,
         branch: String,
         path: RepoPath,
         citation: Citation,
-    },
-    ModifyCite {
+    } => auth(token) session(Keep) idempotent(false) follower(Write) limit(repo_id) socket(Open);
+    ModifyCite = "modify_cite" {
         token: String,
         repo_id: String,
         branch: String,
         path: RepoPath,
         citation: Citation,
-    },
-    DelCite {
-        token: String,
-        repo_id: String,
-        branch: String,
-        path: RepoPath,
-    },
-    // sync
-    Push {
+    } => auth(token) session(Keep) idempotent(false) follower(Write) limit(repo_id) socket(Open);
+    DelCite = "del_cite" { token: String, repo_id: String, branch: String, path: RepoPath }
+    => auth(token) session(Keep) idempotent(false) follower(Write) limit(repo_id) socket(Open);
+
+    // ----- sync -----
+    Push = "push" {
         token: String,
         repo_id: String,
         branch: String,
         force: bool,
         bundle: RepoBundle,
-    },
-    Fork {
-        token: String,
-        src_repo_id: String,
-        new_name: String,
-    },
-    MergeBranches {
+    } => auth(token) session(Keep) idempotent(false) follower(Write) limit(repo_id) socket(Open);
+    Fork = "fork" { token: String, src_repo_id: String, new_name: String }
+    => auth(token) session(Keep) idempotent(false) follower(Write) limit(src_repo_id) socket(Open);
+    MergeBranches = "merge_branches" {
         token: String,
         repo_id: String,
         branch: String,
         other_branch: String,
         strategy: MergeStrategy,
-    },
-    // archives
-    Deposit {
-        token: String,
-        repo_id: String,
-        branch: String,
-        title: String,
-    },
-    ResolveDoi {
-        doi: String,
-    },
-    Archive {
-        repo_id: String,
-    },
-    ResolveSwhid {
-        swhid: String,
-    },
-    ArchiveVisits {
-        repo_id: String,
-    },
-    // credit
-    CreditedAuthors {
-        repo_id: String,
-        branch: String,
-    },
-    FindReposCiting {
-        author: String,
-    },
-    // operations
-    AuditLog,
-    /// v2: one page of the audit log (cursor = next sequence number).
-    AuditLogPage {
-        cursor: Option<String>,
-        limit: Option<u32>,
-    },
-    /// v2: one page of the repository listing (cursor = last id seen).
-    ListReposPage {
-        cursor: Option<String>,
-        limit: Option<u32>,
-    },
-    StoreStats {
-        repo_id: String,
-    },
-    Maintenance,
-    /// v3: one point-in-time health snapshot of the whole hub
+    } => auth(token) session(Keep) idempotent(false) follower(Write) limit(repo_id) socket(Open);
+
+    // ----- archives -----
+    Deposit = "deposit" { token: String, repo_id: String, branch: String, title: String }
+    => auth(token) session(Keep) idempotent(false) follower(Write) limit(repo_id) socket(Open);
+    ResolveDoi = "resolve_doi" { doi: String }
+    => auth() session(Keep) idempotent(true) follower(Read) limit() socket(Open);
+    /// Not idempotent: each run bumps the repository's visit count.
+    Archive = "archive" { repo_id: String }
+    => auth() session(Keep) idempotent(false) follower(Write) limit(repo_id) socket(Open);
+    ResolveSwhid = "resolve_swhid" { swhid: String }
+    => auth() session(Keep) idempotent(true) follower(Write) limit() socket(Open);
+    ArchiveVisits = "archive_visits" { repo_id: String }
+    => auth() session(Keep) idempotent(true) follower(Write) limit(repo_id) socket(Open);
+
+    // ----- credit -----
+    CreditedAuthors = "credited_authors" { repo_id: String, branch: String }
+    => auth() session(Keep) idempotent(true) follower(Read) limit(repo_id) socket(Open);
+    FindReposCiting = "find_repos_citing" { author: String }
+    => auth() session(Keep) idempotent(true) follower(Read) limit() socket(Open);
+
+    // ----- operations -----
+    /// One page of the audit log (cursor = next sequence number).
+    AuditLogPage = "audit_log_page" { #[sparse] cursor: Option<String>, #[sparse] limit: Option<u32> }
+    => auth() session(Keep) idempotent(true) follower(Read) limit() socket(Open);
+    StoreStats = "store_stats" { repo_id: String }
+    => auth() session(Keep) idempotent(true) follower(Local) limit(repo_id) socket(Open);
+    Maintenance = "maintenance"
+    => auth() session(Keep) idempotent(false) follower(Local) limit() socket(Refused);
+    /// One point-in-time health snapshot of the whole hub
     /// ([`MetricsSnapshot`]). Operator-scoped on sockets: the token must
     /// belong to an operator there; trusted in-process embedders may
     /// omit it.
-    ServerMetrics {
-        token: Option<String>,
-    },
-    AdvanceClock {
-        ts: i64,
-    },
-    /// v3: several requests in one envelope, executed in order on the
-    /// server, answered by [`ApiResponse::Batch`] in the same order (one
-    /// round trip for flows like the popup's sign-in). Batches cannot
-    /// nest, and batch items always carry their objects inline.
-    Batch {
-        requests: Vec<ApiRequest>,
-    },
-    // replication (see `crate::repl`; v3 additions within the version)
-    /// v3: the primary's replication frontier — epoch, audit length,
-    /// every repository's refs, the deposit registry
-    /// ([`ApiResponse::ReplStatus`]). Public read: it reveals nothing a
-    /// crawl of the public read surface would not.
-    ReplStatus,
-    /// v3: fetch one repository incrementally for replication. `haves`
-    /// are the follower's local branch tips; the reply is a delta
+    ServerMetrics = "server_metrics" { #[sparse] token: Option<String> }
+    => auth(token) session(Keep) idempotent(true) follower(Local) limit() socket(Operator);
+    AdvanceClock = "advance_clock" { ts: i64 }
+    => auth() session(Keep) idempotent(false) follower(Local) limit() socket(Refused);
+    /// Several requests in one envelope, executed in order on the server,
+    /// answered by [`ApiResponse::Batch`] in the same order (one round
+    /// trip for flows like the popup's sign-in). Batches cannot nest, and
+    /// batch items always carry their objects inline. The envelope itself
+    /// is neither charged nor guarded: each item is, individually. Not
+    /// idempotent, since any item could be a write.
+    Batch = "batch" { requests: Vec<ApiRequest> }
+    => auth() session(Keep) idempotent(false) follower(Local) limit() socket(Open);
+
+    // ----- replication (see `crate::repl`) -----
+    /// The primary's replication frontier — epoch, audit length, every
+    /// repository's refs, the deposit registry ([`ApiResponse::ReplStatus`]).
+    /// Public read: it reveals nothing a crawl of the public read surface
+    /// would not.
+    ReplStatus = "repl_status"
+    => auth() session(Keep) idempotent(true) follower(Local) limit() socket(Open);
+    /// Fetch one repository incrementally for replication. `haves` are
+    /// the follower's local branch tips; the reply is a delta
     /// [`ApiResponse::Bundle`] past the negotiated frontier (full when
     /// nothing is shared).
-    ReplFetch {
-        repo_id: String,
-        haves: Vec<ObjectId>,
-    },
-    /// v3: the fleet's placement map ([`ApiResponse::Placement`]);
-    /// `repo_id` (absent-field rule) additionally asks which hub homes
-    /// that repository.
-    Placement {
-        repo_id: Option<String>,
-    },
+    ReplFetch = "repl_fetch" { repo_id: String, haves: Vec<ObjectId> }
+    => auth() session(Keep) idempotent(true) follower(Local) limit(repo_id) socket(Open);
+    /// The fleet's placement map ([`ApiResponse::Placement`]); `repo_id`
+    /// additionally asks which hub homes that repository.
+    Placement = "placement" { #[sparse] repo_id: Option<String> }
+    => auth() session(Keep) idempotent(true) follower(Local) limit() socket(Open);
 }
 
-fn strategy_str(s: MergeStrategy) -> &'static str {
-    match s {
-        MergeStrategy::Union => "union",
-        MergeStrategy::Ours => "ours",
-        MergeStrategy::Theirs => "theirs",
-        MergeStrategy::ThreeWay => "three-way",
+/// A batch item: an envelope of its own, objects inline, never a batch.
+impl Wire for ApiRequest {
+    fn to_wire(&self, _: &mut Side) -> Value {
+        self.envelope(&mut Side::inline())
+    }
+
+    fn from_wire(v: &Value, _: &mut Side) -> WireResult<Self> {
+        let request = ApiRequest::from_envelope(v, &mut Side::inline())?;
+        if let ApiRequest::Batch { .. } = request {
+            return Err(proto("batch requests cannot nest"));
+        }
+        Ok(request)
     }
 }
-
-fn strategy_parse(s: &str) -> WireResult<MergeStrategy> {
-    Ok(match s {
-        "union" => MergeStrategy::Union,
-        "ours" => MergeStrategy::Ours,
-        "theirs" => MergeStrategy::Theirs,
-        "three-way" => MergeStrategy::ThreeWay,
-        other => return Err(proto(format!("unknown merge strategy {other:?}"))),
-    })
-}
-
-fn role_str(r: Role) -> &'static str {
-    match r {
-        Role::Reader => "reader",
-        Role::Member => "member",
-        Role::Owner => "owner",
-    }
-}
-
-fn role_parse(s: &str) -> WireResult<Role> {
-    Ok(match s {
-        "reader" => Role::Reader,
-        "member" => Role::Member,
-        "owner" => Role::Owner,
-        other => return Err(proto(format!("unknown role {other:?}"))),
-    })
-}
-
-/// Every wire method name, indexed by [`ApiRequest::method_index`].
-/// The hub keys its per-method dispatch stats by this index so the hot
-/// path is one array access, not a map lookup.
-pub const METHOD_NAMES: &[&str] = &[
-    "register_user",
-    "login",
-    "revoke",
-    "whoami",
-    "create_repo",
-    "import_repo",
-    "add_member",
-    "role_of",
-    "can_write",
-    "list_repos",
-    "branches",
-    "list_files",
-    "read_file",
-    "log",
-    "log_page",
-    "clone_repo",
-    "negotiate",
-    "generate_citation",
-    "citation_entry",
-    "add_cite",
-    "modify_cite",
-    "del_cite",
-    "push",
-    "fork",
-    "merge_branches",
-    "deposit",
-    "resolve_doi",
-    "archive",
-    "resolve_swhid",
-    "archive_visits",
-    "credited_authors",
-    "find_repos_citing",
-    "audit_log",
-    "audit_log_page",
-    "list_repos_page",
-    "store_stats",
-    "maintenance",
-    "server_metrics",
-    "advance_clock",
-    "batch",
-    "refresh",
-    "repl_status",
-    "repl_fetch",
-    "placement",
-];
 
 impl ApiRequest {
-    /// This request's position in [`METHOD_NAMES`].
-    pub fn method_index(&self) -> usize {
-        match self {
-            ApiRequest::RegisterUser { .. } => 0,
-            ApiRequest::Login { .. } => 1,
-            ApiRequest::Revoke { .. } => 2,
-            ApiRequest::Whoami { .. } => 3,
-            ApiRequest::CreateRepo { .. } => 4,
-            ApiRequest::ImportRepo { .. } => 5,
-            ApiRequest::AddMember { .. } => 6,
-            ApiRequest::RoleOf { .. } => 7,
-            ApiRequest::CanWrite { .. } => 8,
-            ApiRequest::ListRepos => 9,
-            ApiRequest::Branches { .. } => 10,
-            ApiRequest::ListFiles { .. } => 11,
-            ApiRequest::ReadFile { .. } => 12,
-            ApiRequest::Log { .. } => 13,
-            ApiRequest::LogPage { .. } => 14,
-            ApiRequest::CloneRepo { .. } => 15,
-            ApiRequest::Negotiate { .. } => 16,
-            ApiRequest::GenerateCitation { .. } => 17,
-            ApiRequest::CitationEntry { .. } => 18,
-            ApiRequest::AddCite { .. } => 19,
-            ApiRequest::ModifyCite { .. } => 20,
-            ApiRequest::DelCite { .. } => 21,
-            ApiRequest::Push { .. } => 22,
-            ApiRequest::Fork { .. } => 23,
-            ApiRequest::MergeBranches { .. } => 24,
-            ApiRequest::Deposit { .. } => 25,
-            ApiRequest::ResolveDoi { .. } => 26,
-            ApiRequest::Archive { .. } => 27,
-            ApiRequest::ResolveSwhid { .. } => 28,
-            ApiRequest::ArchiveVisits { .. } => 29,
-            ApiRequest::CreditedAuthors { .. } => 30,
-            ApiRequest::FindReposCiting { .. } => 31,
-            ApiRequest::AuditLog => 32,
-            ApiRequest::AuditLogPage { .. } => 33,
-            ApiRequest::ListReposPage { .. } => 34,
-            ApiRequest::StoreStats { .. } => 35,
-            ApiRequest::Maintenance => 36,
-            ApiRequest::ServerMetrics { .. } => 37,
-            ApiRequest::AdvanceClock { .. } => 38,
-            ApiRequest::Batch { .. } => 39,
-            ApiRequest::Refresh { .. } => 40,
-            ApiRequest::ReplStatus => 41,
-            ApiRequest::ReplFetch { .. } => 42,
-            ApiRequest::Placement { .. } => 43,
-        }
-    }
-
     /// The wire method name.
     pub fn method(&self) -> &'static str {
         METHOD_NAMES[self.method_index()]
     }
 
-    /// The lowest protocol major version that can carry this request —
-    /// the `v` the envelope is stamped with. v1-era methods with v1-era
-    /// payloads stay at [`PROTOCOL_V1`] (byte-identical encoding); the
-    /// v2 methods, and a `push`/`import_repo` whose bundle is a delta,
-    /// need [`PROTOCOL_V2`]; `batch` needs [`PROTOCOL_V3`]. (The other
-    /// v3 construct, `objects_ext`, is introduced by [`Self::encode_ext`]
-    /// at encode time, which stamps v3 itself.)
-    pub fn version(&self) -> i64 {
-        match self {
-            ApiRequest::Batch { .. }
-            | ApiRequest::ServerMetrics { .. }
-            | ApiRequest::Refresh { .. }
-            | ApiRequest::ReplStatus
-            | ApiRequest::ReplFetch { .. }
-            | ApiRequest::Placement { .. } => PROTOCOL_V3,
-            // A secret silently dropped by an old server would register
-            // an unprotected account, so a secret-bearing register/login
-            // is a v3 construct: v1/v2 peers refuse it instead.
-            ApiRequest::RegisterUser {
-                secret: Some(_), ..
-            }
-            | ApiRequest::Login {
-                secret: Some(_), ..
-            } => PROTOCOL_V3,
-            ApiRequest::Negotiate { .. }
-            | ApiRequest::LogPage { .. }
-            | ApiRequest::AuditLogPage { .. }
-            | ApiRequest::ListReposPage { .. } => PROTOCOL_V2,
-            ApiRequest::Push { bundle, .. } | ApiRequest::ImportRepo { bundle, .. }
-                if bundle.is_delta() =>
-            {
-                PROTOCOL_V2
-            }
-            _ => PROTOCOL_V1,
-        }
-    }
-
-    /// The auth token this request carries, if the method is
-    /// authenticated. Transports use this for per-connection token
-    /// scoping without knowing anything about individual methods.
-    pub fn token(&self) -> Option<&str> {
-        match self {
-            ApiRequest::Refresh { token }
-            | ApiRequest::Revoke { token }
-            | ApiRequest::Whoami { token }
-            | ApiRequest::CreateRepo { token, .. }
-            | ApiRequest::ImportRepo { token, .. }
-            | ApiRequest::AddMember { token, .. }
-            | ApiRequest::CanWrite { token, .. }
-            | ApiRequest::AddCite { token, .. }
-            | ApiRequest::ModifyCite { token, .. }
-            | ApiRequest::DelCite { token, .. }
-            | ApiRequest::Push { token, .. }
-            | ApiRequest::Fork { token, .. }
-            | ApiRequest::MergeBranches { token, .. }
-            | ApiRequest::Deposit { token, .. } => Some(token),
-            ApiRequest::ServerMetrics { token } => token.as_deref(),
-            _ => None,
-        }
-    }
-
-    /// True when re-sending this request after an ambiguous failure (the
-    /// connection died before a response arrived) cannot change server
-    /// state beyond what the first attempt did. The client's automatic
-    /// retry loop only ever fires for these; everything that mints,
-    /// mutates or commits is resubmitted deliberately by the caller.
-    pub fn is_idempotent(&self) -> bool {
-        match self {
-            ApiRequest::Whoami { .. }
-            | ApiRequest::RoleOf { .. }
-            | ApiRequest::CanWrite { .. }
-            | ApiRequest::ListRepos
-            | ApiRequest::Branches { .. }
-            | ApiRequest::ListFiles { .. }
-            | ApiRequest::ReadFile { .. }
-            | ApiRequest::Log { .. }
-            | ApiRequest::LogPage { .. }
-            | ApiRequest::CloneRepo { .. }
-            | ApiRequest::Negotiate { .. }
-            | ApiRequest::GenerateCitation { .. }
-            | ApiRequest::CitationEntry { .. }
-            | ApiRequest::ResolveDoi { .. }
-            | ApiRequest::ResolveSwhid { .. }
-            | ApiRequest::ArchiveVisits { .. }
-            | ApiRequest::CreditedAuthors { .. }
-            | ApiRequest::FindReposCiting { .. }
-            | ApiRequest::AuditLog
-            | ApiRequest::AuditLogPage { .. }
-            | ApiRequest::ListReposPage { .. }
-            | ApiRequest::StoreStats { .. }
-            | ApiRequest::ServerMetrics { .. }
-            | ApiRequest::ReplStatus
-            | ApiRequest::ReplFetch { .. }
-            | ApiRequest::Placement { .. } => true,
-            // Everything else either writes (push, cite ops, deposit,
-            // archive — it bumps visit counts), mints or revokes
-            // credentials, or wraps other requests (batch: any item
-            // could be a write).
-            _ => false,
-        }
-    }
-
-    /// The repository this request operates on, when it names one — the
-    /// key the hub's per-repo rate limiter charges. `import_repo` /
-    /// `create_repo` / `fork` target a repository that does not exist
-    /// yet, so they charge only the per-user bucket.
-    pub fn target_repo(&self) -> Option<&str> {
-        match self {
-            ApiRequest::AddMember { repo_id, .. }
-            | ApiRequest::CanWrite { repo_id, .. }
-            | ApiRequest::RoleOf { repo_id, .. }
-            | ApiRequest::Branches { repo_id }
-            | ApiRequest::ListFiles { repo_id, .. }
-            | ApiRequest::ReadFile { repo_id, .. }
-            | ApiRequest::Log { repo_id, .. }
-            | ApiRequest::LogPage { repo_id, .. }
-            | ApiRequest::CloneRepo { repo_id }
-            | ApiRequest::Negotiate { repo_id, .. }
-            | ApiRequest::GenerateCitation { repo_id, .. }
-            | ApiRequest::CitationEntry { repo_id, .. }
-            | ApiRequest::AddCite { repo_id, .. }
-            | ApiRequest::ModifyCite { repo_id, .. }
-            | ApiRequest::DelCite { repo_id, .. }
-            | ApiRequest::Push { repo_id, .. }
-            | ApiRequest::MergeBranches { repo_id, .. }
-            | ApiRequest::Deposit { repo_id, .. }
-            | ApiRequest::Archive { repo_id }
-            | ApiRequest::ArchiveVisits { repo_id }
-            | ApiRequest::CreditedAuthors { repo_id, .. }
-            | ApiRequest::ReplFetch { repo_id, .. }
-            | ApiRequest::StoreStats { repo_id } => Some(repo_id),
-            ApiRequest::Fork { src_repo_id, .. } => Some(src_repo_id),
-            _ => None,
-        }
-    }
-
-    fn params_value(&self) -> Value {
-        let mut p = Object::new();
-        match self {
-            ApiRequest::RegisterUser {
-                username,
-                display_name,
-                secret,
-            } => {
-                p.insert("username", username.as_str());
-                p.insert("display_name", display_name.as_str());
-                if let Some(s) = secret {
-                    p.insert("secret", s.as_str());
-                }
-            }
-            ApiRequest::Login { username, secret } => {
-                p.insert("username", username.as_str());
-                if let Some(s) = secret {
-                    p.insert("secret", s.as_str());
-                }
-            }
-            ApiRequest::Refresh { token }
-            | ApiRequest::Revoke { token }
-            | ApiRequest::Whoami { token } => {
-                p.insert("token", token.as_str());
-            }
-            ApiRequest::CreateRepo { token, name } => {
-                p.insert("token", token.as_str());
-                p.insert("name", name.as_str());
-            }
-            ApiRequest::ImportRepo {
-                token,
-                name,
-                bundle,
-            } => {
-                p.insert("token", token.as_str());
-                p.insert("name", name.as_str());
-                p.insert("bundle", bundle.to_value());
-            }
-            ApiRequest::AddMember {
-                token,
-                repo_id,
-                username,
-                role,
-            } => {
-                p.insert("token", token.as_str());
-                p.insert("repo_id", repo_id.as_str());
-                p.insert("username", username.as_str());
-                p.insert("role", role_str(*role));
-            }
-            ApiRequest::RoleOf { repo_id, username } => {
-                p.insert("repo_id", repo_id.as_str());
-                p.insert("username", username.as_str());
-            }
-            ApiRequest::CanWrite { token, repo_id } => {
-                p.insert("token", token.as_str());
-                p.insert("repo_id", repo_id.as_str());
-            }
-            ApiRequest::ListRepos | ApiRequest::AuditLog | ApiRequest::Maintenance => {}
-            ApiRequest::ServerMetrics { token } => {
-                if let Some(t) = token {
-                    p.insert("token", t.as_str());
-                }
-            }
-            ApiRequest::LogPage {
-                repo_id,
-                branch,
-                cursor,
-                limit,
-            } => {
-                p.insert("repo_id", repo_id.as_str());
-                p.insert("branch", branch.as_str());
-                insert_page_params(&mut p, cursor, limit);
-            }
-            ApiRequest::AuditLogPage { cursor, limit }
-            | ApiRequest::ListReposPage { cursor, limit } => {
-                insert_page_params(&mut p, cursor, limit);
-            }
-            ApiRequest::Negotiate { repo_id, haves } => {
-                p.insert("repo_id", repo_id.as_str());
-                p.insert(
-                    "haves",
-                    Value::Array(haves.iter().map(|id| id_value(*id)).collect()),
-                );
-            }
-            ApiRequest::Branches { repo_id }
-            | ApiRequest::CloneRepo { repo_id }
-            | ApiRequest::Archive { repo_id }
-            | ApiRequest::ArchiveVisits { repo_id }
-            | ApiRequest::StoreStats { repo_id } => {
-                p.insert("repo_id", repo_id.as_str());
-            }
-            ApiRequest::ListFiles { repo_id, branch }
-            | ApiRequest::Log { repo_id, branch }
-            | ApiRequest::CreditedAuthors { repo_id, branch } => {
-                p.insert("repo_id", repo_id.as_str());
-                p.insert("branch", branch.as_str());
-            }
-            ApiRequest::ReadFile {
-                repo_id,
-                branch,
-                path,
-            }
-            | ApiRequest::GenerateCitation {
-                repo_id,
-                branch,
-                path,
-            }
-            | ApiRequest::CitationEntry {
-                repo_id,
-                branch,
-                path,
-            } => {
-                p.insert("repo_id", repo_id.as_str());
-                p.insert("branch", branch.as_str());
-                p.insert("path", path_value(path));
-            }
-            ApiRequest::AddCite {
-                token,
-                repo_id,
-                branch,
-                path,
-                citation,
-            }
-            | ApiRequest::ModifyCite {
-                token,
-                repo_id,
-                branch,
-                path,
-                citation,
-            } => {
-                p.insert("token", token.as_str());
-                p.insert("repo_id", repo_id.as_str());
-                p.insert("branch", branch.as_str());
-                p.insert("path", path_value(path));
-                p.insert("citation", citation.to_value());
-            }
-            ApiRequest::DelCite {
-                token,
-                repo_id,
-                branch,
-                path,
-            } => {
-                p.insert("token", token.as_str());
-                p.insert("repo_id", repo_id.as_str());
-                p.insert("branch", branch.as_str());
-                p.insert("path", path_value(path));
-            }
-            ApiRequest::Push {
-                token,
-                repo_id,
-                branch,
-                force,
-                bundle,
-            } => {
-                p.insert("token", token.as_str());
-                p.insert("repo_id", repo_id.as_str());
-                p.insert("branch", branch.as_str());
-                p.insert("force", *force);
-                p.insert("bundle", bundle.to_value());
-            }
-            ApiRequest::Fork {
-                token,
-                src_repo_id,
-                new_name,
-            } => {
-                p.insert("token", token.as_str());
-                p.insert("src_repo_id", src_repo_id.as_str());
-                p.insert("new_name", new_name.as_str());
-            }
-            ApiRequest::MergeBranches {
-                token,
-                repo_id,
-                branch,
-                other_branch,
-                strategy,
-            } => {
-                p.insert("token", token.as_str());
-                p.insert("repo_id", repo_id.as_str());
-                p.insert("branch", branch.as_str());
-                p.insert("other_branch", other_branch.as_str());
-                p.insert("strategy", strategy_str(*strategy));
-            }
-            ApiRequest::Deposit {
-                token,
-                repo_id,
-                branch,
-                title,
-            } => {
-                p.insert("token", token.as_str());
-                p.insert("repo_id", repo_id.as_str());
-                p.insert("branch", branch.as_str());
-                p.insert("title", title.as_str());
-            }
-            ApiRequest::ResolveDoi { doi } => {
-                p.insert("doi", doi.as_str());
-            }
-            ApiRequest::ResolveSwhid { swhid } => {
-                p.insert("swhid", swhid.as_str());
-            }
-            ApiRequest::FindReposCiting { author } => {
-                p.insert("author", author.as_str());
-            }
-            ApiRequest::AdvanceClock { ts } => {
-                p.insert("ts", *ts);
-            }
-            ApiRequest::Batch { requests } => {
-                p.insert(
-                    "requests",
-                    Value::Array(requests.iter().map(|r| r.envelope_value()).collect()),
-                );
-            }
-            ApiRequest::ReplStatus => {}
-            ApiRequest::ReplFetch { repo_id, haves } => {
-                p.insert("repo_id", repo_id.as_str());
-                p.insert(
-                    "haves",
-                    Value::Array(haves.iter().map(|id| id_value(*id)).collect()),
-                );
-            }
-            ApiRequest::Placement { repo_id } => {
-                if let Some(r) = repo_id {
-                    p.insert("repo_id", r.as_str());
-                }
-            }
-        }
-        Value::Object(p)
-    }
-
-    /// The full envelope as a value, stamped with the lowest protocol
-    /// version that can carry it (see [`ApiRequest::version`]).
-    fn envelope_value(&self) -> Value {
+    fn envelope(&self, side: &mut Side) -> Value {
+        let mut params = Object::new();
+        self.put_params(&mut params, side);
         let mut o = Object::new();
-        o.insert("v", self.version());
+        o.insert("v", PROTOCOL_VERSION);
         o.insert("method", self.method());
-        o.insert("params", self.params_value());
+        o.insert("params", Value::Object(params));
         Value::Object(o)
     }
 
-    /// Serializes to the one-line wire envelope, stamped with the lowest
-    /// protocol version that can carry it (see [`ApiRequest::version`]).
-    pub fn encode(&self) -> String {
-        self.envelope_value().to_string_compact()
+    fn from_envelope(v: &Value, side: &mut Side) -> WireResult<ApiRequest> {
+        let o = v
+            .as_object()
+            .ok_or_else(|| proto("request must be an object"))?;
+        check_version(o)?;
+        let method = o
+            .get("method")
+            .and_then(Value::as_str)
+            .ok_or_else(|| proto("missing or non-string field \"method\""))?;
+        let empty = Object::new();
+        let params = match o.get("params") {
+            None | Some(Value::Null) => &empty,
+            Some(Value::Object(p)) => p,
+            Some(_) => return Err(proto("params must be an object")),
+        };
+        ApiRequest::from_params(method, params, side)
     }
 
-    /// Serializes for the v3 binary framing: bundle object payloads are
+    /// Serializes to the one-line wire envelope, bundle objects inline.
+    pub fn encode(&self) -> String {
+        self.envelope(&mut Side::inline()).to_string_compact()
+    }
+
+    /// Serializes for the binary framing: bundle object payloads are
     /// externalized into the returned side-channel vector and the
-    /// envelope says `"objects_ext": n` (stamped `"v":3`). A request
-    /// without a bundle returns an empty side channel and exactly the
+    /// envelope says `"objects_ext": n`. A request without a bundle
+    /// returns an empty side channel and exactly the
     /// [`ApiRequest::encode`] bytes.
     pub fn encode_ext(&self) -> (String, Vec<(ObjectId, Vec<u8>)>) {
-        let mut sink = Vec::new();
-        let (v, params) = match self {
-            ApiRequest::ImportRepo {
-                token,
-                name,
-                bundle,
-            } => {
-                let mut p = Object::new();
-                p.insert("token", token.as_str());
-                p.insert("name", name.as_str());
-                p.insert("bundle", bundle.to_value_ext(&mut sink));
-                (PROTOCOL_V3, Value::Object(p))
-            }
-            ApiRequest::Push {
-                token,
-                repo_id,
-                branch,
-                force,
-                bundle,
-            } => {
-                let mut p = Object::new();
-                p.insert("token", token.as_str());
-                p.insert("repo_id", repo_id.as_str());
-                p.insert("branch", branch.as_str());
-                p.insert("force", *force);
-                p.insert("bundle", bundle.to_value_ext(&mut sink));
-                (PROTOCOL_V3, Value::Object(p))
-            }
-            other => (other.version(), other.params_value()),
-        };
-        let mut o = Object::new();
-        o.insert("v", v);
-        o.insert("method", self.method());
-        o.insert("params", params);
-        (Value::Object(o).to_string_compact(), sink)
+        let mut side = Side::channel(Vec::new());
+        let text = self.envelope(&mut side).to_string_compact();
+        (text, side.into_objects())
     }
 
     /// Parses a wire envelope.
     pub fn parse(text: &str) -> WireResult<ApiRequest> {
         let v = sjson::parse(text).map_err(|e| proto(format!("unparseable request: {e}")))?;
-        Self::from_value(&v)
+        Self::from_envelope(&v, &mut Side::inline())
     }
 
-    /// Parses a v3 envelope together with its side-channel objects.
+    /// Parses an envelope together with its side-channel objects.
     /// Bundles that say `objects_ext` draw from `objects` in order; a
-    /// side channel with leftover objects, or an `objects_ext` reference
-    /// from a pre-v3 envelope, is a protocol error.
+    /// side channel with leftover objects is a protocol error.
     pub fn parse_ext(text: &str, objects: Vec<(ObjectId, Vec<u8>)>) -> WireResult<ApiRequest> {
         let v = sjson::parse(text).map_err(|e| proto(format!("unparseable request: {e}")))?;
-        let mut sc = Sidecar {
-            objects: objects.into(),
-            used: false,
-        };
-        let req = Self::from_value_inner(&v, Some(&mut sc))?;
-        if !sc.objects.is_empty() {
-            return Err(proto(format!(
-                "side channel carried {} unconsumed objects",
-                sc.objects.len()
-            )));
-        }
-        Ok(req)
-    }
-
-    /// Reads a request out of an already-parsed envelope value.
-    pub fn from_value(v: &Value) -> WireResult<ApiRequest> {
-        Self::from_value_inner(v, None)
-    }
-
-    fn from_value_inner(v: &Value, mut sidecar: Option<&mut Sidecar>) -> WireResult<ApiRequest> {
-        let o = v
-            .as_object()
-            .ok_or_else(|| proto("request must be an object"))?;
-        let envelope_v = check_version(o)?;
-        let method = req_str(o, "method")?;
-        let empty = Object::new();
-        let p = match o.get("params") {
-            None | Some(Value::Null) => &empty,
-            Some(Value::Object(p)) => p,
-            Some(_) => return Err(proto("params must be an object")),
-        };
-        let req = match method.as_str() {
-            "register_user" => ApiRequest::RegisterUser {
-                username: req_str(p, "username")?,
-                display_name: req_str(p, "display_name")?,
-                secret: opt_str(p, "secret")?,
-            },
-            "login" => ApiRequest::Login {
-                username: req_str(p, "username")?,
-                secret: opt_str(p, "secret")?,
-            },
-            "refresh" => ApiRequest::Refresh {
-                token: req_str(p, "token")?,
-            },
-            "revoke" => ApiRequest::Revoke {
-                token: req_str(p, "token")?,
-            },
-            "whoami" => ApiRequest::Whoami {
-                token: req_str(p, "token")?,
-            },
-            "create_repo" => ApiRequest::CreateRepo {
-                token: req_str(p, "token")?,
-                name: req_str(p, "name")?,
-            },
-            "import_repo" => ApiRequest::ImportRepo {
-                token: req_str(p, "token")?,
-                name: req_str(p, "name")?,
-                bundle: RepoBundle::from_value_inner(
-                    p.get("bundle").ok_or_else(|| proto("missing bundle"))?,
-                    sidecar.as_deref_mut(),
-                )?,
-            },
-            "add_member" => ApiRequest::AddMember {
-                token: req_str(p, "token")?,
-                repo_id: req_str(p, "repo_id")?,
-                username: req_str(p, "username")?,
-                role: role_parse(&req_str(p, "role")?)?,
-            },
-            "role_of" => ApiRequest::RoleOf {
-                repo_id: req_str(p, "repo_id")?,
-                username: req_str(p, "username")?,
-            },
-            "can_write" => ApiRequest::CanWrite {
-                token: req_str(p, "token")?,
-                repo_id: req_str(p, "repo_id")?,
-            },
-            "list_repos" => ApiRequest::ListRepos,
-            "branches" => ApiRequest::Branches {
-                repo_id: req_str(p, "repo_id")?,
-            },
-            "list_files" => ApiRequest::ListFiles {
-                repo_id: req_str(p, "repo_id")?,
-                branch: req_str(p, "branch")?,
-            },
-            "read_file" => ApiRequest::ReadFile {
-                repo_id: req_str(p, "repo_id")?,
-                branch: req_str(p, "branch")?,
-                path: req_path(p)?,
-            },
-            "log" => ApiRequest::Log {
-                repo_id: req_str(p, "repo_id")?,
-                branch: req_str(p, "branch")?,
-            },
-            "log_page" => {
-                let (cursor, limit) = parse_page_params(p)?;
-                ApiRequest::LogPage {
-                    repo_id: req_str(p, "repo_id")?,
-                    branch: req_str(p, "branch")?,
-                    cursor,
-                    limit,
-                }
-            }
-            "clone_repo" => ApiRequest::CloneRepo {
-                repo_id: req_str(p, "repo_id")?,
-            },
-            "negotiate" => {
-                let mut haves = Vec::new();
-                for id in req_arr(p, "haves")? {
-                    haves.push(parse_id(id, "have")?);
-                }
-                ApiRequest::Negotiate {
-                    repo_id: req_str(p, "repo_id")?,
-                    haves,
-                }
-            }
-            "generate_citation" => ApiRequest::GenerateCitation {
-                repo_id: req_str(p, "repo_id")?,
-                branch: req_str(p, "branch")?,
-                path: req_path(p)?,
-            },
-            "citation_entry" => ApiRequest::CitationEntry {
-                repo_id: req_str(p, "repo_id")?,
-                branch: req_str(p, "branch")?,
-                path: req_path(p)?,
-            },
-            "add_cite" => ApiRequest::AddCite {
-                token: req_str(p, "token")?,
-                repo_id: req_str(p, "repo_id")?,
-                branch: req_str(p, "branch")?,
-                path: req_path(p)?,
-                citation: parse_citation(
-                    p.get("citation").ok_or_else(|| proto("missing citation"))?,
-                )?,
-            },
-            "modify_cite" => ApiRequest::ModifyCite {
-                token: req_str(p, "token")?,
-                repo_id: req_str(p, "repo_id")?,
-                branch: req_str(p, "branch")?,
-                path: req_path(p)?,
-                citation: parse_citation(
-                    p.get("citation").ok_or_else(|| proto("missing citation"))?,
-                )?,
-            },
-            "del_cite" => ApiRequest::DelCite {
-                token: req_str(p, "token")?,
-                repo_id: req_str(p, "repo_id")?,
-                branch: req_str(p, "branch")?,
-                path: req_path(p)?,
-            },
-            "push" => ApiRequest::Push {
-                token: req_str(p, "token")?,
-                repo_id: req_str(p, "repo_id")?,
-                branch: req_str(p, "branch")?,
-                force: req_bool(p, "force")?,
-                bundle: RepoBundle::from_value_inner(
-                    p.get("bundle").ok_or_else(|| proto("missing bundle"))?,
-                    sidecar.as_deref_mut(),
-                )?,
-            },
-            "fork" => ApiRequest::Fork {
-                token: req_str(p, "token")?,
-                src_repo_id: req_str(p, "src_repo_id")?,
-                new_name: req_str(p, "new_name")?,
-            },
-            "merge_branches" => ApiRequest::MergeBranches {
-                token: req_str(p, "token")?,
-                repo_id: req_str(p, "repo_id")?,
-                branch: req_str(p, "branch")?,
-                other_branch: req_str(p, "other_branch")?,
-                strategy: strategy_parse(&req_str(p, "strategy")?)?,
-            },
-            "deposit" => ApiRequest::Deposit {
-                token: req_str(p, "token")?,
-                repo_id: req_str(p, "repo_id")?,
-                branch: req_str(p, "branch")?,
-                title: req_str(p, "title")?,
-            },
-            "resolve_doi" => ApiRequest::ResolveDoi {
-                doi: req_str(p, "doi")?,
-            },
-            "archive" => ApiRequest::Archive {
-                repo_id: req_str(p, "repo_id")?,
-            },
-            "resolve_swhid" => ApiRequest::ResolveSwhid {
-                swhid: req_str(p, "swhid")?,
-            },
-            "archive_visits" => ApiRequest::ArchiveVisits {
-                repo_id: req_str(p, "repo_id")?,
-            },
-            "credited_authors" => ApiRequest::CreditedAuthors {
-                repo_id: req_str(p, "repo_id")?,
-                branch: req_str(p, "branch")?,
-            },
-            "find_repos_citing" => ApiRequest::FindReposCiting {
-                author: req_str(p, "author")?,
-            },
-            "audit_log" => ApiRequest::AuditLog,
-            "audit_log_page" => {
-                let (cursor, limit) = parse_page_params(p)?;
-                ApiRequest::AuditLogPage { cursor, limit }
-            }
-            "list_repos_page" => {
-                let (cursor, limit) = parse_page_params(p)?;
-                ApiRequest::ListReposPage { cursor, limit }
-            }
-            "store_stats" => ApiRequest::StoreStats {
-                repo_id: req_str(p, "repo_id")?,
-            },
-            "maintenance" => ApiRequest::Maintenance,
-            "server_metrics" => ApiRequest::ServerMetrics {
-                token: opt_str(p, "token")?,
-            },
-            "advance_clock" => ApiRequest::AdvanceClock {
-                ts: req_i64(p, "ts")?,
-            },
-            "batch" => {
-                let mut requests = Vec::new();
-                for item in req_arr(p, "requests")? {
-                    // Batch items get no sidecar: objects stay inline.
-                    let inner = ApiRequest::from_value(item)?;
-                    if matches!(inner, ApiRequest::Batch { .. }) {
-                        return Err(proto("batch requests cannot nest"));
-                    }
-                    requests.push(inner);
-                }
-                ApiRequest::Batch { requests }
-            }
-            "repl_status" => ApiRequest::ReplStatus,
-            "repl_fetch" => {
-                let mut haves = Vec::new();
-                for id in req_arr(p, "haves")? {
-                    haves.push(parse_id(id, "have")?);
-                }
-                ApiRequest::ReplFetch {
-                    repo_id: req_str(p, "repo_id")?,
-                    haves,
-                }
-            }
-            "placement" => ApiRequest::Placement {
-                repo_id: opt_str(p, "repo_id")?,
-            },
-            other => return Err(proto(format!("unknown method {other:?}"))),
-        };
-        // A v2-only construct inside a v1 envelope would be misread by a
-        // v1 peer; refuse instead of guessing.
-        if req.version() > envelope_v {
-            return Err(proto(format!(
-                "method {:?} with this payload requires protocol v{} (envelope says v{envelope_v})",
-                req.method(),
-                req.version(),
-            )));
-        }
-        if sidecar.as_deref().is_some_and(|s| s.used) && envelope_v < PROTOCOL_V3 {
-            return Err(proto(format!(
-                "objects_ext requires protocol v{PROTOCOL_V3} (envelope says v{envelope_v})"
-            )));
-        }
-        Ok(req)
+        let mut side = Side::channel(objects);
+        let request = Self::from_envelope(&v, &mut side)?;
+        side.finish()?;
+        Ok(request)
     }
 }
 
-fn insert_page_params(p: &mut Object, cursor: &Option<String>, limit: &Option<u32>) {
-    if let Some(c) = cursor {
-        p.insert("cursor", c.as_str());
-    }
-    if let Some(n) = limit {
-        p.insert("limit", *n as i64);
-    }
-}
+// ---------------------------------------------------------------------
+// Responses: the result table
+// ---------------------------------------------------------------------
 
-fn parse_page_params(p: &Object) -> WireResult<(Option<String>, Option<u32>)> {
-    let cursor = opt_str(p, "cursor")?;
-    let limit = match p.get("limit") {
-        None | Some(Value::Null) => None,
-        Some(v) => Some(
-            v.as_i64()
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or_else(|| proto("limit must be a non-negative integer"))?,
-        ),
+/// Declares the result table. Each row is one result shape: its variant,
+/// `type` tag, and either its payload as keyed fields `(key: Type, ..)`
+/// or one struct `[binding: Type]` whose fields sit flattened beside the
+/// tag.
+macro_rules! results {
+    ($(
+        $(#[$attr:meta])*
+        $var:ident = $tag:literal $(($($key:ident: $ty:ty),*))? $([$flat:ident: $fty:ty])?;
+    )*) => {
+        /// Every result shape the platform returns. Self-describing on the
+        /// wire (each carries a `type` tag), so responses parse
+        /// independently of the request that produced them.
+        #[derive(Debug, Clone, PartialEq)]
+        #[allow(missing_docs)] // shapes mirror the typed `Hub` method returns
+        pub enum ApiResponse {
+            $($(#[$attr])* $var $(($($ty),*))? $(($fty))?,)*
+            Error(WireError),
+        }
+
+        impl ApiResponse {
+            /// The wire discriminant: the `type` tag a result serializes
+            /// under (`"error"` for the error variant).
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(ApiResponse::$var { .. } => $tag,)*
+                    ApiResponse::Error(_) => "error",
+                }
+            }
+
+            fn put_result(&self, r: &mut Object, side: &mut Side) {
+                match self {
+                    $(ApiResponse::$var $(($($key),*))? $(($flat))? => {
+                        $($(put!(r, side, stringify!($key), $key);)*)?
+                        $($flat.put_body(r, side);)?
+                    })*
+                    ApiResponse::Error(_) => unreachable!("errors travel under the envelope's error key"),
+                }
+            }
+
+            fn from_result(tag: &str, r: &Object, side: &mut Side) -> WireResult<ApiResponse> {
+                Ok(match tag {
+                    $($tag => ApiResponse::$var
+                        $(($(get!(r, side, stringify!($key))),*))?
+                        $((<$fty>::get_body(r, side)?))?,)*
+                    other => return Err(proto(format!("unknown result type {other:?}"))),
+                })
+            }
+        }
     };
-    Ok((cursor, limit))
 }
 
-// ---------------------------------------------------------------------
-// Responses
-// ---------------------------------------------------------------------
-
-/// Every result shape the platform returns. Self-describing on the wire
-/// (each carries a `type` tag), so responses parse independently of the
-/// request that produced them.
-#[derive(Debug, Clone, PartialEq)]
-#[allow(missing_docs)] // shapes mirror the typed `Hub` method returns
-pub enum ApiResponse {
-    Unit,
-    Token(String),
-    User(User),
+results! {
+    Unit = "unit";
+    Token = "token" (token: String);
+    User = "user" [user: User];
     /// A repository id, username or similar identifier.
-    Id(String),
-    Names(Vec<String>),
-    Paths(Vec<RepoPath>),
-    FileData(Vec<u8>),
-    Log(Vec<LogEntry>),
-    /// v2: one page of a branch's log.
-    LogPage(Page<LogEntry>),
-    /// v2: one page of the audit log.
-    AuditPage(Page<AuditEvent>),
-    /// v2: one page of a name listing (repository ids).
-    NamesPage(Page<String>),
-    /// v2: the server's answer to a have/want exchange.
-    Negotiation(Negotiation),
-    Citation(Citation),
-    CitationOpt(Option<Citation>),
-    Commit(ObjectId),
-    Bool(bool),
-    RoleOpt(Option<Role>),
-    Merge(MergeSummary),
-    Deposit(Deposit),
-    Archive(ArchiveReport),
-    Swhid(SwhKind, ObjectId),
-    Count(u64),
+    Id = "id" (id: String);
+    Names = "names" (names: Vec<String>);
+    Paths = "paths" (paths: Vec<RepoPath>);
+    FileData = "file" (data: Vec<u8>);
+    /// One page of a branch's log.
+    LogPage = "log_page" [page: Page<LogEntry>];
+    /// One page of the audit log.
+    AuditPage = "audit_page" [page: Page<AuditEvent>];
+    /// One page of a name listing (repository ids).
+    NamesPage = "names_page" [page: Page<String>];
+    /// The server's answer to a have/want exchange.
+    Negotiation = "negotiation" (negotiation: Negotiation);
+    Citation = "citation" (citation: Citation);
+    CitationOpt = "citation_opt" (citation: Option<Citation>);
+    Commit = "commit" (id: ObjectId);
+    Bool = "bool" (value: bool);
+    RoleOpt = "role" (role: Option<Role>);
+    Merge = "merge" (report: MergeSummary);
+    Deposit = "deposit" [deposit: Deposit];
+    Archive = "archive" [report: ArchiveReport];
+    Swhid = "swhid" (kind: SwhKind, id: ObjectId);
+    Count = "count" (count: u64);
     /// `(name, citing paths)` pairs — credited authors of one repository,
     /// or repositories citing one author.
-    Credits(Vec<(String, Vec<RepoPath>)>),
-    Audit(Vec<AuditEvent>),
-    Stats(StoreStats),
-    Maintenance(Vec<RepoMaintenance>),
-    /// v3: the hub-wide health snapshot.
-    Metrics(MetricsSnapshot),
-    Bundle(RepoBundle),
-    /// v3: the responses to a [`ApiRequest::Batch`], in request order.
-    /// Items may individually be errors — one failed sub-request does not
+    Credits = "credits" (credits: Vec<(String, Vec<RepoPath>)>);
+    Stats = "stats" (stats: StoreStats);
+    Maintenance = "maintenance" (repos: Vec<RepoMaintenance>);
+    /// The hub-wide health snapshot.
+    Metrics = "metrics" (metrics: MetricsSnapshot);
+    Bundle = "bundle" (bundle: RepoBundle);
+    /// The responses to a [`ApiRequest::Batch`], in request order. Items
+    /// may individually be errors — one failed sub-request does not
     /// poison its siblings.
-    Batch(Vec<ApiResponse>),
-    /// v3: the primary's replication frontier ([`ApiRequest::ReplStatus`]).
-    ReplStatus(ReplStatus),
-    /// v3: the fleet placement map ([`ApiRequest::Placement`]).
-    Placement(PlacementInfo),
-    Error(WireError),
+    Batch = "batch" (responses: Vec<ApiResponse>);
+    /// The primary's replication frontier ([`ApiRequest::ReplStatus`]).
+    ReplStatus = "repl_status" (status: ReplStatus);
+    /// The fleet placement map ([`ApiRequest::Placement`]).
+    Placement = "placement" (placement: PlacementInfo);
+}
+
+/// A batch item: an envelope of its own, objects inline, never a batch.
+impl Wire for ApiResponse {
+    fn to_wire(&self, _: &mut Side) -> Value {
+        self.envelope(&mut Side::inline())
+    }
+
+    fn from_wire(v: &Value, _: &mut Side) -> WireResult<Self> {
+        let response = ApiResponse::from_envelope(v, &mut Side::inline())?;
+        if let ApiResponse::Batch(_) = response {
+            return Err(proto("batch responses cannot nest"));
+        }
+        Ok(response)
+    }
 }
 
 impl ApiResponse {
     /// Wraps a failed operation.
     pub fn from_error(e: &HubError) -> ApiResponse {
         ApiResponse::Error(WireError::from_hub(e))
-    }
-
-    /// The wire discriminant: the `type` tag a result serializes under
-    /// (`"error"` for the error variant). Single source for the
-    /// serializer and for shape-mismatch diagnostics.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            ApiResponse::Unit => "unit",
-            ApiResponse::Token(_) => "token",
-            ApiResponse::User(_) => "user",
-            ApiResponse::Id(_) => "id",
-            ApiResponse::Names(_) => "names",
-            ApiResponse::Paths(_) => "paths",
-            ApiResponse::FileData(_) => "file",
-            ApiResponse::Log(_) => "log",
-            ApiResponse::LogPage(_) => "log_page",
-            ApiResponse::AuditPage(_) => "audit_page",
-            ApiResponse::NamesPage(_) => "names_page",
-            ApiResponse::Negotiation(_) => "negotiation",
-            ApiResponse::Citation(_) => "citation",
-            ApiResponse::CitationOpt(_) => "citation_opt",
-            ApiResponse::Commit(_) => "commit",
-            ApiResponse::Bool(_) => "bool",
-            ApiResponse::RoleOpt(_) => "role",
-            ApiResponse::Merge(_) => "merge",
-            ApiResponse::Deposit(_) => "deposit",
-            ApiResponse::Archive(_) => "archive",
-            ApiResponse::Swhid(..) => "swhid",
-            ApiResponse::Count(_) => "count",
-            ApiResponse::Credits(_) => "credits",
-            ApiResponse::Audit(_) => "audit",
-            ApiResponse::Stats(_) => "stats",
-            ApiResponse::Maintenance(_) => "maintenance",
-            ApiResponse::Metrics(_) => "metrics",
-            ApiResponse::Bundle(_) => "bundle",
-            ApiResponse::Batch(_) => "batch",
-            ApiResponse::ReplStatus(_) => "repl_status",
-            ApiResponse::Placement(_) => "placement",
-            ApiResponse::Error(_) => "error",
-        }
     }
 
     /// Splits success from failure, reconstructing a typed [`HubError`]
@@ -3285,698 +2307,88 @@ impl ApiResponse {
         }
     }
 
-    fn result_value(&self) -> Value {
+    /// The full envelope (`v` + `result`-or-`error`) as a value.
+    fn envelope(&self, side: &mut Side) -> Value {
         let mut o = Object::new();
-        o.insert("type", self.kind());
+        o.insert("v", PROTOCOL_VERSION);
         match self {
-            ApiResponse::Unit => {}
-            ApiResponse::Token(t) => {
-                o.insert("token", t.as_str());
+            ApiResponse::Error(e) => o.insert("error", e.to_wire(side)),
+            ok => {
+                let mut r = Object::new();
+                r.insert("type", ok.kind());
+                ok.put_result(&mut r, side);
+                o.insert("result", Value::Object(r))
             }
-            ApiResponse::User(u) => {
-                o.insert("username", u.username.as_str());
-                o.insert("display_name", u.display_name.as_str());
-                o.insert("email", u.email.as_str());
-            }
-            ApiResponse::Id(id) => {
-                o.insert("id", id.as_str());
-            }
-            ApiResponse::Names(ns) => {
-                o.insert(
-                    "names",
-                    Value::Array(ns.iter().map(|n| Value::from(n.as_str())).collect()),
-                );
-            }
-            ApiResponse::Paths(ps) => {
-                o.insert("paths", Value::Array(ps.iter().map(path_value).collect()));
-            }
-            ApiResponse::FileData(bytes) => {
-                o.insert("data", hex_encode(bytes));
-            }
-            ApiResponse::Log(entries) => {
-                o.insert(
-                    "entries",
-                    Value::Array(entries.iter().map(log_entry_value).collect()),
-                );
-            }
-            ApiResponse::LogPage(page) => {
-                o.insert(
-                    "entries",
-                    Value::Array(page.items.iter().map(log_entry_value).collect()),
-                );
-                if let Some(next) = &page.next {
-                    o.insert("next", next.as_str());
-                }
-            }
-            ApiResponse::AuditPage(page) => {
-                o.insert(
-                    "events",
-                    Value::Array(page.items.iter().map(audit_event_value).collect()),
-                );
-                if let Some(next) = &page.next {
-                    o.insert("next", next.as_str());
-                }
-            }
-            ApiResponse::NamesPage(page) => {
-                o.insert(
-                    "names",
-                    Value::Array(page.items.iter().map(|n| Value::from(n.as_str())).collect()),
-                );
-                if let Some(next) = &page.next {
-                    o.insert("next", next.as_str());
-                }
-            }
-            ApiResponse::Negotiation(n) => {
-                o.insert("negotiation", n.to_value());
-            }
-            ApiResponse::Citation(c) => {
-                o.insert("citation", c.to_value());
-            }
-            ApiResponse::CitationOpt(c) => {
-                match c {
-                    Some(c) => o.insert("citation", c.to_value()),
-                    None => o.insert("citation", Value::Null),
-                };
-            }
-            ApiResponse::Commit(id) => {
-                o.insert("id", id.to_hex());
-            }
-            ApiResponse::Bool(b) => {
-                o.insert("value", *b);
-            }
-            ApiResponse::RoleOpt(r) => {
-                match r {
-                    Some(r) => o.insert("role", role_str(*r)),
-                    None => o.insert("role", Value::Null),
-                };
-            }
-            ApiResponse::Merge(m) => {
-                o.insert("report", m.to_value());
-            }
-            ApiResponse::Deposit(d) => {
-                o.insert("doi", d.doi.as_str());
-                o.insert("repo_id", d.repo_id.as_str());
-                o.insert("version", d.version.to_hex());
-                o.insert("tree", d.tree.to_hex());
-                o.insert("title", d.title.as_str());
-                o.insert(
-                    "creators",
-                    Value::Array(d.creators.iter().map(|c| Value::from(c.as_str())).collect()),
-                );
-                o.insert("deposited_at", d.deposited_at);
-            }
-            ApiResponse::Archive(a) => {
-                o.insert("origin", a.origin.as_str());
-                o.insert(
-                    "heads",
-                    Value::Array(a.heads.iter().map(|h| Value::from(h.as_str())).collect()),
-                );
-                o.insert(
-                    "new_objects",
-                    Value::Array(vec![
-                        Value::from(a.new_objects.0 as i64),
-                        Value::from(a.new_objects.1 as i64),
-                        Value::from(a.new_objects.2 as i64),
-                    ]),
-                );
-            }
-            ApiResponse::Swhid(kind, id) => {
-                o.insert(
-                    "kind",
-                    match kind {
-                        SwhKind::Content => "cnt",
-                        SwhKind::Directory => "dir",
-                        SwhKind::Revision => "rev",
-                    },
-                );
-                o.insert("id", id.to_hex());
-            }
-            ApiResponse::Count(n) => {
-                o.insert("count", *n as i64);
-            }
-            ApiResponse::Credits(cs) => {
-                o.insert(
-                    "credits",
-                    Value::Array(
-                        cs.iter()
-                            .map(|(name, paths)| {
-                                Value::Array(vec![
-                                    Value::from(name.as_str()),
-                                    Value::Array(paths.iter().map(path_value).collect()),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                );
-            }
-            ApiResponse::Audit(events) => {
-                o.insert(
-                    "events",
-                    Value::Array(events.iter().map(audit_event_value).collect()),
-                );
-            }
-            ApiResponse::Stats(s) => {
-                o.insert("stats", s.to_value());
-            }
-            ApiResponse::Maintenance(entries) => {
-                o.insert(
-                    "repos",
-                    Value::Array(entries.iter().map(|e| e.to_value()).collect()),
-                );
-            }
-            ApiResponse::Metrics(m) => {
-                o.insert("metrics", m.to_value());
-            }
-            ApiResponse::Bundle(b) => {
-                o.insert("bundle", b.to_value());
-            }
-            ApiResponse::Batch(responses) => {
-                o.insert(
-                    "responses",
-                    Value::Array(responses.iter().map(|r| r.envelope_value()).collect()),
-                );
-            }
-            ApiResponse::ReplStatus(s) => {
-                o.insert("status", s.to_value());
-            }
-            ApiResponse::Placement(p) => {
-                o.insert("placement", p.to_value());
-            }
-            ApiResponse::Error(_) => unreachable!("errors are encoded by encode()"),
-        }
-        Value::Object(o)
-    }
-
-    /// The lowest protocol major version that can carry this response —
-    /// v3 for batch responses, v2 for the page/negotiation shapes and
-    /// delta bundles, v1 for everything else (including errors, which
-    /// every peer must parse).
-    pub fn version(&self) -> i64 {
-        match self {
-            ApiResponse::Batch(_)
-            | ApiResponse::Metrics(_)
-            | ApiResponse::ReplStatus(_)
-            | ApiResponse::Placement(_) => PROTOCOL_V3,
-            ApiResponse::LogPage(_)
-            | ApiResponse::AuditPage(_)
-            | ApiResponse::NamesPage(_)
-            | ApiResponse::Negotiation(_) => PROTOCOL_V2,
-            ApiResponse::Bundle(b) if b.is_delta() => PROTOCOL_V2,
-            _ => PROTOCOL_V1,
-        }
-    }
-
-    /// The full envelope (`v` + `result`-or-`error`) as a value — the
-    /// unit that nests inside a batch response's `responses` array.
-    fn envelope_value(&self) -> Value {
-        let mut o = Object::new();
-        o.insert("v", self.version());
-        match self {
-            ApiResponse::Error(e) => o.insert("error", e.to_value()),
-            ok => o.insert("result", ok.result_value()),
         };
         Value::Object(o)
     }
 
-    /// Serializes to the one-line wire envelope, stamped with the lowest
-    /// protocol version that can carry it.
-    pub fn encode(&self) -> String {
-        self.envelope_value().to_string_compact()
+    fn from_envelope(v: &Value, side: &mut Side) -> WireResult<ApiResponse> {
+        let o = v
+            .as_object()
+            .ok_or_else(|| proto("response must be an object"))?;
+        check_version(o)?;
+        if let Some(err) = o.get("error") {
+            return Ok(ApiResponse::Error(WireError::from_wire(err, side)?));
+        }
+        let r = o
+            .get("result")
+            .and_then(Value::as_object)
+            .ok_or_else(|| proto("missing or non-object field \"result\""))?;
+        let tag = r
+            .get("type")
+            .and_then(Value::as_str)
+            .ok_or_else(|| proto("missing or non-string field \"type\""))?;
+        ApiResponse::from_result(tag, r, side)
     }
 
-    /// v3 serialization: like [`ApiResponse::encode`] but bundle object
-    /// payloads leave the envelope and come back as raw `(id, bytes)`
-    /// pairs for the binary side channel; the envelope carries an
-    /// `objects_ext` count in their place and is stamped v3. Responses
-    /// without an externalizable payload encode exactly as
-    /// [`ApiResponse::encode`] with an empty side channel.
+    /// Serializes to the one-line wire envelope, bundle objects inline.
+    pub fn encode(&self) -> String {
+        self.envelope(&mut Side::inline()).to_string_compact()
+    }
+
+    /// Serializes for the binary framing: like [`ApiResponse::encode`]
+    /// but bundle object payloads leave the envelope and come back as
+    /// raw `(id, bytes)` pairs for the side channel; the envelope carries
+    /// an `objects_ext` count in their place. Responses without a bundle
+    /// encode exactly as [`ApiResponse::encode`] with an empty side
+    /// channel.
     pub fn encode_ext(&self) -> (String, Vec<(ObjectId, Vec<u8>)>) {
-        match self {
-            ApiResponse::Bundle(b) => {
-                let mut sink = Vec::new();
-                let mut r = Object::new();
-                r.insert("type", self.kind());
-                r.insert("bundle", b.to_value_ext(&mut sink));
-                let mut o = Object::new();
-                o.insert("v", PROTOCOL_V3);
-                o.insert("result", Value::Object(r));
-                (Value::Object(o).to_string_compact(), sink)
-            }
-            other => (other.encode(), Vec::new()),
-        }
+        let mut side = Side::channel(Vec::new());
+        let text = self.envelope(&mut side).to_string_compact();
+        (text, side.into_objects())
     }
 
     /// Parses a wire envelope.
     pub fn parse(text: &str) -> WireResult<ApiResponse> {
         let v = sjson::parse(text).map_err(|e| proto(format!("unparseable response: {e}")))?;
-        Self::from_value(&v)
+        Self::from_envelope(&v, &mut Side::inline())
     }
 
-    /// v3 parse: like [`ApiResponse::parse`] but resolves `objects_ext`
-    /// counts against `objects` received on the binary side channel.
-    /// Every side-channel object must be consumed.
+    /// Like [`ApiResponse::parse`] but resolves `objects_ext` counts
+    /// against `objects` received on the side channel. Every
+    /// side-channel object must be consumed.
     pub fn parse_ext(text: &str, objects: Vec<(ObjectId, Vec<u8>)>) -> WireResult<ApiResponse> {
         let v = sjson::parse(text).map_err(|e| proto(format!("unparseable response: {e}")))?;
-        let mut sc = Sidecar {
-            objects: objects.into(),
-            used: false,
-        };
-        let resp = Self::from_value_inner(&v, Some(&mut sc))?;
-        if !sc.objects.is_empty() {
-            return Err(proto(format!(
-                "side channel carried {} unconsumed objects",
-                sc.objects.len()
-            )));
-        }
-        Ok(resp)
+        let mut side = Side::channel(objects);
+        let response = Self::from_envelope(&v, &mut side)?;
+        side.finish()?;
+        Ok(response)
     }
-
-    /// Reads a response out of an already-parsed envelope value.
-    pub fn from_value(v: &Value) -> WireResult<ApiResponse> {
-        Self::from_value_inner(v, None)
-    }
-
-    fn from_value_inner(v: &Value, mut sidecar: Option<&mut Sidecar>) -> WireResult<ApiResponse> {
-        let o = v
-            .as_object()
-            .ok_or_else(|| proto("response must be an object"))?;
-        let envelope_v = check_version(o)?;
-        if let Some(err) = o.get("error") {
-            return Ok(ApiResponse::Error(WireError::from_value(err)?));
-        }
-        let r = req_obj(o, "result")?;
-        let resp = match req_str(r, "type")?.as_str() {
-            "unit" => ApiResponse::Unit,
-            "token" => ApiResponse::Token(req_str(r, "token")?),
-            "user" => ApiResponse::User(User {
-                username: req_str(r, "username")?,
-                display_name: req_str(r, "display_name")?,
-                email: req_str(r, "email")?,
-            }),
-            "id" => ApiResponse::Id(req_str(r, "id")?),
-            "names" => {
-                let mut names = Vec::new();
-                for n in req_arr(r, "names")? {
-                    names.push(str_of(n, "name")?);
-                }
-                ApiResponse::Names(names)
-            }
-            "paths" => {
-                let mut paths = Vec::new();
-                for p in req_arr(r, "paths")? {
-                    paths.push(parse_path_value(p)?);
-                }
-                ApiResponse::Paths(paths)
-            }
-            "file" => ApiResponse::FileData(
-                hex_decode(&req_str(r, "data")?).ok_or_else(|| proto("file data must be hex"))?,
-            ),
-            "log" => {
-                let mut entries = Vec::new();
-                for e in req_arr(r, "entries")? {
-                    entries.push(parse_log_entry(e)?);
-                }
-                ApiResponse::Log(entries)
-            }
-            "log_page" => {
-                let mut items = Vec::new();
-                for e in req_arr(r, "entries")? {
-                    items.push(parse_log_entry(e)?);
-                }
-                ApiResponse::LogPage(Page {
-                    items,
-                    next: opt_str(r, "next")?,
-                })
-            }
-            "audit_page" => {
-                let mut items = Vec::new();
-                for e in req_arr(r, "events")? {
-                    items.push(parse_audit_event(e)?);
-                }
-                ApiResponse::AuditPage(Page {
-                    items,
-                    next: opt_str(r, "next")?,
-                })
-            }
-            "names_page" => {
-                let mut items = Vec::new();
-                for n in req_arr(r, "names")? {
-                    items.push(str_of(n, "name")?);
-                }
-                ApiResponse::NamesPage(Page {
-                    items,
-                    next: opt_str(r, "next")?,
-                })
-            }
-            "negotiation" => ApiResponse::Negotiation(Negotiation::from_value(
-                r.get("negotiation")
-                    .ok_or_else(|| proto("missing negotiation"))?,
-            )?),
-            "citation" => ApiResponse::Citation(parse_citation(
-                r.get("citation").ok_or_else(|| proto("missing citation"))?,
-            )?),
-            "citation_opt" => match r.get("citation") {
-                None | Some(Value::Null) => ApiResponse::CitationOpt(None),
-                Some(v) => ApiResponse::CitationOpt(Some(parse_citation(v)?)),
-            },
-            "commit" => ApiResponse::Commit(parse_id(
-                r.get("id").ok_or_else(|| proto("missing commit id"))?,
-                "commit id",
-            )?),
-            "bool" => ApiResponse::Bool(req_bool(r, "value")?),
-            "role" => match r.get("role") {
-                None | Some(Value::Null) => ApiResponse::RoleOpt(None),
-                Some(v) => ApiResponse::RoleOpt(Some(role_parse(
-                    v.as_str().ok_or_else(|| proto("role must be a string"))?,
-                )?)),
-            },
-            "merge" => ApiResponse::Merge(MergeSummary::from_value(
-                r.get("report")
-                    .ok_or_else(|| proto("missing merge report"))?,
-            )?),
-            "deposit" => {
-                let mut creators = Vec::new();
-                for c in req_arr(r, "creators")? {
-                    creators.push(str_of(c, "creator")?);
-                }
-                ApiResponse::Deposit(Deposit {
-                    doi: req_str(r, "doi")?,
-                    repo_id: req_str(r, "repo_id")?,
-                    version: parse_id(
-                        r.get("version").ok_or_else(|| proto("missing version"))?,
-                        "deposit version",
-                    )?,
-                    tree: parse_id(
-                        r.get("tree").ok_or_else(|| proto("missing tree"))?,
-                        "deposit tree",
-                    )?,
-                    title: req_str(r, "title")?,
-                    creators,
-                    deposited_at: req_i64(r, "deposited_at")?,
-                })
-            }
-            "archive" => {
-                let mut heads = Vec::new();
-                for h in req_arr(r, "heads")? {
-                    heads.push(str_of(h, "head")?);
-                }
-                let counts = req_arr(r, "new_objects")?;
-                if counts.len() != 3 {
-                    return Err(proto("new_objects must have three counts"));
-                }
-                let n = |v: &Value| -> WireResult<usize> {
-                    v.as_i64()
-                        .map(|n| n as usize)
-                        .ok_or_else(|| proto("new_objects entries must be integers"))
-                };
-                ApiResponse::Archive(ArchiveReport {
-                    origin: req_str(r, "origin")?,
-                    heads,
-                    new_objects: (n(&counts[0])?, n(&counts[1])?, n(&counts[2])?),
-                })
-            }
-            "swhid" => {
-                let kind = match req_str(r, "kind")?.as_str() {
-                    "cnt" => SwhKind::Content,
-                    "dir" => SwhKind::Directory,
-                    "rev" => SwhKind::Revision,
-                    other => return Err(proto(format!("unknown swhid kind {other:?}"))),
-                };
-                ApiResponse::Swhid(
-                    kind,
-                    parse_id(
-                        r.get("id").ok_or_else(|| proto("missing swhid id"))?,
-                        "swhid id",
-                    )?,
-                )
-            }
-            "count" => ApiResponse::Count(req_i64(r, "count")? as u64),
-            "credits" => {
-                let mut credits = Vec::new();
-                for pair in req_arr(r, "credits")? {
-                    let [name, paths] = two(pair, "credit")?;
-                    let paths = paths
-                        .as_array()
-                        .ok_or_else(|| proto("credit paths must be an array"))?;
-                    let mut ps = Vec::new();
-                    for p in paths {
-                        ps.push(parse_path_value(p)?);
-                    }
-                    credits.push((str_of(name, "credited name")?, ps));
-                }
-                ApiResponse::Credits(credits)
-            }
-            "audit" => {
-                let mut events = Vec::new();
-                for e in req_arr(r, "events")? {
-                    events.push(parse_audit_event(e)?);
-                }
-                ApiResponse::Audit(events)
-            }
-            "stats" => ApiResponse::Stats(StoreStats::from_value(
-                r.get("stats").ok_or_else(|| proto("missing stats"))?,
-            )?),
-            "maintenance" => {
-                let mut repos = Vec::new();
-                for e in req_arr(r, "repos")? {
-                    repos.push(RepoMaintenance::from_value(e)?);
-                }
-                ApiResponse::Maintenance(repos)
-            }
-            "metrics" => ApiResponse::Metrics(MetricsSnapshot::from_value(
-                r.get("metrics").ok_or_else(|| proto("missing metrics"))?,
-            )?),
-            "bundle" => ApiResponse::Bundle(RepoBundle::from_value_inner(
-                r.get("bundle").ok_or_else(|| proto("missing bundle"))?,
-                sidecar.as_deref_mut(),
-            )?),
-            "batch" => {
-                let mut responses = Vec::new();
-                for item in req_arr(r, "responses")? {
-                    // Batch items get no sidecar: objects stay inline.
-                    let inner = ApiResponse::from_value(item)?;
-                    if matches!(inner, ApiResponse::Batch(_)) {
-                        return Err(proto("batch responses cannot nest"));
-                    }
-                    responses.push(inner);
-                }
-                ApiResponse::Batch(responses)
-            }
-            "repl_status" => ApiResponse::ReplStatus(ReplStatus::from_value(
-                r.get("status")
-                    .ok_or_else(|| proto("missing replication status"))?,
-            )?),
-            "placement" => ApiResponse::Placement(PlacementInfo::from_value(
-                r.get("placement")
-                    .ok_or_else(|| proto("missing placement"))?,
-            )?),
-            other => return Err(proto(format!("unknown result type {other:?}"))),
-        };
-        if resp.version() > envelope_v {
-            return Err(proto(format!(
-                "result type {:?} requires protocol v{} (envelope says v{envelope_v})",
-                resp.kind(),
-                resp.version(),
-            )));
-        }
-        if sidecar.as_deref().is_some_and(|s| s.used) && envelope_v < PROTOCOL_V3 {
-            return Err(proto(format!(
-                "objects_ext requires protocol v{PROTOCOL_V3} (envelope says v{envelope_v})"
-            )));
-        }
-        Ok(resp)
-    }
-}
-
-/// A [`Deposit`] as a standalone wire object — same keys as the inline
-/// `deposit` result arm, nested so replication status can carry a list.
-fn deposit_value(d: &Deposit) -> Value {
-    let mut o = Object::new();
-    o.insert("doi", d.doi.as_str());
-    o.insert("repo_id", d.repo_id.as_str());
-    o.insert("version", d.version.to_hex());
-    o.insert("tree", d.tree.to_hex());
-    o.insert("title", d.title.as_str());
-    o.insert(
-        "creators",
-        Value::Array(d.creators.iter().map(|c| Value::from(c.as_str())).collect()),
-    );
-    o.insert("deposited_at", d.deposited_at);
-    Value::Object(o)
-}
-
-fn parse_deposit(v: &Value) -> WireResult<Deposit> {
-    let o = v
-        .as_object()
-        .ok_or_else(|| proto("deposit must be an object"))?;
-    let mut creators = Vec::new();
-    for c in req_arr(o, "creators")? {
-        creators.push(str_of(c, "creator")?);
-    }
-    Ok(Deposit {
-        doi: req_str(o, "doi")?,
-        repo_id: req_str(o, "repo_id")?,
-        version: parse_id(
-            o.get("version").ok_or_else(|| proto("missing version"))?,
-            "deposit version",
-        )?,
-        tree: parse_id(
-            o.get("tree").ok_or_else(|| proto("missing tree"))?,
-            "deposit tree",
-        )?,
-        title: req_str(o, "title")?,
-        creators,
-        deposited_at: req_i64(o, "deposited_at")?,
-    })
-}
-
-fn log_entry_value(e: &LogEntry) -> Value {
-    let mut eo = Object::new();
-    eo.insert("id", e.id.to_hex());
-    eo.insert("author", e.author.as_str());
-    eo.insert("timestamp", e.timestamp);
-    eo.insert("message", e.message.as_str());
-    Value::Object(eo)
-}
-
-fn parse_log_entry(e: &Value) -> WireResult<LogEntry> {
-    let eo = e
-        .as_object()
-        .ok_or_else(|| proto("log entry must be an object"))?;
-    Ok(LogEntry {
-        id: parse_id(
-            eo.get("id").ok_or_else(|| proto("missing log id"))?,
-            "log id",
-        )?,
-        author: req_str(eo, "author")?,
-        timestamp: req_i64(eo, "timestamp")?,
-        message: req_str(eo, "message")?,
-    })
-}
-
-fn audit_event_value(e: &AuditEvent) -> Value {
-    let mut eo = Object::new();
-    eo.insert("seq", e.seq as i64);
-    eo.insert("timestamp", e.timestamp);
-    match &e.actor {
-        Some(a) => eo.insert("actor", Value::from(a.as_str())),
-        None => eo.insert("actor", Value::Null),
-    };
-    eo.insert("action", e.action.as_str());
-    eo.insert("target", e.target.as_str());
-    eo.insert("ok", e.ok);
-    Value::Object(eo)
-}
-
-fn parse_audit_event(e: &Value) -> WireResult<AuditEvent> {
-    let eo = e
-        .as_object()
-        .ok_or_else(|| proto("audit event must be an object"))?;
-    Ok(AuditEvent {
-        seq: req_i64(eo, "seq")? as u64,
-        timestamp: req_i64(eo, "timestamp")?,
-        actor: opt_str(eo, "actor")?,
-        action: req_str(eo, "action")?,
-        target: req_str(eo, "target")?,
-        ok: req_bool(eo, "ok")?,
-    })
 }
 
 // ---------------------------------------------------------------------
-// Parsing helpers
+// Helpers
 // ---------------------------------------------------------------------
 
-fn check_version(o: &Object) -> WireResult<i64> {
-    let v = req_i64(o, "v")?;
-    if !(PROTOCOL_V1..=PROTOCOL_VERSION).contains(&v) {
-        return Err(proto(format!(
-            "unsupported protocol version {v} (this peer speaks {PROTOCOL_V1} through {PROTOCOL_VERSION})"
-        )));
+fn check_version(o: &Object) -> WireResult<()> {
+    match o.get("v").and_then(Value::as_i64) {
+        Some(PROTOCOL_VERSION) => Ok(()),
+        Some(v) => Err(proto(format!(
+            "unsupported protocol version v{v} (this peer speaks v{PROTOCOL_VERSION})"
+        ))),
+        None => Err(proto("missing or non-integer protocol version \"v\"")),
     }
-    Ok(v)
-}
-
-fn req_str(o: &Object, key: &str) -> WireResult<String> {
-    o.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_owned)
-        .ok_or_else(|| proto(format!("missing or non-string field {key:?}")))
-}
-
-fn opt_str(o: &Object, key: &str) -> WireResult<Option<String>> {
-    match o.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(Value::String(s)) => Ok(Some(s.clone())),
-        Some(_) => Err(proto(format!("field {key:?} must be a string or null"))),
-    }
-}
-
-fn req_i64(o: &Object, key: &str) -> WireResult<i64> {
-    o.get(key)
-        .and_then(Value::as_i64)
-        .ok_or_else(|| proto(format!("missing or non-integer field {key:?}")))
-}
-
-fn req_bool(o: &Object, key: &str) -> WireResult<bool> {
-    o.get(key)
-        .and_then(Value::as_bool)
-        .ok_or_else(|| proto(format!("missing or non-boolean field {key:?}")))
-}
-
-fn req_arr<'a>(o: &'a Object, key: &str) -> WireResult<&'a [Value]> {
-    o.get(key)
-        .and_then(Value::as_array)
-        .ok_or_else(|| proto(format!("missing or non-array field {key:?}")))
-}
-
-fn req_obj<'a>(o: &'a Object, key: &str) -> WireResult<&'a Object> {
-    o.get(key)
-        .and_then(Value::as_object)
-        .ok_or_else(|| proto(format!("missing or non-object field {key:?}")))
-}
-
-fn str_of(v: &Value, what: &str) -> WireResult<String> {
-    v.as_str()
-        .map(str::to_owned)
-        .ok_or_else(|| proto(format!("{what} must be a string")))
-}
-
-fn two<'a>(v: &'a Value, what: &str) -> WireResult<[&'a Value; 2]> {
-    match v.as_array() {
-        Some([a, b]) => Ok([a, b]),
-        _ => Err(proto(format!("{what} must be a two-element array"))),
-    }
-}
-
-fn path_value(p: &RepoPath) -> Value {
-    Value::from(p.to_string())
-}
-
-fn parse_path_value(v: &Value) -> WireResult<RepoPath> {
-    let s = v.as_str().ok_or_else(|| proto("path must be a string"))?;
-    RepoPath::parse(s).map_err(|e| proto(format!("bad path {s:?}: {e}")))
-}
-
-fn req_path(o: &Object) -> WireResult<RepoPath> {
-    parse_path_value(
-        o.get("path")
-            .ok_or_else(|| proto("missing field \"path\""))?,
-    )
-}
-
-fn id_value(id: ObjectId) -> Value {
-    Value::from(id.to_hex())
-}
-
-fn parse_id(v: &Value, what: &str) -> WireResult<ObjectId> {
-    let s = v
-        .as_str()
-        .ok_or_else(|| proto(format!("{what} must be a hex string")))?;
-    ObjectId::from_hex(s).ok_or_else(|| proto(format!("{what} is not a 40-char hex id")))
-}
-
-fn parse_citation(v: &Value) -> WireResult<Citation> {
-    Citation::from_value(v).map_err(|e| proto(format!("bad citation: {e}")))
 }
 
 const HEX: &[u8; 16] = b"0123456789abcdef";
@@ -4033,7 +2445,7 @@ mod tests {
             citation: Citation::builder("p", "A").author("A").build(),
         };
         let text = req.encode();
-        assert!(text.contains("\"v\":1"));
+        assert!(text.contains("\"v\":3"));
         assert!(text.contains("\"method\":\"add_cite\""));
         assert_eq!(ApiRequest::parse(&text).unwrap(), req);
     }
@@ -4047,65 +2459,21 @@ mod tests {
 
     #[test]
     fn wrong_version_is_refused() {
-        let text = r#"{"v": 4, "method": "list_repos", "params": {}}"#;
+        let text = r#"{"v": 4, "method": "list_repos_page", "params": {}}"#;
         let err = ApiRequest::parse(text).unwrap_err();
         assert_eq!(err.code, ErrorCode::Protocol);
         assert!(err.message.contains("version"));
     }
 
     #[test]
-    fn v1_methods_ride_in_v2_envelopes_but_not_vice_versa() {
-        // A v2 peer may stamp v2 on an old method; it still parses.
-        let text = r#"{"v": 2, "method": "list_repos", "params": {}}"#;
-        assert_eq!(ApiRequest::parse(text).unwrap(), ApiRequest::ListRepos);
-        // A v2-only method inside a v1 envelope is refused.
-        let text = r#"{"v": 1, "method": "negotiate", "params": {"repo_id": "a/p", "haves": []}}"#;
-        let err = ApiRequest::parse(text).unwrap_err();
-        assert_eq!(err.code, ErrorCode::Protocol);
-        assert!(err.message.contains("requires protocol v2"));
-    }
-
-    #[test]
-    fn delta_bundles_force_v2_envelopes() {
-        let full = RepoBundle {
-            name: "p".into(),
-            head: None,
-            refs: vec![],
-            objects: vec![],
-            basis: vec![],
-        };
-        let delta = RepoBundle {
-            basis: vec![ObjectId::hash_bytes(b"base")],
-            ..full.clone()
-        };
-        let req = |bundle: RepoBundle| ApiRequest::Push {
-            token: "t".into(),
-            repo_id: "a/p".into(),
-            branch: "main".into(),
-            force: false,
-            bundle,
-        };
-        assert!(req(full).encode().contains("\"v\":1"));
-        let delta_req = req(delta);
-        let text = delta_req.encode();
-        assert!(text.contains("\"v\":2"));
-        assert_eq!(ApiRequest::parse(&text).unwrap(), delta_req);
-        // The same bytes downgraded to a v1 envelope must be refused.
-        let downgraded = text.replacen("\"v\":2", "\"v\":1", 1);
-        assert_eq!(
-            ApiRequest::parse(&downgraded).unwrap_err().code,
-            ErrorCode::Protocol
-        );
-    }
-
-    #[test]
     fn page_responses_round_trip_and_stamp_v2() {
+        // Pages once needed a v2 stamp; every envelope now carries v3.
         let page = ApiResponse::NamesPage(Page {
             items: vec!["a/p".into(), "b/q".into()],
             next: Some("b/q".into()),
         });
         let text = page.encode();
-        assert!(text.contains("\"v\":2"));
+        assert!(text.contains("\"v\":3"));
         assert_eq!(ApiResponse::parse(&text).unwrap(), page);
         let last = ApiResponse::NamesPage(Page {
             items: vec![],
@@ -4116,14 +2484,14 @@ mod tests {
 
     #[test]
     fn unknown_method_is_refused() {
-        let text = r#"{"v": 1, "method": "frobnicate", "params": {}}"#;
+        let text = r#"{"v": 3, "method": "frobnicate", "params": {}}"#;
         let err = ApiRequest::parse(text).unwrap_err();
         assert_eq!(err.code, ErrorCode::Protocol);
     }
 
     #[test]
     fn unknown_params_are_ignored() {
-        let text = r#"{"v": 1, "method": "login", "params": {"username": "a", "extra": 1}}"#;
+        let text = r#"{"v": 3, "method": "login", "params": {"username": "a", "extra": 1}}"#;
         assert_eq!(
             ApiRequest::parse(text).unwrap(),
             ApiRequest::Login {
@@ -4203,7 +2571,7 @@ mod tests {
         ));
     }
 
-    // -- protocol v3 ---------------------------------------------------
+    // -- batches and the side channel ----------------------------------
 
     fn push_with_objects() -> ApiRequest {
         let payload = b"blob 13\0fn main() {}\n".to_vec();
@@ -4227,7 +2595,10 @@ mod tests {
         let req = ApiRequest::Batch {
             requests: vec![
                 ApiRequest::Whoami { token: "t".into() },
-                ApiRequest::ListRepos,
+                ApiRequest::ListReposPage {
+                    cursor: None,
+                    limit: None,
+                },
             ],
         };
         let text = req.encode();

@@ -253,9 +253,8 @@ fn draw_fault(config: &ProxyConfig, index: u64) -> Fault {
     if !rng.gen_bool(config.fault_rate) {
         return Fault::None;
     }
-    // Offsets land in the first couple of hundred bytes: early enough to
-    // hit the probe/envelope machinery, late enough that framing usually
-    // got negotiated (both regions are worth breaking).
+    // Offsets land in the first couple of hundred bytes, where a
+    // session's first frame headers and envelopes travel.
     let at = rng.gen_range(1..256);
     let downstream = rng.gen_bool(0.7);
     match rng.gen_range(0..3) {
@@ -445,7 +444,7 @@ mod tests {
         struct Echo;
         impl Transport for Echo {
             fn send(&self, _request: &str) -> String {
-                r#"{"v":1,"result":{"type":"unit"}}"#.into()
+                r#"{"v":3,"result":{"type":"unit"}}"#.into()
             }
         }
         let schedule = ChaosSchedule {

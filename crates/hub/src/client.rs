@@ -9,8 +9,8 @@
 //! without touching any client logic.
 
 use crate::api::{
-    ApiRequest, ApiResponse, ErrorCode, MergeSummary, MetricsSnapshot, Negotiation, Page,
-    PlacementInfo, ReplStatus, RepoBundle, RepoMaintenance, StoreStats,
+    walk_pages, ApiRequest, ApiResponse, ErrorCode, MergeSummary, MetricsSnapshot, Negotiation,
+    Page, PlacementInfo, ReplStatus, RepoBundle, RepoMaintenance, StoreStats,
 };
 use crate::audit::AuditEvent;
 use crate::error::{HubError, Result};
@@ -37,7 +37,7 @@ pub trait Transport {
     /// Typed round trip: one request in, one response out. The default
     /// rides on [`Transport::send`] — encode, exchange strings, parse —
     /// which is always correct; transports with a richer wire format
-    /// (protocol v3 binary framing moves bundle objects as raw bytes
+    /// (the socket's binary framing moves bundle objects as raw bytes
     /// instead of hex) override this to skip the hex detour.
     fn exchange(&self, request: &ApiRequest) -> ApiResponse {
         let reply = self.send(&request.encode());
@@ -159,13 +159,12 @@ impl<T: Transport> HubClient<T> {
         }
     }
 
-    /// Sends several requests in one round trip (protocol v3 batch
-    /// envelope) and returns the per-item responses in request order.
-    /// Item-level failures come back as [`ApiResponse::Error`] entries
-    /// without failing the batch; the `Err` arm is for transport-level
-    /// trouble (or a pre-v3 server refusing the envelope with
-    /// [`HubError::Protocol`] — callers wanting to talk to old servers
-    /// fall back to sequential calls on that error).
+    /// Sends several requests in one round trip (a batch envelope) and
+    /// returns the per-item responses in request order. Item-level
+    /// failures come back as [`ApiResponse::Error`] entries without
+    /// failing the batch; the `Err` arm is for transport-level trouble
+    /// and for a malformed reply — one whose item count differs from the
+    /// request's is a [`HubError::Protocol`].
     pub fn batch(&self, requests: Vec<ApiRequest>) -> Result<Vec<ApiResponse>> {
         let expected = requests.len();
         match self.call(ApiRequest::Batch { requests })? {
@@ -192,7 +191,7 @@ impl<T: Transport> HubClient<T> {
         }
     }
 
-    /// Registers a user whose logins must present `secret` (protocol v3).
+    /// Registers a user whose logins must present `secret`.
     pub fn register_user_with_secret(
         &self,
         username: &str,
@@ -220,8 +219,7 @@ impl<T: Transport> HubClient<T> {
         }
     }
 
-    /// Obtains a personal-access token for a secret-protected account
-    /// (protocol v3).
+    /// Obtains a personal-access token for a secret-protected account.
     pub fn login_with_secret(&self, username: &str, secret: &str) -> Result<Token> {
         match self.call(ApiRequest::Login {
             username: username.to_owned(),
@@ -233,7 +231,7 @@ impl<T: Transport> HubClient<T> {
     }
 
     /// Exchanges a token (possibly expired) for a fresh one, revoking the
-    /// old (protocol v3).
+    /// old.
     pub fn refresh(&self, token: &Token) -> Result<Token> {
         match self.call(ApiRequest::Refresh {
             token: token.as_str().to_owned(),
@@ -330,12 +328,9 @@ impl<T: Transport> HubClient<T> {
         }
     }
 
-    /// All repository ids.
+    /// All repository ids, walked page by page.
     pub fn list_repos(&self) -> Result<Vec<String>> {
-        match self.call(ApiRequest::ListRepos)? {
-            ApiResponse::Names(names) => Ok(names),
-            other => Err(shape(&other)),
-        }
+        walk_pages(|cursor, limit| self.list_repos_page(cursor, limit))
     }
 
     // ----- public reads ------------------------------------------------------
@@ -373,20 +368,15 @@ impl<T: Transport> HubClient<T> {
         }
     }
 
-    /// Commit log of a branch, newest first. Unbounded — prefer
-    /// [`HubClient::log_page`] against servers with deep histories.
+    /// Commit log of a branch, newest first, walked page by page — one
+    /// round trip per [`crate::api::MAX_PAGE_SIZE`] entries; prefer
+    /// [`HubClient::log_page`] when only the recent history is shown.
     pub fn log(&self, repo_id: &str, branch: &str) -> Result<Vec<LogEntry>> {
-        match self.call(ApiRequest::Log {
-            repo_id: repo_id.to_owned(),
-            branch: branch.to_owned(),
-        })? {
-            ApiResponse::Log(entries) => Ok(entries),
-            other => Err(shape(&other)),
-        }
+        walk_pages(|cursor, limit| self.log_page(repo_id, branch, cursor, limit))
     }
 
-    /// One page of a branch's log (protocol v2): pass `None` to start at
-    /// the tip, then the returned `next` cursor to continue.
+    /// One page of a branch's log: pass `None` to start at the tip, then
+    /// the returned `next` cursor to continue.
     pub fn log_page(
         &self,
         repo_id: &str,
@@ -405,7 +395,7 @@ impl<T: Transport> HubClient<T> {
         }
     }
 
-    /// One page of the repository listing (protocol v2), ordered by id.
+    /// One page of the repository listing, ordered by id.
     pub fn list_repos_page(
         &self,
         cursor: Option<&str>,
@@ -420,7 +410,7 @@ impl<T: Transport> HubClient<T> {
         }
     }
 
-    /// One page of the audit log (protocol v2), oldest first.
+    /// One page of the audit log, oldest first.
     pub fn audit_log_page(
         &self,
         cursor: Option<&str>,
@@ -436,7 +426,7 @@ impl<T: Transport> HubClient<T> {
     }
 
     /// Asks the server which of `haves` it already holds reachable from
-    /// the repository's refs (protocol v2).
+    /// the repository's refs.
     pub fn negotiate(&self, repo_id: &str, haves: &[ObjectId]) -> Result<Negotiation> {
         match self.call(ApiRequest::Negotiate {
             repo_id: repo_id.to_owned(),
@@ -560,12 +550,12 @@ impl<T: Transport> HubClient<T> {
     // ----- sync --------------------------------------------------------------
 
     /// Pushes `local_branch` of `local` to `branch` of the hosted
-    /// repository. Negotiates first (protocol v2): the server names the
-    /// commits it already has, and the request ships only the objects
-    /// past that frontier instead of the whole branch closure. Falls
-    /// back to a full-closure v1 push when the server refuses v2, or
-    /// when the negotiated basis went away between the two calls (e.g. a
-    /// concurrent gc after a force push).
+    /// repository. Negotiates first: the server names the commits it
+    /// already has, and the request ships only the objects past that
+    /// frontier instead of the whole branch closure. Falls back to a
+    /// full-closure push when the negotiated push is refused as
+    /// malformed, or when the negotiated basis went away between the two
+    /// calls (e.g. a concurrent gc after a force push).
     pub fn push(
         &self,
         token: &Token,
@@ -584,9 +574,8 @@ impl<T: Transport> HubClient<T> {
         }
     }
 
-    /// The v2 negotiated push: have/want exchange, then a delta bundle.
-    /// Fails with a `protocol` error against a v1-only server; use
-    /// [`HubClient::push`] for the version-negotiating wrapper.
+    /// The negotiated push: have/want exchange, then a delta bundle. Use
+    /// [`HubClient::push`] for the wrapper that falls back to a full push.
     pub fn push_negotiated(
         &self,
         token: &Token,
@@ -614,7 +603,7 @@ impl<T: Transport> HubClient<T> {
         }
     }
 
-    /// The v1 push: ships the full closure of the branch in one bundle.
+    /// The full push: ships the whole closure of the branch in one bundle.
     pub fn push_full(
         &self,
         token: &Token,
@@ -657,7 +646,7 @@ impl<T: Transport> HubClient<T> {
             // reachability alone is not enough — the commit could sit on
             // a different branch while `branch` lags or does not exist).
             Ok(page) if page.items.first().map(|e| e.id) == Some(tip) => Ok(tip),
-            // Behind, missing branch, a v1-only server, or a follower
+            // Behind, missing branch, a malformed reply, or a follower
             // too stale to answer (`not_primary` — over a
             // [`FleetTransport`] the push below re-routes to the primary,
             // so the primary is only ever touched when a push is
@@ -793,12 +782,9 @@ impl<T: Transport> HubClient<T> {
         }
     }
 
-    /// The audit log.
+    /// The audit log, walked page by page.
     pub fn audit_log(&self) -> Result<Vec<AuditEvent>> {
-        match self.call(ApiRequest::AuditLog)? {
-            ApiResponse::Audit(events) => Ok(events),
-            other => Err(shape(&other)),
-        }
+        walk_pages(|cursor, limit| self.audit_log_page(cursor, limit))
     }
 
     /// Store statistics for one repository.
@@ -819,7 +805,7 @@ impl<T: Transport> HubClient<T> {
         }
     }
 
-    /// The server's telemetry snapshot (protocol v3): per-method call
+    /// The server's telemetry snapshot: per-method call
     /// counts and latency histograms, the socket transport's gauges and
     /// byte counters, and store-layer read statistics. Operator-scoped
     /// over a socket — the token must belong to a user the server
@@ -835,7 +821,7 @@ impl<T: Transport> HubClient<T> {
         }
     }
 
-    // ----- replication & placement (protocol v3) ------------------------------
+    // ----- replication & placement ---------------------------------------------
 
     /// The hub's replication status: logical epoch, audit length, every
     /// repository's `(head, refs)` frontier, and the deposit registry.

@@ -19,13 +19,13 @@
 //!   repositories under intrinsic SWHIDs (future work #3).
 //! * **Audit log** ([`audit`]) — every API call recorded, successes and
 //!   denials alike.
-//! * **Versioned wire protocol** ([`api`]) — every operation above is a
-//!   typed, sjson-encodable [`ApiRequest`]/[`ApiResponse`] pair routed
-//!   through [`Hub::dispatch`]; [`HubClient`] speaks the protocol from
-//!   the client side through a pluggable [`Transport`]. Protocol v2 adds
-//!   have/want push negotiation (delta [`RepoBundle`]s) and paginated
-//!   reads; protocol v3 adds batch envelopes and a binary object side
-//!   channel — while v1/v2 envelopes keep being served byte-identically.
+//! * **Wire protocol** ([`api`]) — every operation above is a typed,
+//!   sjson-encodable [`ApiRequest`]/[`ApiResponse`] pair routed through
+//!   [`Hub::dispatch`]; [`HubClient`] speaks the protocol from the client
+//!   side through a pluggable [`Transport`]. Each method is declared once
+//!   in a table that generates its codec and classifiers; the protocol
+//!   carries have/want push negotiation (delta [`RepoBundle`]s),
+//!   paginated reads, batch envelopes and a binary object side channel.
 //! * **Multi-hub replication** ([`repl`], [`placement`]) — a follower
 //!   hub continuously pulls per-repo deltas from a primary over the
 //!   same wire protocol (the push path, inverted), serves all read
@@ -35,9 +35,8 @@
 //! * **Socket transport** ([`transport`]) — an event-driven TCP server
 //!   ([`SocketServer`]: readiness reactor + worker pool, thousands of
 //!   connections without thousands of threads) and client transport
-//!   ([`TcpTransport`]) with per-connection auth-token scoping. v1/v2
-//!   line framing and v3 length-prefixed binary framing (compressed
-//!   raw-byte bundles, batch round trips) share one port.
+//!   ([`TcpTransport`]) with per-connection auth-token scoping, speaking
+//!   one length-prefixed framing with compressed raw-byte bundles.
 //!
 //! Thread-safe: all API methods take `&self`. State is sharded — user and
 //! token tables behind `RwLock`s, each hosted repository behind its own
@@ -64,8 +63,7 @@ pub use api::{
     ApiRequest, ApiResponse, ErrorCode, LimitsMetrics, MergeOutcome, MergeSummary, MethodMetrics,
     MetricsSnapshot, Negotiation, Page, PlacementInfo, ReplMetrics, ReplRepoStatus, ReplStatus,
     RepoBundle, RepoMaintenance, StoreMetrics, StoreStats, TransportMetrics, WireError,
-    WireHistogram, DEFAULT_PAGE_SIZE, MAX_PAGE_SIZE, PROTOCOL_V1, PROTOCOL_V2, PROTOCOL_V3,
-    PROTOCOL_VERSION,
+    WireHistogram, DEFAULT_PAGE_SIZE, MAX_PAGE_SIZE, PROTOCOL_VERSION,
 };
 pub use audit::{AuditEvent, AuditLog};
 pub use chaos::{ChaosProxy, ChaosSchedule, ChaosTransport, ProxyConfig};

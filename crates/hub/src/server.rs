@@ -6,14 +6,12 @@
 //!
 //! Every operation is a [`crate::api::ApiRequest`] routed through
 //! [`Hub::dispatch`]; [`Hub::handle_wire`] is the same router behind the
-//! sjson wire encoding (what [`crate::transport::SocketServer`] calls per
-//! connection line). The typed methods (`login`, `add_cite`, `push`, ...)
-//! are thin wrappers that build the request, dispatch it, and unpack the
-//! typed result — so the wire protocol is, by construction, the complete
-//! surface. Protocol v2 operations — `negotiate` + delta-bundle pushes
-//! (`apply_delta_push`), and the paginated `log_page` /
-//! `audit_log_page` / `list_repos_page` reads — are served side by side
-//! with the v1 surface; see [`crate::api`] for the versioning rules.
+//! sjson wire encoding. The typed methods (`login`, `add_cite`, `push`,
+//! ...) are thin wrappers that build the request, dispatch it, and unpack
+//! the typed result — so the wire protocol is, by construction, the
+//! complete surface; the whole-listing helpers (`log`, `audit_log`,
+//! `list_repos`) walk the paginated reads. Negotiated pushes land through
+//! `apply_delta_push`; see [`crate::api`] for the wire format.
 //!
 //! # Locking
 //!
@@ -49,10 +47,10 @@
 //! [`Hub::server_metrics`].
 
 use crate::api::{
-    ApiRequest, ApiResponse, LimitsMetrics, MergeOutcome, MergeSummary, MethodMetrics,
-    MetricsSnapshot, Negotiation, Page, PlacementInfo, ReplRepoStatus, ReplStatus, RepoBundle,
-    RepoMaintenance, StoreMetrics, StoreStats, TransportMetrics, WireHistogram, DEFAULT_PAGE_SIZE,
-    MAX_PAGE_SIZE,
+    walk_pages, ApiRequest, ApiResponse, FollowerClass, LimitsMetrics, MergeOutcome, MergeSummary,
+    MethodMetrics, MetricsSnapshot, Negotiation, Page, PlacementInfo, ReplRepoStatus, ReplStatus,
+    RepoBundle, RepoMaintenance, StoreMetrics, StoreStats, TransportMetrics, WireHistogram,
+    DEFAULT_PAGE_SIZE, MAX_PAGE_SIZE,
 };
 use crate::audit::{AuditEvent, AuditLog};
 use crate::error::{HubError, Result};
@@ -542,7 +540,6 @@ impl Hub {
                     .allows(Action::Write);
                 R::Bool(allowed)
             }
-            Q::ListRepos => R::Names(self.repos.read().keys().cloned().collect()),
             Q::Branches { repo_id } => {
                 let cell = self.repo(&repo_id)?;
                 let names = cell
@@ -582,7 +579,6 @@ impl Hub {
                         .to_vec(),
                 )
             }
-            Q::Log { repo_id, branch } => R::Log(self.op_log(&repo_id, &branch)?),
             Q::LogPage {
                 repo_id,
                 branch,
@@ -736,7 +732,6 @@ impl Hub {
                 R::Credits(cited.credited_authors())
             }
             Q::FindReposCiting { author } => R::Credits(self.op_find_repos_citing(&author)),
-            Q::AuditLog => R::Audit(self.audit.lock().events().to_vec()),
             Q::StoreStats { repo_id } => {
                 let cell = self.repo(&repo_id)?;
                 let hosted = cell.read();
@@ -774,7 +769,7 @@ impl Hub {
                 R::Unit
             }
             Q::Batch { requests } => {
-                // v3: execute in request order; a failed item becomes an
+                // Execute in request order; a failed item becomes an
                 // error entry in the response list without aborting its
                 // siblings. The parser refuses nested batches, but guard
                 // here too for requests built in-process.
@@ -799,89 +794,35 @@ impl Hub {
     }
 
     /// The follower-mode dispatch gate (see [`crate::repl`] for the
-    /// model). Decides, per request, whether a replica may serve it:
-    ///
-    /// * **Writes** — and reads whose truth lives only on the primary
-    ///   (roles are not replicated; archive state is per-hub) — are
-    ///   refused with [`HubError::NotPrimary`] carrying the primary's
-    ///   address, which fleet-aware clients follow transparently.
-    /// * **Replicated reads** are served locally, but only while the
-    ///   last successful sync round is inside the staleness bound.
-    /// * **Session plumbing, operator seams and the replication
-    ///   endpoints themselves** are always local: a follower must stay
-    ///   observable (and must itself be clonable by a further replica)
-    ///   even when it has fallen behind.
-    ///
-    /// `login` is the one nuanced case: accounts are not replicated, so
-    /// it redirects — except for users provisioned directly on this hub
-    /// (the CLI's operator bootstrap), who must be able to log in to
-    /// read `server_metrics` over a socket.
+    /// model): the method table's [`FollowerClass`] decides, per request,
+    /// whether a replica may serve it or must answer
+    /// [`HubError::NotPrimary`] with the primary's address, which
+    /// fleet-aware clients follow transparently.
     fn check_follower(&self, request: &ApiRequest) -> Result<()> {
         let state = match self.repl.read().as_ref() {
             Some(state) => Arc::clone(state),
             None => return Ok(()),
         };
-        use ApiRequest as Q;
         let redirect = || HubError::NotPrimary {
             primary: state.primary().to_owned(),
         };
-        match request {
-            Q::RegisterUser { .. }
-            | Q::CreateRepo { .. }
-            | Q::ImportRepo { .. }
-            | Q::AddMember { .. }
-            | Q::AddCite { .. }
-            | Q::ModifyCite { .. }
-            | Q::DelCite { .. }
-            | Q::Push { .. }
-            | Q::Fork { .. }
-            | Q::MergeBranches { .. }
-            | Q::Deposit { .. }
-            | Q::Archive { .. }
-            | Q::CanWrite { .. }
-            | Q::RoleOf { .. }
-            | Q::ResolveSwhid { .. }
-            | Q::ArchiveVisits { .. } => Err(redirect()),
-            Q::Login { username, .. } => {
+        match request.follower_class() {
+            FollowerClass::Write => Err(redirect()),
+            FollowerClass::KnownUser(username) => {
                 if self.users.read().contains_key(username) {
                     Ok(())
                 } else {
                     Err(redirect())
                 }
             }
-            Q::Branches { .. }
-            | Q::ListFiles { .. }
-            | Q::ReadFile { .. }
-            | Q::Log { .. }
-            | Q::LogPage { .. }
-            | Q::CloneRepo { .. }
-            | Q::Negotiate { .. }
-            | Q::GenerateCitation { .. }
-            | Q::CitationEntry { .. }
-            | Q::CreditedAuthors { .. }
-            | Q::FindReposCiting { .. }
-            | Q::ResolveDoi { .. }
-            | Q::AuditLog
-            | Q::AuditLogPage { .. }
-            | Q::ListRepos
-            | Q::ListReposPage { .. } => {
+            FollowerClass::Read => {
                 if state.is_stale(crate::repl::unix_now()) {
                     Err(redirect())
                 } else {
                     Ok(())
                 }
             }
-            Q::Refresh { .. }
-            | Q::Revoke { .. }
-            | Q::Whoami { .. }
-            | Q::StoreStats { .. }
-            | Q::Maintenance
-            | Q::ServerMetrics { .. }
-            | Q::AdvanceClock { .. }
-            | Q::Batch { .. }
-            | Q::ReplStatus
-            | Q::ReplFetch { .. }
-            | Q::Placement { .. } => Ok(()),
+            FollowerClass::Local => Ok(()),
         }
     }
 
@@ -1029,15 +970,13 @@ impl Hub {
         }
     }
 
-    /// All repository ids.
+    /// All repository ids, walked page by page (empty when the listing
+    /// cannot be read, e.g. on a follower past its staleness bound).
     pub fn list_repos(&self) -> Vec<String> {
-        match self.unwrap(ApiRequest::ListRepos) {
-            Ok(ApiResponse::Names(names)) => names,
-            _ => Vec::new(),
-        }
+        walk_pages(|cursor, limit| self.list_repos_page(cursor, limit)).unwrap_or_default()
     }
 
-    /// One page of the repository listing (protocol v2), ordered by id.
+    /// One page of the repository listing, ordered by id.
     pub fn list_repos_page(
         &self,
         cursor: Option<&str>,
@@ -1087,18 +1026,12 @@ impl Hub {
         }
     }
 
-    /// Commit log of a branch, newest first.
+    /// Commit log of a branch, newest first, walked page by page.
     pub fn log(&self, repo_id: &str, branch: &str) -> Result<Vec<LogEntry>> {
-        match self.unwrap(ApiRequest::Log {
-            repo_id: repo_id.to_owned(),
-            branch: branch.to_owned(),
-        })? {
-            ApiResponse::Log(entries) => Ok(entries),
-            other => Err(unexpected(&other)),
-        }
+        walk_pages(|cursor, limit| self.log_page(repo_id, branch, cursor, limit))
     }
 
-    /// One page of a branch's log (protocol v2). Pass `None` to start at
+    /// One page of a branch's log. Pass `None` to start at
     /// the tip; pass the returned `next` cursor to continue. The cursor
     /// pins the tip it started from, so the page sequence is stable even
     /// while writers advance the branch.
@@ -1121,7 +1054,7 @@ impl Hub {
     }
 
     /// Which of `haves` the hub already holds reachable from the
-    /// repository's refs (protocol v2) — the have/want exchange that lets
+    /// repository's refs — the have/want exchange that lets
     /// a push ship only missing objects.
     pub fn negotiate(&self, repo_id: &str, haves: &[ObjectId]) -> Result<Negotiation> {
         match self.unwrap(ApiRequest::Negotiate {
@@ -1392,15 +1325,13 @@ impl Hub {
 
     // ----- typed wrappers: operations -----------------------------------------
 
-    /// A snapshot of the audit log.
+    /// A snapshot of the audit log, walked page by page (empty when it
+    /// cannot be read).
     pub fn audit_log(&self) -> Vec<AuditEvent> {
-        match self.unwrap(ApiRequest::AuditLog) {
-            Ok(ApiResponse::Audit(events)) => events,
-            _ => Vec::new(),
-        }
+        walk_pages(|cursor, limit| self.audit_log_page(cursor, limit)).unwrap_or_default()
     }
 
-    /// One page of the audit log (protocol v2), oldest first; the cursor
+    /// One page of the audit log, oldest first; the cursor
     /// is the sequence number to continue from.
     pub fn audit_log_page(
         &self,
@@ -2107,27 +2038,6 @@ impl Hub {
         Ok(())
     }
 
-    fn op_log(&self, repo_id: &str, branch: &str) -> Result<Vec<LogEntry>> {
-        let cell = self.repo(repo_id)?;
-        let hosted = cell.read();
-        let tip = hosted.repo.branch_tip(branch).map_err(HubError::Git)?;
-        // The ordering walk is graph-served on pack-backed repos; only
-        // the entries' display fields still read the commit objects
-        // (in place — no per-commit clone).
-        let mut out = Vec::new();
-        for id in hosted.repo.log(tip).map_err(HubError::Git)? {
-            let obj = hosted.repo.odb().commit_ref(id).map_err(HubError::Git)?;
-            let c = obj.as_commit().expect("checked kind");
-            out.push(LogEntry {
-                id,
-                author: c.author.name.clone(),
-                timestamp: c.author.timestamp,
-                message: c.message.clone(),
-            });
-        }
-        Ok(out)
-    }
-
     /// Clamps a wire `limit` to `1..=MAX_PAGE_SIZE`, defaulting absent or
     /// zero limits to [`DEFAULT_PAGE_SIZE`].
     fn page_limit(limit: Option<u32>) -> usize {
@@ -2666,8 +2576,8 @@ impl Hub {
             open_connections: snap.gauge("conns.open"),
             queue_depth: snap.gauge("queue.depth"),
             busy_workers: snap.gauge("workers.busy"),
-            bytes_in_line: snap.counter("bytes.in.line"),
-            bytes_out_line: snap.counter("bytes.out.line"),
+            bytes_in_line: 0,
+            bytes_out_line: 0,
             bytes_in_binary: snap.counter("bytes.in.binary"),
             bytes_out_binary: snap.counter("bytes.out.binary"),
             frames_rejected: snap.counter("frames.rejected"),
@@ -2721,7 +2631,7 @@ fn parse_log_cursor(c: &str) -> Result<(ObjectId, usize)> {
         .ok_or_else(|| HubError::BadRequest(format!("invalid log cursor {c:?}")))
 }
 
-/// Applies a negotiated delta bundle (protocol v2) onto the hosted
+/// Applies a negotiated delta bundle onto the hosted
 /// repository: the server-side half of the have/want exchange. Same ref
 /// rules as [`gitlite::push`]; on top of them the delta must be
 /// *anchored* (every basis commit already present) and *complete*

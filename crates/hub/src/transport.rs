@@ -16,31 +16,20 @@
 //! in flight per connection, the rest queued — while different
 //! connections proceed in parallel across the pool.
 //!
-//! # Framing: lines (v1/v2) and binary (v3) on one port
+//! # Framing
 //!
-//! The first byte of a connection picks its framing, once, for the whole
-//! connection:
-//!
-//! * `{` (or leading whitespace) — **line framing**: one compact sjson
-//!   envelope per `\n`-terminated line, exactly as protocol v1/v2 always
-//!   worked. Blank lines are ignored; an unparseable line gets a
-//!   `protocol` error response and the connection stays up.
-//! * `0x01..=0x06` — **binary framing** (protocol v3): length-prefixed
-//!   frames `kind:u8 len:u32be payload`, see [`frame`]. The envelope
-//!   stays sjson, but bundle object payloads travel beside it as raw,
-//!   deflate-compressed bytes instead of hex-in-sjson — roughly halving
-//!   the wire bytes of a push or clone — and a large bundle streams
-//!   through bounded chunks rather than one giant line.
-//!
-//! Anything else is answered with a `protocol` error and a close. A v1
-//! client, a v2 client and a v3 client can interleave on one listener;
-//! line-framed envelopes are answered byte-identically to the original
-//! thread-per-connection server.
+//! Every message travels as length-prefixed frames — `kind:u8 len:u32be
+//! payload`, see [`frame`]. The envelope is sjson (see [`crate::api`]),
+//! and bundle object payloads travel beside it as raw, deflate-compressed
+//! bytes instead of hex-in-sjson, so a large bundle streams through
+//! bounded chunks. A connection whose bytes do not parse as frames (a
+//! first byte of `{`, say) is answered with a `protocol` error and
+//! closed.
 //!
 //! # Hardening
 //!
-//! Both framings enforce [`ServerConfig`] limits: a maximum frame (or
-//! line) length, a maximum decompressed message size, a read timeout for
+//! The reactor enforces [`ServerConfig`] limits: a maximum frame
+//! length, a maximum decompressed message size, a read timeout for
 //! connections that stall mid-request (idle connections between requests
 //! are fine and cost one registered fd each), and a write timeout for
 //! peers that stop draining their replies. Limit and timeout violations
@@ -51,12 +40,12 @@
 //!
 //! The socket layer registers its instruments in the hub's shared
 //! [`telemetry`] registry at bind time ([`NetMetrics`]): open-connection
-//! / queue-depth / busy-worker gauges, per-framing byte counters, frames
-//! rejected by the caps, abrupt closes (the server-side tally of the
+//! / queue-depth / busy-worker gauges, byte counters, frames rejected by
+//! the caps, abrupt closes (the server-side tally of the
 //! `transport_closed` errors clients observe), and raw-versus-deflate
-//! byte counts for the v3 object side channel. The whole picture —
+//! byte counts for the object side channel. The whole picture —
 //! together with the hub's per-method latency histograms — is queryable
-//! over the wire through the operator-scoped v3 `server_metrics` method,
+//! over the wire through the operator-scoped `server_metrics` method,
 //! which is what `gitcite hub top` renders.
 //!
 //! # Auth-token scoping
@@ -73,24 +62,26 @@
 //!
 //! Anonymous methods (reads, `register_user`, `login` itself) carry no
 //! token and pass through unscoped, exactly as over the in-process
-//! transport — with two exceptions: the operator/test seams
-//! `advance_clock` and `maintenance` are refused outright on the
-//! socket, because "anonymous" on a network port means anyone who can
-//! reach it. `server_metrics` *is* served over the socket, but only to
-//! a connection whose own minted token belongs to a user holding the
-//! operator capability ([`Hub::is_operator_token`]). A v3 `batch`
-//! envelope applies the same checks to each item individually.
+//! transport. The method table's [`SocketPolicy`] adds two exceptions:
+//! the operator/test seams (`advance_clock`, `maintenance`) are refused
+//! outright on the socket, because "anonymous" on a network port means
+//! anyone who can reach it, and operator-scoped methods
+//! (`server_metrics`) are served only to a connection whose own minted
+//! token belongs to a user holding the operator capability
+//! ([`Hub::is_operator_token`]). A `batch` envelope applies the same
+//! checks to each item individually.
 //!
-//! A v3 `refresh` is treated like `login`: it may only exchange a token
+//! A `refresh` is treated like `login`: it may only exchange a token
 //! *this* connection minted, and the replacement token is re-scoped to
-//! the connection (the old one leaves the minted set with it).
+//! the connection (the old one leaves the minted set with it) — the
+//! table's [`Session`] column says which methods mint and retire.
 //!
 //! # Replication traffic
 //!
 //! A follower hub ([`crate::repl`]) pulls from its primary over this
 //! same transport: `repl_status`, `repl_fetch` and the paginated audit
 //! reads are anonymous read methods, so a replica needs no credential
-//! on the primary — and the v3 binary framing moves replication
+//! on the primary — and the object side channel moves replication
 //! bundles' objects as compressed raw bytes exactly like clones. The
 //! operator seams above stay refused on a *follower's* socket too:
 //! follower mode changes what `dispatch` will serve, never what the
@@ -110,32 +101,30 @@
 //! [`ServerConfig::max_open_conns`] and
 //! [`ServerConfig::max_conns_per_ip`] bound what accept will take on.
 //! A connection over either cap is not dropped on the floor — that
-//! reads as a network fault — but marked **shed**: its version probe is
-//! still answered (so the client learns the framing cheaply), its first
-//! real request is answered with a typed `server_busy` error carrying a
-//! retry-after hint, and the connection closes after the reply flushes.
+//! reads as a network fault — but marked **shed**: its first request is
+//! answered with a typed `server_busy` error carrying a retry-after
+//! hint, and the connection closes after the reply flushes.
 //! Nothing a shed connection sends reaches [`Hub::dispatch`]. Sheds are
 //! counted on the `conns.shed` counter, surfaced as `limits.conns_shed`
 //! in `server_metrics`.
 //!
 //! # Client side
 //!
-//! [`TcpTransport`] probes the server once per connection (a `PING`
-//! frame a line server reads as a garbage line) and speaks binary
-//! framing when the server answers `PONG`, falling back to line framing
-//! against older servers on the same connection. A connection that drops
+//! [`TcpTransport`] writes each request as one message and reads one
+//! reply message back; there is no handshake. A connection that drops
 //! mid-request surfaces as [`HubError::TransportClosed`] ("hub went
-//! away"), distinct from a malformed-envelope `protocol` error.
-//! [`HubClient::connect`] wires a client to a served address.
+//! away"), distinct from a malformed-envelope `protocol` error, and the
+//! next call re-dials. [`HubClient::connect`] wires a client to a served
+//! address.
 
-use crate::api::{ApiRequest, ApiResponse, ErrorCode, WireError, PROTOCOL_VERSION};
+use crate::api::{ApiRequest, ApiResponse, ErrorCode, Session, SocketPolicy, WireError};
 use crate::client::{HubClient, Transport};
 use crate::error::HubError;
 use crate::server::{Hub, Token};
 use gitlite::ObjectId;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -143,8 +132,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 pub mod frame {
-    //! The v3 binary frame codec, shared by server, client, tests and
-    //! the load bench.
+    //! The frame codec, shared by server, client, tests and the load
+    //! bench.
     //!
     //! A frame is `kind: u8, len: u32 BE, payload: len bytes`. A
     //! *message* (one request or one response) is either a single
@@ -154,10 +143,7 @@ pub mod frame {
     //! `OBJ` payload is a deflate-compressed block of object records —
     //! `id: 20 bytes, len: u32 BE, bytes` — chunked so a multi-megabyte
     //! bundle streams through bounded buffers; records never split
-    //! across blocks. [`PING`]/[`PONG`] probe liveness and protocol
-    //! version out of band; stray `\n` bytes between frames are skipped
-    //! (the client's [`PROBE`] ends in one so line servers answer it as
-    //! a garbage line).
+    //! across blocks.
 
     use gitlite::ObjectId;
     use std::io::{self, Read};
@@ -174,16 +160,6 @@ pub mod frame {
     pub const OBJ: u8 = 0x03;
     /// Terminates an [`ENV_OBJ`] message.
     pub const END: u8 = 0x04;
-    /// Version/liveness probe; answered with [`PONG`].
-    pub const PING: u8 = 0x05;
-    /// Probe reply; payload is the server's protocol version as u32 BE.
-    pub const PONG: u8 = 0x06;
-
-    /// What a client writes first: a [`PING`] frame plus a newline. A
-    /// binary server answers [`PONG`]; a line server reads one garbage
-    /// line and answers a `protocol` error envelope — either way the
-    /// client learns what it is talking to on the same connection.
-    pub const PROBE: [u8; 6] = [PING, 0, 0, 0, 0, b'\n'];
 
     /// Raw object bytes per [`OBJ`] block before compression.
     const CHUNK: usize = 128 * 1024;
@@ -194,13 +170,6 @@ pub mod frame {
         out.push(kind);
         out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
         out.extend_from_slice(payload);
-    }
-
-    /// A [`PONG`] frame carrying `version`.
-    pub fn pong(version: i64) -> Vec<u8> {
-        let mut out = Vec::with_capacity(9);
-        write_frame(&mut out, PONG, &(version as u32).to_be_bytes());
-        out
     }
 
     /// Encodes one complete message: the envelope, plus its side-channel
@@ -265,17 +234,10 @@ pub mod frame {
     /// server's default `max_frame_len`.
     pub const MAX_FRAME_LEN: usize = 64 << 20;
 
-    /// Blocking read of one frame, skipping stray `\n` bytes before the
-    /// header.
+    /// Blocking read of one frame.
     pub fn read_frame(r: &mut impl Read) -> io::Result<(u8, Vec<u8>)> {
         let mut header = [0u8; 5];
-        loop {
-            r.read_exact(&mut header[..1])?;
-            if header[0] != b'\n' {
-                break;
-            }
-        }
-        r.read_exact(&mut header[1..])?;
+        r.read_exact(&mut header)?;
         let len = u32::from_be_bytes(header[1..5].try_into().expect("4 bytes")) as usize;
         if len > MAX_FRAME_LEN {
             return Err(io::Error::new(
@@ -288,43 +250,36 @@ pub mod frame {
         Ok((header[0], payload))
     }
 
-    /// Blocking read of one complete message, skipping [`PONG`] frames.
-    /// Returns the envelope text and the side-channel objects (empty for
-    /// [`ENV`] messages).
+    /// Blocking read of one complete message. Returns the envelope text
+    /// and the side-channel objects (empty for [`ENV`] messages).
     pub fn read_message(r: &mut impl Read) -> io::Result<Message> {
         let bad = |m: String| io::Error::new(io::ErrorKind::InvalidData, m);
         let utf8 = |payload: Vec<u8>| {
             String::from_utf8(payload)
                 .map_err(|_| bad("envelope payload is not valid UTF-8".into()))
         };
-        loop {
-            let (kind, payload) = read_frame(r)?;
-            match kind {
-                PONG => continue,
-                ENV => return Ok((utf8(payload)?, Vec::new())),
-                ENV_OBJ => {
-                    let envelope = utf8(payload)?;
-                    let mut objects = Vec::new();
-                    loop {
-                        let (kind, payload) = read_frame(r)?;
-                        match kind {
-                            OBJ => {
-                                let raw = miniz_oxide::inflate::decompress_to_vec(&payload)
-                                    .map_err(|e| bad(e.to_string()))?;
-                                parse_records(&raw, &mut objects).map_err(bad)?;
-                            }
-                            END => return Ok((envelope, objects)),
-                            PONG => continue,
-                            other => {
-                                return Err(bad(format!(
-                                    "frame 0x{other:02x} inside an object stream"
-                                )))
-                            }
+        let (kind, payload) = read_frame(r)?;
+        match kind {
+            ENV => Ok((utf8(payload)?, Vec::new())),
+            ENV_OBJ => {
+                let envelope = utf8(payload)?;
+                let mut objects = Vec::new();
+                loop {
+                    let (kind, payload) = read_frame(r)?;
+                    match kind {
+                        OBJ => {
+                            let raw = miniz_oxide::inflate::decompress_to_vec(&payload)
+                                .map_err(|e| bad(e.to_string()))?;
+                            parse_records(&raw, &mut objects).map_err(bad)?;
+                        }
+                        END => return Ok((envelope, objects)),
+                        other => {
+                            return Err(bad(format!("frame 0x{other:02x} inside an object stream")))
                         }
                     }
                 }
-                other => return Err(bad(format!("unexpected frame 0x{other:02x}"))),
             }
+            other => Err(bad(format!("unexpected frame 0x{other:02x}"))),
         }
     }
 }
@@ -339,8 +294,8 @@ pub mod frame {
 pub struct ServerConfig {
     /// Dispatch worker threads (the reactor itself is one more thread).
     pub workers: usize,
-    /// Longest accepted frame payload — and, in line framing, the
-    /// longest accepted request line.
+    /// Longest accepted frame payload; a longer frame is answered with a
+    /// `protocol` error and the connection closes.
     pub max_frame_len: usize,
     /// Cap on one message's total decompressed side-channel bytes.
     pub max_message_len: usize,
@@ -485,22 +440,8 @@ const FIRST_CONN: usize = 2;
 /// Poll tick: upper bound on stop-flag and deadline-sweep latency.
 const TICK: Duration = Duration::from_millis(200);
 
-#[derive(Clone, Copy, PartialEq)]
-enum Framing {
-    /// No bytes seen yet; the first byte decides.
-    Unknown,
-    Lines,
-    Binary,
-}
-
 /// One parsed request, ready for a worker.
-enum Item {
-    Line(String),
-    Binary {
-        envelope: String,
-        objects: Vec<(ObjectId, Vec<u8>)>,
-    },
-}
+type Item = frame::Message;
 
 /// An open `ENV_OBJ .. END` sequence mid-stream.
 struct Partial {
@@ -521,7 +462,6 @@ type Completion = (usize, Vec<u8>);
 
 struct Conn {
     stream: TcpStream,
-    framing: Framing,
     inbuf: Vec<u8>,
     partial: Option<Partial>,
     /// Requests parsed but not yet dispatched (strict per-connection
@@ -548,7 +488,6 @@ impl Conn {
     fn new(stream: TcpStream, peer_ip: Option<std::net::IpAddr>) -> Conn {
         Conn {
             stream,
-            framing: Framing::Unknown,
             inbuf: Vec::new(),
             partial: None,
             pending: VecDeque::new(),
@@ -577,8 +516,6 @@ struct NetMetrics {
     conns_open: Arc<telemetry::Gauge>,
     queue_depth: Arc<telemetry::Gauge>,
     workers_busy: Arc<telemetry::Gauge>,
-    bytes_in_line: Arc<telemetry::Counter>,
-    bytes_out_line: Arc<telemetry::Counter>,
     bytes_in_binary: Arc<telemetry::Counter>,
     bytes_out_binary: Arc<telemetry::Counter>,
     frames_rejected: Arc<telemetry::Counter>,
@@ -594,8 +531,6 @@ impl NetMetrics {
             conns_open: registry.gauge("conns.open"),
             queue_depth: registry.gauge("queue.depth"),
             workers_busy: registry.gauge("workers.busy"),
-            bytes_in_line: registry.counter("bytes.in.line"),
-            bytes_out_line: registry.counter("bytes.out.line"),
             bytes_in_binary: registry.counter("bytes.in.binary"),
             bytes_out_binary: registry.counter("bytes.out.binary"),
             frames_rejected: registry.counter("frames.rejected"),
@@ -728,18 +663,15 @@ impl Reactor {
         }
         let (items, fatal) = parse_input(conn, &self.config, &self.metrics);
         if conn.shed && !items.is_empty() {
-            // Shed connection: its first real request gets one typed
-            // server_busy refusal in its own framing, then the
-            // connection closes. Nothing reaches the dispatch pool.
+            // Shed connection: its first request gets one typed
+            // server_busy refusal, then the connection closes. Nothing
+            // reaches the dispatch pool.
             conn.inbuf.clear();
             conn.partial = None;
             conn.read_deadline = None;
-            let reply = error_reply(
-                conn.framing,
-                &HubError::ServerBusy {
-                    retry_after: self.config.shed_retry_after_secs,
-                },
-            );
+            let reply = error_reply(&HubError::ServerBusy {
+                retry_after: self.config.shed_retry_after_secs,
+            });
             conn.outq.push_back(reply);
             conn.closing = true;
         } else {
@@ -767,7 +699,7 @@ impl Reactor {
             conn.inbuf.clear();
             conn.partial = None;
             conn.read_deadline = None;
-            let reply = fatal_reply(conn.framing, &msg);
+            let reply = fatal_reply(&msg);
             conn.outq.push_back(reply);
             conn.closing = true;
         } else {
@@ -858,7 +790,7 @@ impl Reactor {
             conn.inbuf.clear();
             conn.partial = None;
             conn.read_deadline = None;
-            let reply = fatal_reply(conn.framing, "read timed out mid-request");
+            let reply = fatal_reply("read timed out mid-request");
             conn.outq.push_back(reply);
             conn.closing = true;
             let alive = flush(conn, &self.config, &self.metrics);
@@ -915,92 +847,42 @@ fn parse_input(
     metrics: &NetMetrics,
 ) -> (Vec<Item>, Option<String>) {
     let mut items = Vec::new();
-    loop {
-        match conn.framing {
-            Framing::Unknown => {
-                let Some(&first) = conn.inbuf.first() else {
-                    break;
-                };
-                conn.framing = match first {
-                    frame::ENV..=frame::PONG => Framing::Binary,
-                    b'{' | b' ' | b'\t' | b'\r' | b'\n' => Framing::Lines,
-                    other => {
-                        return (
-                            items,
-                            Some(format!(
-                                "first byte 0x{other:02x} is neither a line envelope nor a binary frame"
-                            )),
-                        )
-                    }
-                };
-            }
-            Framing::Lines => match conn.inbuf.iter().position(|&b| b == b'\n') {
-                Some(i) => {
-                    metrics.bytes_in_line.add(i as u64 + 1);
-                    let line: Vec<u8> = conn.inbuf.drain(..=i).collect();
-                    let line = String::from_utf8_lossy(&line[..i]);
-                    let line = line.trim();
-                    if !line.is_empty() {
-                        items.push(Item::Line(line.to_owned()));
-                    }
-                }
-                None => {
-                    if conn.inbuf.len() > config.max_frame_len {
-                        return (
-                            items,
-                            Some(format!(
-                                "request line exceeds the {} byte frame limit",
-                                config.max_frame_len
-                            )),
-                        );
-                    }
-                    break;
-                }
-            },
-            Framing::Binary => {
-                // The buffer head is always a frame boundary here; drop
-                // the stray newlines the probe (and nothing else) sends.
-                let pad = conn.inbuf.iter().take_while(|&&b| b == b'\n').count();
-                if pad > 0 {
-                    metrics.bytes_in_binary.add(pad as u64);
-                    conn.inbuf.drain(..pad);
-                }
-                if conn.inbuf.len() < 5 {
-                    break;
-                }
-                let kind = conn.inbuf[0];
-                if !(frame::ENV..=frame::PONG).contains(&kind) {
-                    return (items, Some(format!("unknown frame kind 0x{kind:02x}")));
-                }
-                let len =
-                    u32::from_be_bytes(conn.inbuf[1..5].try_into().expect("4 bytes")) as usize;
-                if len > config.max_frame_len {
-                    return (
-                        items,
-                        Some(format!(
-                            "frame of {len} bytes exceeds the {} byte limit",
-                            config.max_frame_len
-                        )),
-                    );
-                }
-                if conn.inbuf.len() < 5 + len {
-                    break;
-                }
-                let payload: Vec<u8> = conn.inbuf[5..5 + len].to_vec();
-                conn.inbuf.drain(..5 + len);
-                metrics.bytes_in_binary.add(5 + len as u64);
-                if let Some(violation) =
-                    handle_frame(conn, config, metrics, kind, payload, &mut items)
-                {
-                    return (items, Some(violation));
-                }
-            }
+    // The buffer head is always a frame boundary here, so its first byte
+    // is refused as soon as it arrives if it names no frame kind.
+    while let Some(&kind) = conn.inbuf.first() {
+        if !(frame::ENV..=frame::END).contains(&kind) {
+            return (
+                items,
+                Some(format!("byte 0x{kind:02x} does not start a frame")),
+            );
+        }
+        if conn.inbuf.len() < 5 {
+            break;
+        }
+        let len = u32::from_be_bytes(conn.inbuf[1..5].try_into().expect("4 bytes")) as usize;
+        if len > config.max_frame_len {
+            return (
+                items,
+                Some(format!(
+                    "frame of {len} bytes exceeds the {} byte limit",
+                    config.max_frame_len
+                )),
+            );
+        }
+        if conn.inbuf.len() < 5 + len {
+            break;
+        }
+        let payload: Vec<u8> = conn.inbuf[5..5 + len].to_vec();
+        conn.inbuf.drain(..5 + len);
+        metrics.bytes_in_binary.add(5 + len as u64);
+        if let Some(violation) = handle_frame(conn, config, metrics, kind, payload, &mut items) {
+            return (items, Some(violation));
         }
     }
     (items, None)
 }
 
-/// One complete binary frame. Returns a fatal violation message, if any.
+/// One complete frame. Returns a fatal violation message, if any.
 fn handle_frame(
     conn: &mut Conn,
     config: &ServerConfig,
@@ -1013,17 +895,12 @@ fn handle_frame(
         String::from_utf8(payload).map_err(|_| "envelope payload is not valid UTF-8".to_owned())
     };
     match kind {
-        frame::PING => conn.outq.push_back(frame::pong(PROTOCOL_VERSION)),
-        frame::PONG => {}
         frame::ENV => {
             if conn.partial.is_some() {
                 return Some("ENV frame inside an open object stream".into());
             }
             match envelope_utf8(payload) {
-                Ok(envelope) => items.push(Item::Binary {
-                    envelope,
-                    objects: Vec::new(),
-                }),
+                Ok(envelope) => items.push((envelope, Vec::new())),
                 Err(e) => return Some(e),
             }
         }
@@ -1063,34 +940,22 @@ fn handle_frame(
             let Some(partial) = conn.partial.take() else {
                 return Some("END frame outside an object stream".into());
             };
-            items.push(Item::Binary {
-                envelope: partial.envelope,
-                objects: partial.objects,
-            });
+            items.push((partial.envelope, partial.objects));
         }
         _ => unreachable!("kind validated by the caller"),
     }
     None
 }
 
-/// One typed error envelope, encoded in the connection's own framing
-/// (line framing when none was established) — used for shed refusals
-/// and, via [`fatal_reply`], framing violations.
-fn error_reply(framing: Framing, err: &HubError) -> Vec<u8> {
-    let envelope = ApiResponse::from_error(err).encode();
-    match framing {
-        Framing::Binary => frame::encode_message(&envelope, &[]),
-        Framing::Lines | Framing::Unknown => {
-            let mut out = envelope.into_bytes();
-            out.push(b'\n');
-            out
-        }
-    }
+/// One typed error envelope as a complete message — used for shed
+/// refusals and, via [`fatal_reply`], framing violations.
+fn error_reply(err: &HubError) -> Vec<u8> {
+    frame::encode_message(&ApiResponse::from_error(err).encode(), &[])
 }
 
 /// The error reply for a fatal framing violation.
-fn fatal_reply(framing: Framing, msg: &str) -> Vec<u8> {
-    error_reply(framing, &HubError::Protocol(msg.to_owned()))
+fn fatal_reply(msg: &str) -> Vec<u8> {
+    error_reply(&HubError::Protocol(msg.to_owned()))
 }
 
 /// Writes as much of `outq` as the socket accepts. Returns `false` when
@@ -1102,10 +967,7 @@ fn flush(conn: &mut Conn, config: &ServerConfig, metrics: &NetMetrics) -> bool {
         match conn.stream.write(&front[conn.out_off..]) {
             Ok(0) => return false,
             Ok(n) => {
-                match conn.framing {
-                    Framing::Binary => metrics.bytes_out_binary.add(n as u64),
-                    Framing::Lines | Framing::Unknown => metrics.bytes_out_line.add(n as u64),
-                }
+                metrics.bytes_out_binary.add(n as u64);
                 progressed = true;
                 conn.out_off += n;
                 if conn.out_off == front.len() {
@@ -1167,31 +1029,15 @@ fn worker_loop(
         let job = { jobs.lock().recv() };
         let Ok(job) = job else { break };
         metrics.workers_busy.inc();
-        let bytes = match job.item {
-            Item::Line(line) => {
-                let mut reply = respond_line(hub, &job.minted, &line).into_bytes();
-                reply.push(b'\n');
-                reply
-            }
-            Item::Binary { envelope, objects } => {
-                respond_binary(hub, &job.minted, &envelope, objects, metrics)
-            }
-        };
+        let (envelope, objects) = job.item;
+        let bytes = respond(hub, &job.minted, &envelope, objects, metrics);
         metrics.workers_busy.dec();
         completions.lock().push((job.conn, bytes));
         let _ = waker.wake();
     }
 }
 
-fn respond_line(hub: &Hub, minted: &Mutex<HashSet<String>>, line: &str) -> String {
-    let request = match ApiRequest::parse(line) {
-        Ok(request) => request,
-        Err(e) => return ApiResponse::Error(e).encode(),
-    };
-    execute(hub, minted, request).encode()
-}
-
-fn respond_binary(
+fn respond(
     hub: &Hub,
     minted: &Mutex<HashSet<String>>,
     envelope: &str,
@@ -1223,19 +1069,12 @@ fn respond_binary(
 fn execute(hub: &Hub, minted: &Mutex<HashSet<String>>, request: ApiRequest) -> ApiResponse {
     if let ApiRequest::Batch { requests } = request {
         // Guards apply to every item individually: a foreign token or an
-        // operator seam in one slot must not ride in on its siblings.
+        // operator seam in one slot must not ride in on its siblings. (The
+        // parser already refused nested batches.)
         return ApiResponse::Batch(
             requests
                 .into_iter()
-                .map(|inner| {
-                    if matches!(inner, ApiRequest::Batch { .. }) {
-                        ApiResponse::from_error(&HubError::Protocol(
-                            "batch requests cannot nest".into(),
-                        ))
-                    } else {
-                        execute_one(hub, minted, inner)
-                    }
-                })
+                .map(|inner| execute_one(hub, minted, inner))
                 .collect(),
         );
     }
@@ -1243,14 +1082,8 @@ fn execute(hub: &Hub, minted: &Mutex<HashSet<String>>, request: ApiRequest) -> A
 }
 
 fn execute_one(hub: &Hub, minted: &Mutex<HashSet<String>>, request: ApiRequest) -> ApiResponse {
-    // Operator/test seams carry no token in-process, but on a network
-    // socket "anonymous" means "anyone who can reach the port": a
-    // stranger must not skew the platform clock or trigger a gc sweep
-    // over every hosted repository.
-    if matches!(
-        request,
-        ApiRequest::AdvanceClock { .. } | ApiRequest::Maintenance
-    ) {
+    let policy = request.socket_policy();
+    if policy == SocketPolicy::Refused {
         return ApiResponse::from_error(&HubError::PermissionDenied(format!(
             "method {:?} is operator-only and not served over the socket",
             request.method()
@@ -1261,37 +1094,33 @@ fn execute_one(hub: &Hub, minted: &Mutex<HashSet<String>>, request: ApiRequest) 
             return ApiResponse::from_error(&HubError::AuthFailed);
         }
     }
-    if let ApiRequest::ServerMetrics { token } = &request {
-        // Operator-scoped: the tokenless trusted-embedder form is not
-        // served over the socket, and the (connection-minted) token must
-        // belong to a user holding the operator capability.
-        let authorized = token.as_deref().is_some_and(|t| hub.is_operator_token(t));
-        if !authorized {
-            return ApiResponse::from_error(&HubError::PermissionDenied(
-                "server_metrics over the socket requires an operator token".into(),
-            ));
-        }
+    // Operator-scoped: the tokenless trusted-embedder form is not served
+    // over the socket, and the (connection-minted) token must belong to a
+    // user holding the operator capability.
+    if policy == SocketPolicy::Operator
+        && !request.token().is_some_and(|t| hub.is_operator_token(t))
+    {
+        return ApiResponse::from_error(&HubError::PermissionDenied(format!(
+            "{} over the socket requires an operator token",
+            request.method()
+        )));
     }
-    // Token lifecycle requests rewrite the connection's minted set:
-    // login adds, revoke removes, refresh swaps old for new (the minted
-    // guard above already pinned the old token to this connection).
-    let mints = matches!(
-        request,
-        ApiRequest::Login { .. } | ApiRequest::Refresh { .. }
-    );
-    let retired = match &request {
-        ApiRequest::Revoke { token } | ApiRequest::Refresh { token } => Some(token.clone()),
-        _ => None,
+    // Token lifecycle requests rewrite the connection's minted set (the
+    // minted guard above already pinned a retired token to this
+    // connection).
+    let session = request.session();
+    let retired = match session {
+        Session::Retire | Session::Swap => request.token().map(str::to_owned),
+        Session::Keep | Session::Mint => None,
     };
     let response = hub.dispatch(request);
-    let succeeded = !matches!(response, ApiResponse::Error(_));
-    if mints {
+    if matches!(session, Session::Mint | Session::Swap) {
         if let ApiResponse::Token(token) = &response {
             minted.lock().insert(token.clone());
         }
     }
     if let Some(token) = retired {
-        if succeeded {
+        if !matches!(response, ApiResponse::Error(_)) {
             minted.lock().remove(&token);
         }
     }
@@ -1302,36 +1131,20 @@ fn execute_one(hub: &Hub, minted: &Mutex<HashSet<String>>, request: ApiRequest) 
 // Client
 // ---------------------------------------------------------------------
 
-#[derive(Clone, Copy, PartialEq)]
-enum Mode {
-    /// Not probed yet: the first call negotiates.
-    Unknown,
-    Lines,
-    Binary,
-}
-
-struct ClientConn {
-    stream: BufReader<TcpStream>,
-    mode: Mode,
-}
-
 /// Client side of the socket transport: one connection, one in-flight
 /// request at a time (the interior lock serializes concurrent callers).
-/// The first call probes the server (see [`frame::PROBE`]) and upgrades
-/// to v3 binary framing when the server supports it; against a line-only
-/// server the same connection falls back to v1/v2 line framing.
 ///
 /// A connection that errors is dropped, and the *next* call re-dials the
-/// remembered address and re-negotiates framing from scratch. The failed
-/// call itself still surfaces its error — whether to resend is the
-/// caller's decision ([`HubClient::call`] retries idempotent reads).
+/// remembered address. The failed call itself still surfaces its error —
+/// whether to resend is the caller's decision ([`HubClient::call`]
+/// retries idempotent reads).
 /// Server-minted tokens are scoped to the connection that minted them,
 /// so tokens die with a reconnect: token-carrying calls fail
 /// `auth_failed` until the caller logs in again.
 pub struct TcpTransport {
     addr: SocketAddr,
     io_timeout: Option<Duration>,
-    conn: Mutex<Option<ClientConn>>,
+    conn: Mutex<Option<BufReader<TcpStream>>>,
 }
 
 /// Default per-read/per-write socket timeout. Generous enough that no
@@ -1341,8 +1154,7 @@ pub struct TcpTransport {
 pub const DEFAULT_IO_TIMEOUT: Duration = Duration::from_secs(30);
 
 impl TcpTransport {
-    /// Connects to a [`SocketServer`] (or anything speaking either
-    /// framing). Version negotiation happens lazily on the first call.
+    /// Connects to a [`SocketServer`] (or anything speaking its framing).
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<TcpTransport> {
         let stream = TcpStream::connect(addr)?;
         let addr = stream.peer_addr()?;
@@ -1351,10 +1163,7 @@ impl TcpTransport {
         Ok(TcpTransport {
             addr,
             io_timeout,
-            conn: Mutex::new(Some(ClientConn {
-                stream: BufReader::new(stream),
-                mode: Mode::Unknown,
-            })),
+            conn: Mutex::new(Some(BufReader::new(stream))),
         })
     }
 
@@ -1363,7 +1172,7 @@ impl TcpTransport {
     /// in milliseconds; the default is [`DEFAULT_IO_TIMEOUT`].
     pub fn with_io_timeout(mut self, timeout: Option<Duration>) -> TcpTransport {
         if let Some(conn) = self.conn.get_mut().as_ref() {
-            Self::configure(conn.stream.get_ref(), timeout);
+            Self::configure(conn.get_ref(), timeout);
         }
         self.io_timeout = timeout;
         self
@@ -1379,86 +1188,33 @@ impl TcpTransport {
     fn ensure(
         addr: SocketAddr,
         io_timeout: Option<Duration>,
-        slot: &mut Option<ClientConn>,
-    ) -> io::Result<&mut ClientConn> {
+        slot: &mut Option<BufReader<TcpStream>>,
+    ) -> io::Result<&mut BufReader<TcpStream>> {
         if slot.is_none() {
             let stream = TcpStream::connect(addr)?;
             Self::configure(&stream, io_timeout);
-            *slot = Some(ClientConn {
-                stream: BufReader::new(stream),
-                mode: Mode::Unknown,
-            });
+            *slot = Some(BufReader::new(stream));
         }
         Ok(slot.as_mut().expect("just connected"))
     }
 
-    /// Whether the connection negotiated v3 binary framing. `false`
-    /// before the first call and against line-only servers.
-    pub fn is_binary(&self) -> bool {
-        self.conn
-            .lock()
-            .as_ref()
-            .is_some_and(|c| c.mode == Mode::Binary)
-    }
-}
-
-/// Sends the probe once and classifies the server by its reply: a
-/// `PONG` frame means binary framing, a line means a v1/v2 line server.
-fn negotiate(conn: &mut ClientConn) -> io::Result<()> {
-    if conn.mode != Mode::Unknown {
-        return Ok(());
-    }
-    {
-        let mut stream = conn.stream.get_ref();
-        stream.write_all(&frame::PROBE)?;
-        stream.flush()?;
-    }
-    let first = conn.stream.fill_buf()?.first().copied();
-    match first {
-        None => Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "server closed the connection during the version probe",
-        )),
-        Some(frame::PONG) => {
-            let _ = frame::read_frame(&mut conn.stream)?;
-            conn.mode = Mode::Binary;
-            Ok(())
+    /// One message out, one message back, on a live (or re-dialed)
+    /// connection; an IO failure drops the connection so the next call
+    /// re-dials.
+    fn round_trip(&self, message: &[u8]) -> io::Result<frame::Message> {
+        let mut slot = self.conn.lock();
+        let result = (|| {
+            let conn = Self::ensure(self.addr, self.io_timeout, &mut slot)?;
+            let mut stream = conn.get_ref();
+            stream.write_all(message)?;
+            stream.flush()?;
+            frame::read_message(conn)
+        })();
+        if result.is_err() {
+            *slot = None;
         }
-        Some(_) => {
-            // A line server read the probe as a garbage line and sent a
-            // protocol-error envelope; consume and discard it.
-            let mut line = String::new();
-            conn.stream.read_line(&mut line)?;
-            conn.mode = Mode::Lines;
-            Ok(())
-        }
+        result
     }
-}
-
-fn send_line(conn: &mut ClientConn, request: &str) -> io::Result<String> {
-    {
-        let mut stream = conn.stream.get_ref();
-        stream.write_all(request.as_bytes())?;
-        stream.write_all(b"\n")?;
-        stream.flush()?;
-    }
-    let mut line = String::new();
-    if conn.stream.read_line(&mut line)? == 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "server closed the connection",
-        ));
-    }
-    Ok(line.trim_end().to_owned())
-}
-
-fn send_binary(conn: &mut ClientConn, message: &[u8]) -> io::Result<frame::Message> {
-    {
-        let mut stream = conn.stream.get_ref();
-        stream.write_all(message)?;
-        stream.flush()?;
-    }
-    frame::read_message(&mut conn.stream)
 }
 
 /// Maps a client-side IO failure to its error envelope: connection drops
@@ -1496,66 +1252,26 @@ fn io_error_response(e: &io::Error) -> ApiResponse {
 
 impl Transport for TcpTransport {
     fn send(&self, request: &str) -> String {
-        let mut slot = self.conn.lock();
-        let round_trip = (|| -> io::Result<String> {
-            let conn = Self::ensure(self.addr, self.io_timeout, &mut slot)?;
-            negotiate(conn)?;
-            match conn.mode {
-                Mode::Lines => send_line(conn, request),
-                Mode::Binary => {
-                    // The string contract stands even on a binary
-                    // connection: wrap the pre-encoded line in an ENV
-                    // frame, and fold any side-channel reply back into
-                    // its inline (hex) envelope form.
-                    let message = frame::encode_message(request, &[]);
-                    let (envelope, objects) = send_binary(conn, &message)?;
-                    if objects.is_empty() {
-                        Ok(envelope)
-                    } else {
-                        Ok(match ApiResponse::parse_ext(&envelope, objects) {
-                            Ok(response) => response.encode(),
-                            Err(e) => ApiResponse::Error(e).encode(),
-                        })
-                    }
-                }
-                Mode::Unknown => unreachable!("negotiate() always picks a mode"),
-            }
-        })();
-        match round_trip {
-            Ok(reply) => reply,
-            Err(e) => {
-                *slot = None; // next call re-dials
-                io_error_response(&e).encode()
-            }
+        // The string contract: wrap the pre-encoded envelope in an ENV
+        // frame, and fold any side-channel reply back into its inline
+        // (hex) envelope form.
+        match self.round_trip(&frame::encode_message(request, &[])) {
+            Ok((envelope, objects)) if objects.is_empty() => envelope,
+            Ok((envelope, objects)) => match ApiResponse::parse_ext(&envelope, objects) {
+                Ok(response) => response.encode(),
+                Err(e) => ApiResponse::Error(e).encode(),
+            },
+            Err(e) => io_error_response(&e).encode(),
         }
     }
 
     fn exchange(&self, request: &ApiRequest) -> ApiResponse {
-        let mut slot = self.conn.lock();
-        let round_trip = (|| -> io::Result<ApiResponse> {
-            let conn = Self::ensure(self.addr, self.io_timeout, &mut slot)?;
-            negotiate(conn)?;
-            match conn.mode {
-                Mode::Lines => {
-                    let reply = send_line(conn, &request.encode())?;
-                    Ok(ApiResponse::parse(&reply).unwrap_or_else(ApiResponse::Error))
-                }
-                Mode::Binary => {
-                    let (text, objects) = request.encode_ext();
-                    let message = frame::encode_message(&text, &objects);
-                    let (envelope, objects) = send_binary(conn, &message)?;
-                    Ok(ApiResponse::parse_ext(&envelope, objects)
-                        .unwrap_or_else(ApiResponse::Error))
-                }
-                Mode::Unknown => unreachable!("negotiate() always picks a mode"),
+        let (text, objects) = request.encode_ext();
+        match self.round_trip(&frame::encode_message(&text, &objects)) {
+            Ok((envelope, objects)) => {
+                ApiResponse::parse_ext(&envelope, objects).unwrap_or_else(ApiResponse::Error)
             }
-        })();
-        match round_trip {
-            Ok(response) => response,
-            Err(e) => {
-                *slot = None; // next call re-dials
-                io_error_response(&e)
-            }
+            Err(e) => io_error_response(&e),
         }
     }
 }
@@ -1583,13 +1299,17 @@ mod tests {
         });
         let transport = TcpTransport::connect(addr).unwrap();
         peer.join().unwrap();
-        let reply = transport.send(&ApiRequest::ListRepos.encode());
+        let list = ApiRequest::ListReposPage {
+            cursor: None,
+            limit: None,
+        };
+        let reply = transport.send(&list.encode());
         match ApiResponse::parse(&reply) {
             Ok(ApiResponse::Error(e)) => assert_eq!(e.code, ErrorCode::TransportClosed),
             other => panic!("expected a transport_closed envelope, got {other:?}"),
         }
         // And the typed path reconstructs the dedicated variant.
-        match transport.exchange(&ApiRequest::ListRepos).into_result() {
+        match transport.exchange(&list).into_result() {
             Err(HubError::TransportClosed(_)) => {}
             other => panic!("expected HubError::TransportClosed, got {other:?}"),
         }
@@ -1611,9 +1331,9 @@ mod tests {
         let raw: usize = objects.iter().map(|(_, b)| 24 + b.len()).sum();
         assert!(message.len() < raw / 2, "{} vs {raw}", message.len());
 
-        let plain = frame::encode_message("{\"v\":1}", &[]);
+        let plain = frame::encode_message("{\"v\":3}", &[]);
         let (envelope, back) = frame::read_message(&mut &plain[..]).unwrap();
-        assert_eq!(envelope, "{\"v\":1}");
+        assert_eq!(envelope, "{\"v\":3}");
         assert!(back.is_empty());
     }
 

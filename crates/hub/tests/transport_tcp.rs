@@ -132,31 +132,13 @@ fn operator_methods_are_refused_over_the_socket() {
     use hub::Transport;
     let (hub, server) = serve();
     let transport = hub::TcpTransport::connect(server.local_addr()).unwrap();
-    let reply = transport.send(r#"{"v":1,"method":"advance_clock","params":{"ts":9000}}"#);
+    let reply = transport.send(r#"{"v":3,"method":"advance_clock","params":{"ts":9000}}"#);
     assert!(reply.contains(r#""code":"permission_denied""#), "{reply}");
-    let reply = transport.send(r#"{"v":1,"method":"maintenance","params":{}}"#);
+    let reply = transport.send(r#"{"v":3,"method":"maintenance","params":{}}"#);
     assert!(reply.contains(r#""code":"permission_denied""#), "{reply}");
     // The in-process operator path is untouched.
     hub.advance_clock_to(5);
     assert!(hub.maintenance().is_ok());
-}
-
-#[test]
-fn v1_and_v2_envelopes_share_one_socket() {
-    use hub::Transport;
-    let (_hub, server) = serve();
-    let transport = hub::TcpTransport::connect(server.local_addr()).unwrap();
-    // Raw v1 line.
-    let reply = transport.send(r#"{"v":1,"method":"list_repos","params":{}}"#);
-    assert!(reply.starts_with(r#"{"v":1,"#), "{reply}");
-    // Raw v2 line on the same connection.
-    let reply = transport.send(r#"{"v":2,"method":"list_repos_page","params":{}}"#);
-    assert!(reply.starts_with(r#"{"v":2,"#), "{reply}");
-    // Garbage gets a protocol error, and the connection survives.
-    let reply = transport.send("not json");
-    assert!(reply.contains(r#""code":"protocol""#), "{reply}");
-    let reply = transport.send(r#"{"v":1,"method":"list_repos","params":{}}"#);
-    assert!(reply.contains(r#""type":"names""#), "{reply}");
 }
 
 // ---------------------------------------------------------------------

@@ -1,7 +1,7 @@
-//! Protocol v3 socket tests: binary-framing sessions through the
-//! event-driven server, mixed v1/v2/v3 traffic on one listener, the
-//! line-server fallback, the hardening limits (frame caps, read
-//! timeouts), transport-closed mapping, and batch envelopes over TCP.
+//! Socket tests for the length-prefixed framing: sessions through the
+//! event-driven server, refusal of unframed bytes and old version stamps,
+//! the hardening limits (frame caps, read timeouts), transport-closed
+//! mapping, and batch envelopes over TCP.
 
 use gitlite::{path, Signature};
 use hub::transport::frame;
@@ -9,8 +9,8 @@ use hub::{
     ApiRequest, ApiResponse, ErrorCode, Hub, HubClient, HubError, ServerConfig, SocketServer,
     TcpTransport, Transport,
 };
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -26,8 +26,8 @@ fn port_zero_resolves_to_a_real_port() {
     assert_ne!(server.local_addr().port(), 0);
 }
 
-/// The full session of `transport_tcp.rs`, but negotiated up to binary
-/// framing: bundles travel as compressed raw bytes, not hex.
+/// The full session of `transport_tcp.rs` over the typed exchange:
+/// bundles travel as compressed raw bytes, not hex.
 #[test]
 fn full_session_over_binary_framing() {
     let (_hub, server) = serve();
@@ -35,8 +35,6 @@ fn full_session_over_binary_framing() {
 
     client.register_user("ann", "Ann Author").unwrap();
     let token = client.login("ann").unwrap();
-    // The first call probed and upgraded.
-    assert!(client.transport().is_binary());
 
     let repo_id = client.create_repo(&token, "p").unwrap();
     let mut local = client.clone_repo(&repo_id).unwrap();
@@ -67,88 +65,24 @@ fn full_session_over_binary_framing() {
     );
 }
 
-/// One listener, three protocol generations at once: a raw v1 line
-/// client, a raw v2 line client and a v3 binary client interleave
-/// requests without disturbing each other.
+/// Envelopes stamped `"v":1` or `"v":2` inside a well-formed ENV frame
+/// are refused with `protocol`, like any unparseable envelope, and the
+/// connection stays up.
 #[test]
-fn v1_v2_and_v3_clients_interleave_on_one_listener() {
+fn old_version_stamps_in_env_frames_are_refused() {
     let (_hub, server) = serve();
-    let addr = server.local_addr();
-
-    // v3 binary client sets up some state.
-    let v3 = HubClient::connect(addr).unwrap();
-    v3.register_user("ann", "Ann").unwrap();
-    let token = v3.login("ann").unwrap();
-    v3.create_repo(&token, "p").unwrap();
-    assert!(v3.transport().is_binary());
-
-    // Raw v1 line client: write a line, read a line.
-    let mut v1 = BufReader::new(TcpStream::connect(addr).unwrap());
-    v1.get_ref()
-        .write_all(b"{\"v\":1,\"method\":\"list_repos\",\"params\":{}}\n")
-        .unwrap();
-    let mut reply = String::new();
-    v1.read_line(&mut reply).unwrap();
-    assert!(reply.starts_with(r#"{"v":1,"#), "{reply}");
-    assert!(reply.contains("ann/p"), "{reply}");
-
-    // Raw v2 line client on its own connection.
-    let mut v2 = BufReader::new(TcpStream::connect(addr).unwrap());
-    v2.get_ref()
-        .write_all(b"{\"v\":2,\"method\":\"list_repos_page\",\"params\":{}}\n")
-        .unwrap();
-    let mut reply = String::new();
-    v2.read_line(&mut reply).unwrap();
-    assert!(reply.starts_with(r#"{"v":2,"#), "{reply}");
+    let transport = TcpTransport::connect(server.local_addr()).unwrap();
+    for v in [1, 2] {
+        let reply = transport.send(&format!(
+            r#"{{"v":{v},"method":"list_repos_page","params":{{}}}}"#
+        ));
+        assert!(reply.contains(r#""code":"protocol""#), "{reply}");
+        assert!(reply.contains("version"), "{reply}");
+    }
+    let reply = transport.send("not json");
+    assert!(reply.contains(r#""code":"protocol""#), "{reply}");
+    let reply = transport.send(r#"{"v":3,"method":"list_repos_page","params":{}}"#);
     assert!(reply.contains(r#""type":"names_page""#), "{reply}");
-
-    // The v3 client keeps working between and after the line traffic.
-    assert_eq!(v3.list_repos().unwrap(), vec!["ann/p".to_owned()]);
-
-    // And the line connections stay line-framed: another round each.
-    v1.get_ref()
-        .write_all(b"{\"v\":1,\"method\":\"list_repos\",\"params\":{}}\n")
-        .unwrap();
-    let mut reply = String::new();
-    v1.read_line(&mut reply).unwrap();
-    assert!(reply.contains(r#""type":"names""#), "{reply}");
-}
-
-/// A client dialing a line-only (pre-v3) server falls back to line
-/// framing on the same connection and works normally.
-#[test]
-fn client_falls_back_against_a_line_only_server() {
-    let hub = Arc::new(Hub::new("https://hub.local"));
-    hub.register_user("ann", "Ann").unwrap();
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let served = Arc::clone(&hub);
-    let stub = std::thread::spawn(move || {
-        // The old thread-per-connection shape: read lines, answer lines,
-        // garbage gets a protocol-error envelope. No PONG, ever.
-        let (stream, _) = listener.accept().unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut line = String::new();
-        while {
-            line.clear();
-            reader.read_line(&mut line).unwrap_or(0) > 0
-        } {
-            let reply = served.handle_wire(line.trim());
-            let mut out = stream.try_clone().unwrap();
-            out.write_all(reply.as_bytes()).unwrap();
-            out.write_all(b"\n").unwrap();
-        }
-    });
-
-    let client = HubClient::connect(addr).unwrap();
-    // Works — and without the binary upgrade.
-    assert!(client.list_repos().unwrap().is_empty());
-    assert!(!client.transport().is_binary());
-    let token = client.login("ann").unwrap();
-    client.create_repo(&token, "p").unwrap();
-    assert_eq!(client.list_repos().unwrap(), vec!["ann/p".to_owned()]);
-    drop(client);
-    stub.join().unwrap();
 }
 
 /// A server that goes away mid-session surfaces as the dedicated
@@ -199,11 +133,11 @@ fn oversized_frames_are_refused() {
 
     let transport = TcpTransport::connect(server.local_addr()).unwrap();
     // Small envelopes fit.
-    let reply = transport.send(r#"{"v":1,"method":"list_repos","params":{}}"#);
-    assert!(reply.contains(r#""type":"names""#), "{reply}");
+    let reply = transport.send(r#"{"v":3,"method":"list_repos_page","params":{}}"#);
+    assert!(reply.contains(r#""type":"names_page""#), "{reply}");
     // An envelope past the cap gets a protocol error...
     let long = format!(
-        r#"{{"v":1,"method":"login","params":{{"username":"{}"}}}}"#,
+        r#"{{"v":3,"method":"login","params":{{"username":"{}"}}}}"#,
         "a".repeat(200)
     );
     let reply = transport.send(&long);
@@ -212,7 +146,7 @@ fn oversized_frames_are_refused() {
     // ...and the connection is then closed.
     let mut saw_closed = false;
     for _ in 0..100 {
-        let reply = transport.send(r#"{"v":1,"method":"list_repos","params":{}}"#);
+        let reply = transport.send(r#"{"v":3,"method":"list_repos_page","params":{}}"#);
         if reply.contains(r#""code":"transport_closed""#) {
             saw_closed = true;
             break;
@@ -222,8 +156,9 @@ fn oversized_frames_are_refused() {
     assert!(saw_closed, "connection survived a frame-limit violation");
 }
 
-/// The same cap governs line framing: a request line that never ends is
-/// answered (in line framing) and closed.
+/// Line framing is gone: a connection whose first byte is `{` — here an
+/// oversized, never-ending line — is answered with a typed `protocol`
+/// error frame and closed, whatever the frame cap.
 #[test]
 fn oversized_lines_are_refused() {
     let hub = Arc::new(Hub::new("https://hub.local"));
@@ -239,14 +174,11 @@ fn oversized_lines_are_refused() {
         .unwrap();
     // 300 bytes of an unterminated "line".
     stream.write_all(&[b'{'; 300]).unwrap();
-    let mut reply = String::new();
-    let mut reader = BufReader::new(stream);
-    reader.read_line(&mut reply).unwrap();
-    assert!(reply.contains(r#""code":"protocol""#), "{reply}");
-    assert!(reply.contains("frame limit"), "{reply}");
+    let (envelope, _) = frame::read_message(&mut stream).expect("error reply");
+    assert!(envelope.contains(r#""code":"protocol""#), "{envelope}");
     // Close follows: EOF.
     let mut rest = Vec::new();
-    assert_eq!(reader.read_to_end(&mut rest).unwrap_or(0), 0);
+    assert_eq!(stream.read_to_end(&mut rest).unwrap_or(0), 0);
 }
 
 /// A connection stalled mid-request is timed out: error reply, then
@@ -311,7 +243,10 @@ fn batch_over_the_socket_guards_each_item() {
                 token: token_a.as_str().to_owned(),
             },
             ApiRequest::Maintenance,
-            ApiRequest::ListRepos,
+            ApiRequest::ListReposPage {
+                cursor: None,
+                limit: None,
+            },
         ])
         .unwrap();
     assert_eq!(responses.len(), 4);
@@ -328,8 +263,8 @@ fn batch_over_the_socket_guards_each_item() {
         other => panic!("expected permission_denied, got {other:?}"),
     }
     match &responses[3] {
-        ApiResponse::Names(names) => assert_eq!(names, &["ann/p".to_owned()]),
-        other => panic!("expected names, got {other:?}"),
+        ApiResponse::NamesPage(page) => assert_eq!(page.items, ["ann/p".to_owned()]),
+        other => panic!("expected a names page, got {other:?}"),
     }
 }
 
@@ -393,7 +328,7 @@ fn server_metrics_on_the_socket_requires_an_operator_token() {
     assert!(login_calls >= 2, "logins recorded, got {login_calls}");
     let transport = snapshot.transport.expect("socket gauges registered");
     assert!(transport.open_connections >= 2, "both connections counted");
-    assert!(transport.bytes_in_binary + transport.bytes_in_line > 0);
+    assert!(transport.bytes_in_binary > 0);
 }
 
 /// Interleaved pipelining on one binary connection: several requests
@@ -414,12 +349,16 @@ fn pipelined_binary_requests_are_answered_in_order() {
         };
         burst.extend_from_slice(&frame::encode_message(&req.encode(), &[]));
     }
-    burst.extend_from_slice(&frame::encode_message(&ApiRequest::ListRepos.encode(), &[]));
+    let list = ApiRequest::ListReposPage {
+        cursor: None,
+        limit: None,
+    };
+    burst.extend_from_slice(&frame::encode_message(&list.encode(), &[]));
     stream.write_all(&burst).unwrap();
     for _ in 0..3 {
         let (envelope, _) = frame::read_message(&mut stream).unwrap();
         assert!(envelope.contains(r#""type":"unit""#), "{envelope}");
     }
     let (envelope, _) = frame::read_message(&mut stream).unwrap();
-    assert!(envelope.contains(r#""type":"names""#), "{envelope}");
+    assert!(envelope.contains(r#""type":"names_page""#), "{envelope}");
 }

@@ -1,8 +1,9 @@
 //! Property tests for the wire protocol: any [`ApiRequest`] or
 //! [`ApiResponse`] the generators can produce must survive
-//! encode → sjson parse → equal, plus golden-string fixtures pinning the
-//! exact wire form of one request per method family (the strings a
-//! non-Rust client would have to produce).
+//! encode → sjson parse → equal, one sample of every method must survive
+//! both codecs, plus golden-string fixtures pinning the exact wire form
+//! of one request per method family (the strings a non-Rust client would
+//! have to produce).
 
 use citekit::{Citation, MergeStrategy, Resolution};
 use gitlite::{CacheStats, ObjectId, RepoPath};
@@ -136,7 +137,6 @@ fn arb_request() -> impl Strategy<Value = ApiRequest> {
             .prop_map(|(repo_id, username)| ApiRequest::RoleOf { repo_id, username }),
         (token(), arb_repo_id())
             .prop_map(|(token, repo_id)| ApiRequest::CanWrite { token, repo_id }),
-        Just(ApiRequest::ListRepos),
         arb_repo_id().prop_map(|repo_id| ApiRequest::Branches { repo_id }),
         (arb_repo_id(), arb_name())
             .prop_map(|(repo_id, branch)| ApiRequest::ListFiles { repo_id, branch }),
@@ -147,8 +147,6 @@ fn arb_request() -> impl Strategy<Value = ApiRequest> {
                 path,
             }
         }),
-        (arb_repo_id(), arb_name())
-            .prop_map(|(repo_id, branch)| ApiRequest::Log { repo_id, branch }),
         (arb_repo_id(), arb_name(), arb_cursor(), arb_limit()).prop_map(
             |(repo_id, branch, cursor, limit)| ApiRequest::LogPage {
                 repo_id,
@@ -270,7 +268,6 @@ fn arb_request() -> impl Strategy<Value = ApiRequest> {
         (arb_repo_id(), arb_name())
             .prop_map(|(repo_id, branch)| ApiRequest::CreditedAuthors { repo_id, branch }),
         arb_text().prop_map(|author| ApiRequest::FindReposCiting { author }),
-        Just(ApiRequest::AuditLog),
         arb_repo_id().prop_map(|repo_id| ApiRequest::StoreStats { repo_id }),
         Just(ApiRequest::Maintenance),
         any::<i64>().prop_map(|ts| ApiRequest::AdvanceClock { ts }),
@@ -344,18 +341,6 @@ fn arb_response() -> impl Strategy<Value = ApiResponse> {
         prop::collection::vec(arb_name(), 0..4).prop_map(ApiResponse::Names),
         prop::collection::vec(arb_path(), 0..4).prop_map(ApiResponse::Paths),
         prop::collection::vec(any::<u8>(), 0..32).prop_map(ApiResponse::FileData),
-        prop::collection::vec(
-            (arb_id(), arb_text(), any::<i64>(), arb_text()).prop_map(
-                |(id, author, timestamp, message)| LogEntry {
-                    id,
-                    author,
-                    timestamp,
-                    message,
-                }
-            ),
-            0..3
-        )
-        .prop_map(ApiResponse::Log),
         (
             prop::collection::vec(
                 (arb_id(), arb_text(), any::<i64>(), arb_text()).prop_map(
@@ -430,25 +415,6 @@ fn arb_response() -> impl Strategy<Value = ApiResponse> {
         small().prop_map(ApiResponse::Count),
         prop::collection::vec((arb_text(), prop::collection::vec(arb_path(), 0..3)), 0..3)
             .prop_map(ApiResponse::Credits),
-        prop::collection::vec(
-            (
-                (small(), any::<i64>()),
-                prop::option::of(arb_name()),
-                arb_name(),
-                arb_text(),
-                any::<bool>()
-            )
-                .prop_map(|((seq, timestamp), actor, action, target, ok)| AuditEvent {
-                    seq,
-                    timestamp,
-                    actor,
-                    action,
-                    target,
-                    ok,
-                }),
-            0..3
-        )
-        .prop_map(ApiResponse::Audit),
         (
             prop::collection::vec(
                 (
@@ -552,10 +518,197 @@ proptest! {
     }
 }
 
+// ----- every method, both codecs -------------------------------------------
+
+/// One sample of every method in the table: each must survive the plain
+/// codec and the side-channel codec unchanged.
+#[test]
+fn every_method_sample_round_trips_both_codecs() {
+    let id = ObjectId::hash_bytes(b"tip");
+    let path = RepoPath::parse("src/lib.rs").unwrap();
+    let citation = Citation::builder("core", "Ann").author("Ann").build();
+    let bundle = RepoBundle {
+        name: "p".into(),
+        head: Some("main".into()),
+        refs: vec![("main".into(), id)],
+        objects: vec![(id, b"commit bytes".to_vec())],
+        basis: vec![],
+    };
+    let t = || "ghp_1".to_owned();
+    let r = || "ann/p".to_owned();
+    let b = || "main".to_owned();
+    let samples = vec![
+        ApiRequest::RegisterUser {
+            username: "ann".into(),
+            display_name: "Ann".into(),
+            secret: Some("s3cret".into()),
+        },
+        ApiRequest::Login {
+            username: "ann".into(),
+            secret: None,
+        },
+        ApiRequest::Refresh { token: t() },
+        ApiRequest::Revoke { token: t() },
+        ApiRequest::Whoami { token: t() },
+        ApiRequest::CreateRepo {
+            token: t(),
+            name: "p".into(),
+        },
+        ApiRequest::ImportRepo {
+            token: t(),
+            name: "p".into(),
+            bundle: bundle.clone(),
+        },
+        ApiRequest::AddMember {
+            token: t(),
+            repo_id: r(),
+            username: "bob".into(),
+            role: Role::Member,
+        },
+        ApiRequest::RoleOf {
+            repo_id: r(),
+            username: "bob".into(),
+        },
+        ApiRequest::CanWrite {
+            token: t(),
+            repo_id: r(),
+        },
+        ApiRequest::ListReposPage {
+            cursor: Some("ann/o".into()),
+            limit: Some(10),
+        },
+        ApiRequest::Branches { repo_id: r() },
+        ApiRequest::ListFiles {
+            repo_id: r(),
+            branch: b(),
+        },
+        ApiRequest::ReadFile {
+            repo_id: r(),
+            branch: b(),
+            path: path.clone(),
+        },
+        ApiRequest::LogPage {
+            repo_id: r(),
+            branch: b(),
+            cursor: None,
+            limit: Some(5),
+        },
+        ApiRequest::CloneRepo { repo_id: r() },
+        ApiRequest::Negotiate {
+            repo_id: r(),
+            haves: vec![id],
+        },
+        ApiRequest::GenerateCitation {
+            repo_id: r(),
+            branch: b(),
+            path: path.clone(),
+        },
+        ApiRequest::CitationEntry {
+            repo_id: r(),
+            branch: b(),
+            path: path.clone(),
+        },
+        ApiRequest::AddCite {
+            token: t(),
+            repo_id: r(),
+            branch: b(),
+            path: path.clone(),
+            citation: citation.clone(),
+        },
+        ApiRequest::ModifyCite {
+            token: t(),
+            repo_id: r(),
+            branch: b(),
+            path: path.clone(),
+            citation,
+        },
+        ApiRequest::DelCite {
+            token: t(),
+            repo_id: r(),
+            branch: b(),
+            path,
+        },
+        ApiRequest::Push {
+            token: t(),
+            repo_id: r(),
+            branch: b(),
+            force: true,
+            bundle: RepoBundle {
+                basis: vec![ObjectId::hash_bytes(b"base")],
+                ..bundle
+            },
+        },
+        ApiRequest::Fork {
+            token: t(),
+            src_repo_id: r(),
+            new_name: "q".into(),
+        },
+        ApiRequest::MergeBranches {
+            token: t(),
+            repo_id: r(),
+            branch: b(),
+            other_branch: "gui".into(),
+            strategy: MergeStrategy::ThreeWay,
+        },
+        ApiRequest::Deposit {
+            token: t(),
+            repo_id: r(),
+            branch: b(),
+            title: "p v1".into(),
+        },
+        ApiRequest::ResolveDoi {
+            doi: "10.5281/zenodo.1".into(),
+        },
+        ApiRequest::Archive { repo_id: r() },
+        ApiRequest::ResolveSwhid {
+            swhid: "swh:1:rev:00".into(),
+        },
+        ApiRequest::ArchiveVisits { repo_id: r() },
+        ApiRequest::CreditedAuthors {
+            repo_id: r(),
+            branch: b(),
+        },
+        ApiRequest::FindReposCiting {
+            author: "Ada".into(),
+        },
+        ApiRequest::AuditLogPage {
+            cursor: Some("3".into()),
+            limit: None,
+        },
+        ApiRequest::StoreStats { repo_id: r() },
+        ApiRequest::Maintenance,
+        ApiRequest::ServerMetrics { token: Some(t()) },
+        ApiRequest::AdvanceClock { ts: 42 },
+        ApiRequest::Batch {
+            requests: vec![ApiRequest::Whoami { token: t() }],
+        },
+        ApiRequest::ReplStatus,
+        ApiRequest::ReplFetch {
+            repo_id: r(),
+            haves: vec![id],
+        },
+        ApiRequest::Placement { repo_id: Some(r()) },
+    ];
+    let mut covered: Vec<&str> = samples.iter().map(ApiRequest::method).collect();
+    covered.sort_unstable();
+    let mut table = hub::api::METHOD_NAMES.to_vec();
+    table.sort_unstable();
+    assert_eq!(covered, table, "one sample per method");
+    for req in samples {
+        let text = req.encode();
+        assert_eq!(ApiRequest::parse(&text).unwrap(), req, "{text}");
+        let (envelope, objects) = req.encode_ext();
+        assert_eq!(
+            ApiRequest::parse_ext(&envelope, objects).unwrap(),
+            req,
+            "{envelope}"
+        );
+    }
+}
+
 // ----- golden fixtures: one request per method family ----------------------
 //
-// These pin the exact bytes a non-Rust client must produce. Breaking one
-// of these strings means the protocol version must be bumped.
+// These pin the exact bytes a non-Rust client must produce.
 
 fn golden(req: ApiRequest, expected: &str) {
     assert_eq!(
@@ -579,7 +732,7 @@ fn golden_auth_family() {
             username: "ann".into(),
             secret: None,
         },
-        r#"{"v":1,"method":"login","params":{"username":"ann"}}"#,
+        r#"{"v":3,"method":"login","params":{"username":"ann"}}"#,
     );
 }
 
@@ -592,7 +745,7 @@ fn golden_repo_family() {
             username: "bob".into(),
             role: Role::Member,
         },
-        r#"{"v":1,"method":"add_member","params":{"token":"ghp_1","repo_id":"ann/p","username":"bob","role":"member"}}"#,
+        r#"{"v":3,"method":"add_member","params":{"token":"ghp_1","repo_id":"ann/p","username":"bob","role":"member"}}"#,
     );
 }
 
@@ -604,7 +757,7 @@ fn golden_read_family() {
             branch: "main".into(),
             path: RepoPath::parse("src/lib.rs").unwrap(),
         },
-        r#"{"v":1,"method":"read_file","params":{"repo_id":"ann/p","branch":"main","path":"src/lib.rs"}}"#,
+        r#"{"v":3,"method":"read_file","params":{"repo_id":"ann/p","branch":"main","path":"src/lib.rs"}}"#,
     );
 }
 
@@ -618,7 +771,7 @@ fn golden_citation_family() {
             path: RepoPath::parse("src").unwrap(),
             citation: Citation::builder("core", "Ann").author("Ann").build(),
         },
-        r#"{"v":1,"method":"add_cite","params":{"token":"ghp_1","repo_id":"ann/p","branch":"main","path":"src","citation":{"repoName":"core","owner":"Ann","committedDate":"","commitID":"","url":"","authorList":["Ann"]}}}"#,
+        r#"{"v":3,"method":"add_cite","params":{"token":"ghp_1","repo_id":"ann/p","branch":"main","path":"src","citation":{"repoName":"core","owner":"Ann","committedDate":"","commitID":"","url":"","authorList":["Ann"]}}}"#,
     );
 }
 
@@ -632,7 +785,7 @@ fn golden_sync_family() {
             other_branch: "gui".into(),
             strategy: MergeStrategy::Union,
         },
-        r#"{"v":1,"method":"merge_branches","params":{"token":"ghp_1","repo_id":"ann/p","branch":"main","other_branch":"gui","strategy":"union"}}"#,
+        r#"{"v":3,"method":"merge_branches","params":{"token":"ghp_1","repo_id":"ann/p","branch":"main","other_branch":"gui","strategy":"union"}}"#,
     );
 }
 
@@ -645,7 +798,7 @@ fn golden_archive_family() {
             branch: "main".into(),
             title: "p v1.0".into(),
         },
-        r#"{"v":1,"method":"deposit","params":{"token":"ghp_1","repo_id":"ann/p","branch":"main","title":"p v1.0"}}"#,
+        r#"{"v":3,"method":"deposit","params":{"token":"ghp_1","repo_id":"ann/p","branch":"main","title":"p v1.0"}}"#,
     );
 }
 
@@ -655,7 +808,7 @@ fn golden_credit_family() {
         ApiRequest::FindReposCiting {
             author: "Ada".into(),
         },
-        r#"{"v":1,"method":"find_repos_citing","params":{"author":"Ada"}}"#,
+        r#"{"v":3,"method":"find_repos_citing","params":{"author":"Ada"}}"#,
     );
 }
 
@@ -663,13 +816,13 @@ fn golden_credit_family() {
 fn golden_operations_family() {
     golden(
         ApiRequest::Maintenance,
-        r#"{"v":1,"method":"maintenance","params":{}}"#,
+        r#"{"v":3,"method":"maintenance","params":{}}"#,
     );
     golden(
         ApiRequest::StoreStats {
             repo_id: "ann/p".into(),
         },
-        r#"{"v":1,"method":"store_stats","params":{"repo_id":"ann/p"}}"#,
+        r#"{"v":3,"method":"store_stats","params":{"repo_id":"ann/p"}}"#,
     );
 }
 
@@ -680,7 +833,7 @@ fn golden_responses() {
     );
     assert_eq!(
         resp.encode(),
-        r#"{"v":1,"result":{"type":"commit","id":"aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa"}}"#
+        r#"{"v":3,"result":{"type":"commit","id":"aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa"}}"#
     );
     let err = ApiResponse::Error(WireError {
         code: ErrorCode::RepoNotFound,
@@ -689,7 +842,7 @@ fn golden_responses() {
     });
     assert_eq!(
         err.encode(),
-        r#"{"v":1,"error":{"code":"repo_not_found","message":"no such repository: ann/p","detail":"ann/p"}}"#
+        r#"{"v":3,"error":{"code":"repo_not_found","message":"no such repository: ann/p","detail":"ann/p"}}"#
     );
 }
 
@@ -706,7 +859,7 @@ fn golden_store_stats_absent_field_rules() {
         delta_objects: None,
         bloom_commits: None,
     });
-    let old_wire = r#"{"v":1,"result":{"type":"stats","stats":{"repo_id":"ann/p","objects":7}}}"#;
+    let old_wire = r#"{"v":3,"result":{"type":"stats","stats":{"repo_id":"ann/p","objects":7}}}"#;
     assert_eq!(old_shape.encode(), old_wire);
     // And an old peer's bytes parse with the new fields defaulting to
     // absent, not erroring.
@@ -721,7 +874,7 @@ fn golden_store_stats_absent_field_rules() {
         delta_objects: Some(3),
         bloom_commits: Some(5),
     });
-    let new_wire = r#"{"v":1,"result":{"type":"stats","stats":{"repo_id":"ann/p","objects":7,"graph_commits":5,"delta_objects":3,"bloom_commits":5}}}"#;
+    let new_wire = r#"{"v":3,"result":{"type":"stats","stats":{"repo_id":"ann/p","objects":7,"graph_commits":5,"delta_objects":3,"bloom_commits":5}}}"#;
     assert_eq!(new_shape.encode(), new_wire);
     assert_eq!(ApiResponse::parse(new_wire).unwrap(), new_shape);
 }

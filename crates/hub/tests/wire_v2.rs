@@ -1,11 +1,10 @@
-//! Protocol v2 wire fixtures: golden strings for every new method and
-//! result shape, plus the version-negotiation proofs — v1 envelopes keep
-//! round-tripping byte-identically through a v2-speaking build, and v2
-//! constructs are refused inside v1 envelopes.
+//! Wire fixtures for the paginated reads and push negotiation: golden
+//! strings for their methods and result shapes, plus the version rule —
+//! envelopes stamped with anything but the current version are refused.
 
 use gitlite::ObjectId;
 use hub::api::{ApiRequest, ApiResponse, ErrorCode, Negotiation, Page, RepoBundle};
-use hub::{LogEntry, PROTOCOL_V1, PROTOCOL_V2};
+use hub::LogEntry;
 
 fn id(byte: u8) -> ObjectId {
     ObjectId::from_hex(&format!("{byte:02x}").repeat(20)).unwrap()
@@ -41,7 +40,7 @@ fn golden_response(resp: ApiResponse, expected: &str) {
     );
 }
 
-// ----- golden v2 requests --------------------------------------------------
+// ----- golden requests --------------------------------------------------
 
 #[test]
 fn golden_negotiate() {
@@ -51,7 +50,7 @@ fn golden_negotiate() {
             haves: vec![id(0xaa), id(0xbb)],
         },
         &format!(
-            r#"{{"v":2,"method":"negotiate","params":{{"repo_id":"ann/p","haves":["{}","{}"]}}}}"#,
+            r#"{{"v":3,"method":"negotiate","params":{{"repo_id":"ann/p","haves":["{}","{}"]}}}}"#,
             "aa".repeat(20),
             "bb".repeat(20),
         ),
@@ -68,7 +67,7 @@ fn golden_log_page() {
             limit: Some(25),
         },
         &format!(
-            r#"{{"v":2,"method":"log_page","params":{{"repo_id":"ann/p","branch":"main","cursor":"{}:25","limit":25}}}}"#,
+            r#"{{"v":3,"method":"log_page","params":{{"repo_id":"ann/p","branch":"main","cursor":"{}:25","limit":25}}}}"#,
             "aa".repeat(20),
         ),
     );
@@ -80,7 +79,7 @@ fn golden_log_page() {
             cursor: None,
             limit: None,
         },
-        r#"{"v":2,"method":"log_page","params":{"repo_id":"ann/p","branch":"main"}}"#,
+        r#"{"v":3,"method":"log_page","params":{"repo_id":"ann/p","branch":"main"}}"#,
     );
 }
 
@@ -91,7 +90,7 @@ fn golden_audit_log_page() {
             cursor: Some("17".into()),
             limit: Some(100),
         },
-        r#"{"v":2,"method":"audit_log_page","params":{"cursor":"17","limit":100}}"#,
+        r#"{"v":3,"method":"audit_log_page","params":{"cursor":"17","limit":100}}"#,
     );
 }
 
@@ -102,7 +101,7 @@ fn golden_list_repos_page() {
             cursor: Some("ann/p".into()),
             limit: Some(2),
         },
-        r#"{"v":2,"method":"list_repos_page","params":{"cursor":"ann/p","limit":2}}"#,
+        r#"{"v":3,"method":"list_repos_page","params":{"cursor":"ann/p","limit":2}}"#,
     );
 }
 
@@ -125,7 +124,7 @@ fn golden_delta_push() {
         },
         &format!(
             concat!(
-                r#"{{"v":2,"method":"push","params":{{"token":"ghp_1","repo_id":"ann/p","branch":"main","force":false,"#,
+                r#"{{"v":3,"method":"push","params":{{"token":"ghp_1","repo_id":"ann/p","branch":"main","force":false,"#,
                 r#""bundle":{{"name":"p","head":"main","refs":[["main","{cc}"]],"objects":[["{dd}","0102"]],"basis":["{ee}"]}}}}}}"#,
             ),
             cc = "cc".repeat(20),
@@ -135,7 +134,7 @@ fn golden_delta_push() {
     );
 }
 
-// ----- golden v2 responses -------------------------------------------------
+// ----- golden responses -------------------------------------------------
 
 #[test]
 fn golden_negotiation_response() {
@@ -145,7 +144,7 @@ fn golden_negotiation_response() {
             missing: vec![id(0xbb)],
         }),
         &format!(
-            r#"{{"v":2,"result":{{"type":"negotiation","negotiation":{{"common":["{}"],"missing":["{}"]}}}}}}"#,
+            r#"{{"v":3,"result":{{"type":"negotiation","negotiation":{{"common":["{}"],"missing":["{}"]}}}}}}"#,
             "aa".repeat(20),
             "bb".repeat(20),
         ),
@@ -165,7 +164,7 @@ fn golden_log_page_response() {
             next: Some(format!("{}:1", "bb".repeat(20))),
         }),
         &format!(
-            r#"{{"v":2,"result":{{"type":"log_page","entries":[{{"id":"{}","author":"Ann","timestamp":42,"message":"c1"}}],"next":"{}:1"}}}}"#,
+            r#"{{"v":3,"result":{{"type":"log_page","entries":[{{"id":"{}","author":"Ann","timestamp":42,"message":"c1"}}],"next":"{}:1"}}}}"#,
             "aa".repeat(20),
             "bb".repeat(20),
         ),
@@ -176,7 +175,7 @@ fn golden_log_page_response() {
             items: vec![],
             next: None,
         }),
-        r#"{"v":2,"result":{"type":"log_page","entries":[]}}"#,
+        r#"{"v":3,"result":{"type":"log_page","entries":[]}}"#,
     );
 }
 
@@ -187,7 +186,7 @@ fn golden_names_page_response() {
             items: vec!["ann/p".into(), "bob/q".into()],
             next: Some("bob/q".into()),
         }),
-        r#"{"v":2,"result":{"type":"names_page","names":["ann/p","bob/q"],"next":"bob/q"}}"#,
+        r#"{"v":3,"result":{"type":"names_page","names":["ann/p","bob/q"],"next":"bob/q"}}"#,
     );
 }
 
@@ -205,55 +204,11 @@ fn golden_audit_page_response() {
             }],
             next: Some("4".into()),
         }),
-        r#"{"v":2,"result":{"type":"audit_page","events":[{"seq":3,"timestamp":9,"actor":null,"action":"clone","target":"ann/p","ok":true}],"next":"4"}}"#,
+        r#"{"v":3,"result":{"type":"audit_page","events":[{"seq":3,"timestamp":9,"actor":null,"action":"clone","target":"ann/p","ok":true}],"next":"4"}}"#,
     );
 }
 
-// ----- version negotiation -------------------------------------------------
-
-/// The exact v1 golden strings from `wire_protocol.rs`, re-checked here
-/// through the v2-speaking parser: parse → re-encode must be
-/// byte-identical, proving a v1 peer sees no difference.
-#[test]
-fn v1_envelopes_round_trip_byte_identically() {
-    let v1_goldens = [
-        r#"{"v":1,"method":"login","params":{"username":"ann"}}"#,
-        r#"{"v":1,"method":"add_member","params":{"token":"ghp_1","repo_id":"ann/p","username":"bob","role":"member"}}"#,
-        r#"{"v":1,"method":"read_file","params":{"repo_id":"ann/p","branch":"main","path":"src/lib.rs"}}"#,
-        r#"{"v":1,"method":"merge_branches","params":{"token":"ghp_1","repo_id":"ann/p","branch":"main","other_branch":"gui","strategy":"union"}}"#,
-        r#"{"v":1,"method":"deposit","params":{"token":"ghp_1","repo_id":"ann/p","branch":"main","title":"p v1.0"}}"#,
-        r#"{"v":1,"method":"find_repos_citing","params":{"author":"Ada"}}"#,
-        r#"{"v":1,"method":"maintenance","params":{}}"#,
-        r#"{"v":1,"method":"store_stats","params":{"repo_id":"ann/p"}}"#,
-        // A full-bundle push stays v1 even though the type gained `basis`.
-        &format!(
-            r#"{{"v":1,"method":"push","params":{{"token":"ghp_1","repo_id":"ann/p","branch":"main","force":true,"bundle":{{"name":"p","refs":[["main","{aa}"]],"objects":[["{aa}","00"]]}}}}}}"#,
-            aa = "aa".repeat(20),
-        ),
-    ];
-    for golden in v1_goldens {
-        let req = ApiRequest::parse(golden).unwrap_or_else(|e| panic!("{golden}: {e}"));
-        assert_eq!(req.version(), PROTOCOL_V1, "{golden}");
-        assert_eq!(req.encode(), *golden, "v1 wire form drifted");
-    }
-}
-
-#[test]
-fn v2_methods_are_refused_in_v1_envelopes() {
-    for (method, params) in [
-        ("negotiate", r#"{"repo_id":"a/p","haves":[]}"#),
-        ("log_page", r#"{"repo_id":"a/p","branch":"main"}"#),
-        ("audit_log_page", "{}"),
-        ("list_repos_page", "{}"),
-    ] {
-        let v2 = format!(r#"{{"v":2,"method":"{method}","params":{params}}}"#);
-        let req = ApiRequest::parse(&v2).unwrap_or_else(|e| panic!("{v2}: {e}"));
-        assert_eq!(req.version(), PROTOCOL_V2);
-        let v1 = format!(r#"{{"v":1,"method":"{method}","params":{params}}}"#);
-        let err = ApiRequest::parse(&v1).unwrap_err();
-        assert_eq!(err.code, ErrorCode::Protocol, "{method} accepted in v1");
-    }
-}
+// ----- version refusal -----------------------------------------------------
 
 #[test]
 fn future_versions_are_refused_with_protocol_error() {
@@ -264,20 +219,33 @@ fn future_versions_are_refused_with_protocol_error() {
     assert_eq!(err.code, ErrorCode::Protocol);
 }
 
-/// End to end through the router: a v1 wire client and a v2 wire client
-/// hit the same hub; the v1 envelope is answered in v1, the v2 one in v2.
 #[test]
-fn hub_serves_both_versions_side_by_side() {
-    let hub = hub::Hub::new("https://h");
-    hub.register_user("ann", "Ann").unwrap();
-    // v1 envelope in, v1 envelope out.
-    let reply = hub.handle_wire(r#"{"v":1,"method":"list_repos","params":{}}"#);
-    assert!(reply.starts_with(r#"{"v":1,"#), "{reply}");
-    // v2 envelope in, v2 result out.
-    let reply = hub.handle_wire(r#"{"v":2,"method":"list_repos_page","params":{"limit":10}}"#);
-    assert!(reply.starts_with(r#"{"v":2,"#), "{reply}");
-    assert!(reply.contains(r#""type":"names_page""#), "{reply}");
-    // A v2 method in a v1 envelope is refused by the router too.
-    let reply = hub.handle_wire(r#"{"v":1,"method":"list_repos_page","params":{}}"#);
-    assert!(reply.contains(r#""code":"protocol""#), "{reply}");
+fn v2_methods_are_refused_in_v1_envelopes() {
+    // And in v2 envelopes too: only the current stamp parses.
+    for (method, params) in [
+        ("negotiate", r#"{"repo_id":"a/p","haves":[]}"#),
+        ("log_page", r#"{"repo_id":"a/p","branch":"main"}"#),
+        ("audit_log_page", "{}"),
+        ("list_repos_page", "{}"),
+    ] {
+        let current = format!(r#"{{"v":3,"method":"{method}","params":{params}}}"#);
+        let req = ApiRequest::parse(&current).unwrap_or_else(|e| panic!("{current}: {e}"));
+        assert_eq!(req.method(), method);
+        for v in [1, 2] {
+            let old = format!(r#"{{"v":{v},"method":"{method}","params":{params}}}"#);
+            let err = ApiRequest::parse(&old).unwrap_err();
+            assert_eq!(err.code, ErrorCode::Protocol, "{method} accepted in v{v}");
+        }
+    }
+}
+
+/// Responses stamped with the retired v1 and v2 are refused too.
+#[test]
+fn v1_and_v2_stamped_responses_are_refused() {
+    for v in [1, 2] {
+        let resp = format!(r#"{{"v":{v},"result":{{"type":"unit"}}}}"#);
+        let err = ApiResponse::parse(&resp).unwrap_err();
+        assert_eq!(err.code, ErrorCode::Protocol, "{resp}");
+        assert!(err.message.contains("version"), "{}", err.message);
+    }
 }

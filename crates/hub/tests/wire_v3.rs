@@ -1,8 +1,7 @@
-//! Protocol v3 wire fixtures: golden strings for batch envelopes and the
-//! `objects_ext` side-channel form, golden bytes for the binary framing,
-//! the v3 guard rules (constructs refused in pre-v3 envelopes, side
-//! channels consumed exactly), and proptests for frame and side-channel
-//! round trips.
+//! Wire fixtures for batch envelopes and the `objects_ext` side-channel
+//! form, golden bytes for the framing, the guard rules (old version
+//! stamps refused, side channels consumed exactly), and proptests for
+//! frame and side-channel round trips.
 
 use gitlite::ObjectId;
 use hub::api::{
@@ -10,7 +9,6 @@ use hub::api::{
     TransportMetrics, WireError, WireHistogram,
 };
 use hub::transport::frame;
-use hub::{PROTOCOL_V3, PROTOCOL_VERSION};
 use proptest::prelude::*;
 
 fn id(byte: u8) -> ObjectId {
@@ -27,18 +25,20 @@ fn golden_batch_request() {
                 username: "ann".into(),
                 secret: None,
             },
-            ApiRequest::ListRepos,
+            ApiRequest::ListReposPage {
+                cursor: None,
+                limit: None,
+            },
         ],
     };
     let expected = concat!(
         r#"{"v":3,"method":"batch","params":{"requests":["#,
-        r#"{"v":1,"method":"login","params":{"username":"ann"}},"#,
-        r#"{"v":1,"method":"list_repos","params":{}}"#,
+        r#"{"v":3,"method":"login","params":{"username":"ann"}},"#,
+        r#"{"v":3,"method":"list_repos_page","params":{}}"#,
         r#"]}}"#,
     );
     assert_eq!(batch.encode(), expected);
     assert_eq!(ApiRequest::parse(expected).unwrap(), batch);
-    assert_eq!(batch.version(), PROTOCOL_V3);
 }
 
 #[test]
@@ -55,8 +55,8 @@ fn golden_batch_response() {
     ]);
     let expected = concat!(
         r#"{"v":3,"result":{"type":"batch","responses":["#,
-        r#"{"v":1,"result":{"type":"token","token":"ghp_1"}},"#,
-        r#"{"v":1,"error":{"code":"auth_failed","message":"authentication failed"}}"#,
+        r#"{"v":3,"result":{"type":"token","token":"ghp_1"}},"#,
+        r#"{"v":3,"error":{"code":"auth_failed","message":"authentication failed"}}"#,
         r#"]}}"#,
     );
     assert_eq!(batch.encode(), expected);
@@ -122,21 +122,16 @@ fn golden_server_metrics_request() {
     let expected = r#"{"v":3,"method":"server_metrics","params":{"token":"ghp_1"}}"#;
     assert_eq!(req.encode(), expected);
     assert_eq!(ApiRequest::parse(expected).unwrap(), req);
-    assert_eq!(req.version(), PROTOCOL_V3);
     // Absent-field rule: the tokenless (trusted in-process) form omits
     // the key entirely rather than writing null.
     let bare = ApiRequest::ServerMetrics { token: None };
     let expected = r#"{"v":3,"method":"server_metrics","params":{}}"#;
     assert_eq!(bare.encode(), expected);
     assert_eq!(ApiRequest::parse(expected).unwrap(), bare);
-    // A v3-only method re-stamped as v2 is refused, not guessed at.
+    // Re-stamped as v2, it is refused, not guessed at.
     let err = ApiRequest::parse(r#"{"v":2,"method":"server_metrics","params":{}}"#).unwrap_err();
     assert_eq!(err.code, ErrorCode::Protocol);
-    assert!(
-        err.message.contains("requires protocol v3"),
-        "{}",
-        err.message
-    );
+    assert!(err.message.contains("version"), "{}", err.message);
 }
 
 #[test]
@@ -224,16 +219,6 @@ fn golden_frame_bytes() {
     frame::write_frame(&mut env, frame::ENV, b"{}");
     assert_eq!(env, [0x01, 0, 0, 0, 2, b'{', b'}']);
     assert_eq!(frame::encode_message("{}", &[]), env);
-
-    // The probe is a PING frame plus the newline that makes a line
-    // server answer it as one garbage line.
-    assert_eq!(frame::PROBE, [0x05, 0, 0, 0, 0, b'\n']);
-
-    // PONG carries the protocol version as a u32 BE payload.
-    assert_eq!(
-        frame::pong(PROTOCOL_VERSION),
-        [0x06, 0, 0, 0, 4, 0, 0, 0, PROTOCOL_VERSION as u8]
-    );
 }
 
 #[test]
@@ -254,7 +239,7 @@ fn object_stream_is_framed_and_compressed() {
     assert_eq!(envelope, r#"{"v":3}"#);
     assert_eq!(back, objects);
     // Deflate beats the raw record bytes on repetitive payloads — and
-    // by construction beats v2's hex doubling by even more.
+    // by construction beats inline hex doubling by even more.
     let raw: usize = objects.iter().map(|(_, b)| 24 + b.len()).sum();
     assert!(message.len() < raw, "{} vs {raw}", message.len());
 }
@@ -295,7 +280,7 @@ fn objects_ext_needs_the_side_channel() {
 
 #[test]
 fn v3_constructs_are_refused_in_older_envelopes() {
-    // objects_ext re-stamped as v2: a v2 peer would misread it.
+    // objects_ext re-stamped as v2: old stamps are refused outright.
     let (envelope, objects) = ApiRequest::Push {
         token: "t".into(),
         repo_id: "a/p".into(),
@@ -312,11 +297,7 @@ fn v3_constructs_are_refused_in_older_envelopes() {
     .encode_ext();
     let downgraded = envelope.replace(r#"{"v":3,"#, r#"{"v":2,"#);
     let err = ApiRequest::parse_ext(&downgraded, objects).unwrap_err();
-    assert!(
-        err.message.contains("requires protocol v3"),
-        "{}",
-        err.message
-    );
+    assert!(err.message.contains("version"), "{}", err.message);
     // A batch inside a v2 envelope is likewise refused.
     let err =
         ApiRequest::parse(r#"{"v":2,"method":"batch","params":{"requests":[]}}"#).unwrap_err();

@@ -1,12 +1,16 @@
 #!/usr/bin/env bash
 # Runs the socket-server load benchmark — 10,000 concurrent loopback
-# connections of mixed v1/v2 read and v3 push traffic against one hub
-# process, plus the overload scenario (2x-capacity offered load against
-# a capped server, measuring shed rate and served p99) — and writes the
-# headline numbers (connection count, latency percentiles, throughput,
-# the v2-hex vs v3-binary bundle byte ratio, and the overload shed
-# numbers) to BENCH_load.json at the repository root, so the server's
-# capacity is tracked PR over PR.
+# connections of framed `branches`/`log_page` reads plus concurrent push
+# traffic against one hub process, plus the overload scenario
+# (2x-capacity offered load against a capped server, measuring shed rate
+# and served p99) — and writes the headline numbers (connection count,
+# latency percentiles, throughput, the inline-hex vs side-channel bundle
+# byte ratio, and the overload shed numbers) to BENCH_load.json at the
+# repository root, so the server's capacity is tracked PR over PR.
+#
+# The bundle_bytes keys keep their historical names: `line`/`v2_line`
+# is the bundle with its objects inline as hex, `binary`/`v3_binary` the
+# same bundle on the compressed side channel.
 #
 # Usage: scripts/bench_load.sh [output.json]
 # Env:   GITCITE_LOAD_CONNS=<n> overrides the 10k connection target.
