@@ -237,6 +237,30 @@ impl CitationFunction {
         doomed
     }
 
+    /// Every author credited anywhere in the function, with the keys
+    /// crediting them (the "give credit to the appropriate contributors"
+    /// view, §1). Authors in key order of first appearance.
+    pub fn credited_authors(&self) -> Vec<(String, Vec<RepoPath>)> {
+        let mut order: Vec<String> = Vec::new();
+        let mut map: std::collections::HashMap<String, Vec<RepoPath>> =
+            std::collections::HashMap::new();
+        for (path, entry) in self.iter() {
+            for author in &entry.citation.author_list {
+                if !map.contains_key(author) {
+                    order.push(author.clone());
+                }
+                map.entry(author.clone()).or_default().push(path.clone());
+            }
+        }
+        order
+            .into_iter()
+            .map(|a| {
+                let paths = map.remove(&a).unwrap_or_default();
+                (a, paths)
+            })
+            .collect()
+    }
+
     /// Consumes the function into its raw entries.
     pub fn into_entries(self) -> BTreeMap<RepoPath, CiteEntry> {
         self.entries

@@ -174,28 +174,10 @@ impl CitedRepo {
         Ok(diff_functions(&old_func, &new_func))
     }
 
-    /// Every author credited anywhere in the current citation function,
-    /// with the keys crediting them (the "give credit to the appropriate
-    /// contributors" view, §1). Authors in key order of first appearance.
+    /// Every author credited anywhere in the current citation function
+    /// (see [`CitationFunction::credited_authors`]).
     pub fn credited_authors(&self) -> Vec<(String, Vec<RepoPath>)> {
-        let mut order: Vec<String> = Vec::new();
-        let mut map: std::collections::HashMap<String, Vec<RepoPath>> =
-            std::collections::HashMap::new();
-        for (path, entry) in self.function().iter() {
-            for author in &entry.citation.author_list {
-                if !map.contains_key(author) {
-                    order.push(author.clone());
-                }
-                map.entry(author.clone()).or_default().push(path.clone());
-            }
-        }
-        order
-            .into_iter()
-            .map(|a| {
-                let paths = map.remove(&a).unwrap_or_default();
-                (a, paths)
-            })
-            .collect()
+        self.function().credited_authors()
     }
 }
 

@@ -68,6 +68,7 @@ pub mod ops;
 pub mod retro;
 pub mod time;
 pub mod validate;
+pub mod version;
 
 pub use carry::CarryReport;
 pub use citation::{Citation, CitationBuilder};

@@ -511,16 +511,8 @@ impl CitedRepo {
 
     /// Reads the citation function stored in a committed version.
     pub fn function_at(&self, version: ObjectId) -> Result<CitationFunction> {
-        let text = self
-            .repo()
-            .file_at(version, &citation_path())
-            .map_err(|_| {
-                CiteError::BadCitationFile(format!(
-                    "version {} has no citation.cite",
-                    version.short()
-                ))
-            })?;
-        file::parse(&String::from_utf8_lossy(&text))
+        let blob = crate::version::function_blob(self.repo(), version)?;
+        crate::version::read_function(self.repo(), blob)
     }
 }
 

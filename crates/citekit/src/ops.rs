@@ -14,8 +14,10 @@ use crate::error::{CiteError, Result};
 use crate::file::{self, citation_path};
 use crate::function::{CitationFunction, ResolvePolicy};
 use crate::time::format_iso8601;
+use crate::version;
 use gitlite::{ObjectId, RepoPath, Repository, Signature};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// What to do when, at commit time, citation entries point at paths that
 /// no longer exist.
@@ -270,26 +272,12 @@ impl CitedRepo {
             .collect())
     }
 
-    /// `Cite(V,P)(n)` for a committed version `V`.
+    /// `Cite(V,P)(n)` for a committed version `V` (see
+    /// [`crate::version::cite_at`]).
     pub fn cite_at(&self, version: ObjectId, path: &RepoPath) -> Result<Citation> {
-        let commit = self.repo.commit_obj(version).map_err(CiteError::Git)?;
-        if !self
-            .repo
-            .path_exists_at(version, path)
-            .map_err(CiteError::Git)?
-        {
-            return Err(CiteError::PathMissing(path.clone()));
-        }
-        let text = self.repo.file_at(version, &citation_path()).map_err(|_| {
-            CiteError::BadCitationFile(format!("version {} has no citation.cite", version.short()))
-        })?;
-        let func = file::parse(&String::from_utf8_lossy(&text))?;
-        let (at, citation) = func.resolve(path);
-        if at.is_root() {
-            Ok(citation.stamped(&version.short(), &format_iso8601(commit.author.timestamp)))
-        } else {
-            Ok(citation.clone())
-        }
+        version::cite_at(&self.repo, version, path, |blob| {
+            version::read_function(&self.repo, blob).map(Arc::new)
+        })
     }
 
     fn maybe_stamp(&self, at: &RepoPath, citation: &Citation) -> Citation {

@@ -409,9 +409,14 @@ impl Repository {
 
     /// Reads a file's bytes as of a commit.
     pub fn file_at(&self, commit: ObjectId, path: &RepoPath) -> Result<Bytes> {
+        self.odb.blob_data(self.blob_at(commit, path)?)
+    }
+
+    /// The blob id of a file as of a commit, without reading the blob.
+    pub fn blob_at(&self, commit: ObjectId, path: &RepoPath) -> Result<ObjectId> {
         let tree = self.tree_of(commit)?;
         match resolve_path(&*self.odb, tree, path)? {
-            Some((crate::object::EntryMode::File, id)) => self.odb.blob_data(id),
+            Some((crate::object::EntryMode::File, id)) => Ok(id),
             Some(_) => Err(GitError::NotAFile(path.clone())),
             None => Err(GitError::FileNotFound(path.clone())),
         }

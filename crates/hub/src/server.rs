@@ -21,7 +21,14 @@
 //! * `repos` — an `RwLock` map of `Arc<RwLock<HostedRepo>>`. Reads on
 //!   different repositories touch different locks entirely; shared reads
 //!   on the *same* repository (generate_citation, read_file, log, ...)
-//!   proceed concurrently under one read guard.
+//!   proceed concurrently under one read guard and borrow the hosted
+//!   repository in place. Cite ops and merges work on a clone and swap
+//!   it in on success; fork and archive copy the repository out so the
+//!   guard is not held across their long walks.
+//! * each repository's citation memo — a leaf `Mutex` slot holding the
+//!   last parsed `citation.cite` keyed by its blob id, taken under that
+//!   repository's read guard only to look and to store, never across a
+//!   store read or a parse.
 //! * `audit` / `zenodo` / `heritage` — leaf `Mutex`es around append-mostly
 //!   simulators.
 //! * `clock` / token counter — atomics.
@@ -59,7 +66,7 @@ use crate::perm::{Action, Role};
 use crate::placement::Placement;
 use crate::repl::ReplState;
 use crate::zenodo::{Deposit, Zenodo};
-use citekit::{Citation, CitedRepo, ForkOptions, MergeStrategy, Resolution};
+use citekit::{Citation, CitationFunction, CitedRepo, ForkOptions, MergeStrategy, Resolution};
 use gitlite::{ObjectId, RepoPath, Repository, Signature};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -101,6 +108,43 @@ struct HostedRepo {
     repo: Repository,
     /// username → role. Absence means Reader (public repositories).
     roles: BTreeMap<String, Role>,
+    /// The last citation function read from `repo`, keyed by the id of
+    /// the `citation.cite` blob it was parsed from. The key is a content
+    /// address, so no write (cite op, push, merge, gc, replica apply) can
+    /// make the slot stale; a new blob simply misses. One slot: every
+    /// member edit mints a new blob, and a map of past ones would only
+    /// grow the resident set.
+    cite_memo: Mutex<Option<(ObjectId, Arc<CitationFunction>)>>,
+}
+
+impl HostedRepo {
+    fn new(repo: Repository, roles: BTreeMap<String, Role>) -> HostedRepo {
+        HostedRepo {
+            repo,
+            roles,
+            cite_memo: Mutex::new(None),
+        }
+    }
+
+    /// The citation function stored in `blob`: the slot's when it holds
+    /// that blob, otherwise read and parsed from the hosted store. The
+    /// slot is locked only to look and to store, never across the read
+    /// or the parse.
+    fn function(&self, blob: ObjectId) -> citekit::Result<Arc<CitationFunction>> {
+        if let Some((id, func)) = &*self.cite_memo.lock() {
+            if *id == blob {
+                return Ok(Arc::clone(func));
+            }
+        }
+        let func = Arc::new(citekit::version::read_function(&self.repo, blob)?);
+        *self.cite_memo.lock() = Some((blob, Arc::clone(&func)));
+        Ok(func)
+    }
+
+    /// The citation function of the committed version `version`.
+    fn function_at(&self, version: ObjectId) -> citekit::Result<Arc<CitationFunction>> {
+        self.function(citekit::version::function_blob(&self.repo, version)?)
+    }
 }
 
 type RepoCell = Arc<RwLock<HostedRepo>>;
@@ -611,8 +655,10 @@ impl Hub {
                 let citation = {
                     let hosted = cell.read();
                     let tip = hosted.repo.branch_tip(&branch).map_err(HubError::Git)?;
-                    let cited = CitedRepo::open(hosted.repo.clone()).map_err(HubError::Cite)?;
-                    cited.cite_at(tip, &path).map_err(HubError::Cite)?
+                    citekit::version::cite_at(&hosted.repo, tip, &path, |blob| {
+                        hosted.function(blob)
+                    })
+                    .map_err(HubError::Cite)?
                 };
                 let ts = self.tick();
                 self.record(ts, None, "generate_citation", &repo_id, true);
@@ -626,12 +672,11 @@ impl Hub {
                 let cell = self.repo(&repo_id)?;
                 let hosted = cell.read();
                 let tip = hosted.repo.branch_tip(&branch).map_err(HubError::Git)?;
-                let text = hosted
+                let blob = hosted
                     .repo
-                    .file_at(tip, &citekit::citation_path())
+                    .blob_at(tip, &citekit::citation_path())
                     .map_err(HubError::Git)?;
-                let func = citekit::file::parse(&String::from_utf8_lossy(&text))
-                    .map_err(HubError::Cite)?;
+                let func = hosted.function(blob).map_err(HubError::Cite)?;
                 R::CitationOpt(func.get(&path).cloned())
             }
             Q::AddCite {
@@ -726,10 +771,10 @@ impl Hub {
             }
             Q::CreditedAuthors { repo_id, branch } => {
                 let cell = self.repo(&repo_id)?;
-                let mut work = cell.read().repo.clone();
-                work.checkout_branch(&branch).map_err(HubError::Git)?;
-                let cited = CitedRepo::open(work).map_err(HubError::Cite)?;
-                R::Credits(cited.credited_authors())
+                let hosted = cell.read();
+                let tip = hosted.repo.branch_tip(&branch).map_err(HubError::Git)?;
+                let func = hosted.function_at(tip).map_err(HubError::Cite)?;
+                R::Credits(func.credited_authors())
             }
             Q::FindReposCiting { author } => R::Credits(self.op_find_repos_citing(&author)),
             Q::StoreStats { repo_id } => {
@@ -1542,13 +1587,9 @@ impl Hub {
                     .map_err(HubError::Git)?;
                 self.repos.write().insert(
                     repo_id.to_owned(),
-                    Arc::new(RwLock::new(HostedRepo {
-                        repo,
-                        // Roles are not replicated: permission checks are
-                        // the primary's job, and every write redirects
-                        // there anyway.
-                        roles: BTreeMap::new(),
-                    })),
+                    // Roles are not replicated: permission checks are the
+                    // primary's job, and every write redirects there anyway.
+                    Arc::new(RwLock::new(HostedRepo::new(repo, BTreeMap::new()))),
                 );
                 Ok(())
             }
@@ -1968,10 +2009,7 @@ impl Hub {
         roles.insert(user.username.clone(), Role::Owner);
         self.insert_repo(
             repo_id.clone(),
-            HostedRepo {
-                repo: cited.into_repository(),
-                roles,
-            },
+            HostedRepo::new(cited.into_repository(), roles),
         )?;
         self.record(ts, Some(&user.username), "create_repo", &repo_id, true);
         Ok(repo_id)
@@ -1998,13 +2036,7 @@ impl Hub {
         rehomed.head_commit().map_err(HubError::Git)?; // must have content
         let mut roles = BTreeMap::new();
         roles.insert(user.username.clone(), Role::Owner);
-        self.insert_repo(
-            repo_id.clone(),
-            HostedRepo {
-                repo: rehomed,
-                roles,
-            },
-        )?;
+        self.insert_repo(repo_id.clone(), HostedRepo::new(rehomed, roles))?;
         self.account_repo_bytes(&repo_id, size);
         let ts = self.tick();
         self.record(ts, Some(&user.username), "import_repo", &repo_id, true);
@@ -2296,10 +2328,7 @@ impl Hub {
         roles.insert(user.username.clone(), Role::Owner);
         self.insert_repo(
             new_repo_id.clone(),
-            HostedRepo {
-                repo: outcome.fork.into_repository(),
-                roles,
-            },
+            HostedRepo::new(outcome.fork.into_repository(), roles),
         )?;
         self.record(ts, Some(&user.username), "fork", &new_repo_id, true);
         Ok(new_repo_id)
@@ -2372,9 +2401,9 @@ impl Hub {
             check(&hosted, &user.username, Action::Write)?;
             let tip = hosted.repo.branch_tip(branch).map_err(HubError::Git)?;
             let tree = hosted.repo.tree_of(tip).map_err(HubError::Git)?;
-            // Creators come from the root citation's author list.
-            let cited = CitedRepo::open(hosted.repo.clone()).map_err(HubError::Cite)?;
-            let creators = cited.function().root().author_list.clone();
+            // Creators come from the deposited tip's root citation.
+            let func = hosted.function_at(tip).map_err(HubError::Cite)?;
+            let creators = func.root().author_list.clone();
             (tip, tree, creators)
         };
         let deposit = self
@@ -2395,12 +2424,14 @@ impl Hub {
             .collect();
         let mut out = Vec::new();
         for (repo_id, cell) in cells {
-            let repo = cell.read().repo.clone();
-            let Ok(cited) = CitedRepo::open(repo) else {
+            let hosted = cell.read();
+            let Ok(head) = hosted.repo.head_commit() else {
                 continue;
             };
-            let paths: Vec<RepoPath> = cited
-                .function()
+            let Ok(func) = hosted.function_at(head) else {
+                continue;
+            };
+            let paths: Vec<RepoPath> = func
                 .iter()
                 .filter(|(_, e)| e.citation.author_list.iter().any(|a| a == author))
                 .map(|(p, _)| p.clone())

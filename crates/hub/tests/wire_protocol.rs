@@ -878,3 +878,80 @@ fn golden_store_stats_absent_field_rules() {
     assert_eq!(new_shape.encode(), new_wire);
     assert_eq!(ApiResponse::parse(new_wire).unwrap(), new_shape);
 }
+
+// ----- error parity of the citation reads ----------------------------------
+
+/// The error a served `generate_citation` / `citation_entry` answers with,
+/// per failure case, as the wire carries it: `None` is a success. The two
+/// methods fail differently on purpose — `generate_citation` reports a
+/// missing `citation.cite` as a citation-layer `bad_citation_file`,
+/// `citation_entry` as the VCS's `file_not_found`, and a missing path is
+/// only an error for the former.
+#[test]
+fn citation_reads_keep_their_error_codes() {
+    let hub = hub::Hub::new("https://h");
+    hub.register_user("ann", "Ann").unwrap();
+    let token = hub.login("ann").unwrap();
+    let repo_id = hub.create_repo(&token, "p").unwrap();
+    // `plain` is a branch whose tip carries no citation.cite.
+    let mut local = hub.clone_repo(&repo_id).unwrap();
+    local
+        .worktree_mut()
+        .write(&RepoPath::parse("a.txt").unwrap(), &b"a\n"[..])
+        .unwrap();
+    local
+        .worktree_mut()
+        .remove(&citekit::citation_path())
+        .unwrap();
+    local
+        .commit(gitlite::Signature::new("Ann", "ann@x", 50), "plain")
+        .unwrap();
+    hub.push(&token, &repo_id, "plain", &local, "main", false)
+        .unwrap();
+
+    let table = [
+        // (case, branch, path, generate_citation, citation_entry)
+        (
+            "missing path",
+            "main",
+            "nope.txt",
+            Some(ErrorCode::PathMissing),
+            None,
+        ),
+        (
+            "missing branch",
+            "nope",
+            "citation.cite",
+            Some(ErrorCode::BranchNotFound),
+            Some(ErrorCode::BranchNotFound),
+        ),
+        (
+            "tip without citation.cite",
+            "plain",
+            "a.txt",
+            Some(ErrorCode::BadCitationFile),
+            Some(ErrorCode::FileNotFound),
+        ),
+    ];
+    let served = |req: ApiRequest| -> Option<ErrorCode> {
+        match ApiResponse::parse(&hub.handle_wire(&req.encode())).unwrap() {
+            ApiResponse::Error(e) => Some(e.code),
+            _ => None,
+        }
+    };
+    for (case, branch, path, gen_code, entry_code) in table {
+        let path = RepoPath::parse(path).unwrap();
+        let generate = ApiRequest::GenerateCitation {
+            repo_id: repo_id.clone(),
+            branch: branch.into(),
+            path: path.clone(),
+        };
+        let entry = ApiRequest::CitationEntry {
+            repo_id: repo_id.clone(),
+            branch: branch.into(),
+            path,
+        };
+        assert_eq!(served(generate), gen_code, "generate_citation, {case}");
+        assert_eq!(served(entry), entry_code, "citation_entry, {case}");
+    }
+}
