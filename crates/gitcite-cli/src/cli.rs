@@ -266,8 +266,10 @@ fn with_repo_mut(
 ) -> Result<String> {
     let parsed = parse_args(args)?;
     let mut repo = open(cwd)?;
+    // The files `load` just read: the save writes only what `f` changed.
+    let on_disk = repo.repo().worktree().clone();
     let mut out = f(&mut repo, &parsed)?;
-    storage::save(cwd, repo.repo())?;
+    storage::save_over(cwd, repo.repo(), &on_disk)?;
     // Long edit sessions self-compact: once enough loose objects pile up,
     // the save path runs the same gc `gitcite gc` would.
     let roots = gc_roots(repo.repo());
@@ -356,6 +358,14 @@ fn cmd_init(args: &[String], cwd: &Path) -> Result<String> {
         return Err(CliError::Op(
             "a gitcite repository already exists here".into(),
         ));
+    }
+    // Files already here are adopted into the next commit, but a
+    // citation file would be overwritten by the default one.
+    if cwd.join(citekit::CITATION_FILE).exists() {
+        return Err(CliError::Op(format!(
+            "{} already exists here; init would overwrite it",
+            citekit::CITATION_FILE
+        )));
     }
     let name = p.pos(0, "name")?;
     let owner = p.required_flag("owner")?;
@@ -707,9 +717,9 @@ fn cmd_fork(args: &[String], cwd: &Path) -> Result<String> {
     let url = p.required_flag("url")?;
     let src = open(cwd)?;
     let sig = signature(&p, &src)?;
-    if storage::exists(&to) {
+    if std::fs::read_dir(&to).is_ok_and(|mut entries| entries.next().is_some()) {
         return Err(CliError::Op(format!(
-            "{} already holds a repository",
+            "{} is not empty; fork into a new or empty directory",
             to.display()
         )));
     }
@@ -1115,6 +1125,7 @@ fn cmd_retro(args: &[String], cwd: &Path) -> Result<String> {
         return Err(CliError::Op("no repository here".into()));
     }
     let repo = storage::load(cwd)?;
+    let on_disk = repo.worktree().clone();
     let mut opts = RetrofitOptions::new(p.required_flag("owner")?, p.required_flag("url")?);
     if let Some(d) = p.flag("max-depth") {
         opts.max_depth = d
@@ -1137,7 +1148,7 @@ fn cmd_retro(args: &[String], cwd: &Path) -> Result<String> {
         &opts,
         Signature::new(author, format!("{author}@local"), ts),
     )?;
-    storage::save(cwd, cited.repo())?;
+    storage::save_over(cwd, cited.repo(), &on_disk)?;
     let mut out = format!(
         "retrofitted: citation.cite synthesized from history ({} directory citation(s))\n",
         report.cited_dirs.len()

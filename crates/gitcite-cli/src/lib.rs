@@ -628,4 +628,92 @@ mod tests {
         ));
         cleanup(&dir);
     }
+
+    #[test]
+    fn init_adopts_existing_files() {
+        let dir = temp_dir();
+        write(&dir, "src/main.rs", "fn main() {}\n");
+        write(&dir, "README.md", "# P1\n");
+        init_repo(&dir);
+        assert_eq!(
+            std::fs::read_to_string(dir.join("src/main.rs")).unwrap(),
+            "fn main() {}\n"
+        );
+        assert_eq!(
+            std::fs::read_to_string(dir.join("README.md")).unwrap(),
+            "# P1\n"
+        );
+        // The next commit records them.
+        ok(&dir, &["commit", "-m", "V1", "--author", "Leshang"]);
+        let repo = super::storage::load(&dir).unwrap();
+        let head = repo.head_commit().unwrap();
+        for file in ["src/main.rs", "README.md", "citation.cite"] {
+            assert!(repo.file_at(head, &gitlite::path(file)).is_ok(), "{file}");
+        }
+        cleanup(&dir);
+    }
+
+    #[test]
+    fn init_refuses_an_existing_citation_file() {
+        let dir = temp_dir();
+        write(&dir, "citation.cite", "{\"/\": {}}\n");
+        let args = ["init", "P1", "--owner", "O", "--url", "u"];
+        assert!(matches!(gc(&dir, &args), Err(super::CliError::Op(_))));
+        assert!(!super::storage::exists(&dir));
+        assert_eq!(
+            std::fs::read_to_string(dir.join("citation.cite")).unwrap(),
+            "{\"/\": {}}\n"
+        );
+        cleanup(&dir);
+    }
+
+    #[test]
+    fn fork_refuses_a_non_empty_target() {
+        let src = temp_dir();
+        let dst = temp_dir();
+        init_repo(&src);
+        write(&src, "a.txt", "a\n");
+        ok(&src, &["commit", "-m", "V1", "--author", "Leshang"]);
+        write(&dst, "keep.txt", "mine\n");
+        let to = dst.to_str().unwrap();
+        let args = [
+            "fork", "--to", to, "--name", "P3", "--owner", "S", "--url", "u", "--author", "S",
+        ];
+        assert!(matches!(gc(&src, &args), Err(super::CliError::Op(_))));
+        assert_eq!(
+            std::fs::read_to_string(dst.join("keep.txt")).unwrap(),
+            "mine\n"
+        );
+        assert!(!super::storage::exists(&dst));
+        cleanup(&src);
+        cleanup(&dst);
+    }
+
+    #[test]
+    fn checkout_across_a_file_directory_change() {
+        let dir = temp_dir();
+        init_repo(&dir);
+        write(&dir, "a/b.txt", "nested\n");
+        ok(&dir, &["commit", "-m", "V1", "--author", "Leshang"]);
+        ok(&dir, &["branch", "dev"]);
+        ok(&dir, &["checkout", "dev"]);
+        std::fs::remove_dir_all(dir.join("a")).unwrap();
+        write(&dir, "a", "flat\n");
+        ok(&dir, &["commit", "-m", "V2", "--author", "Leshang"]);
+
+        ok(&dir, &["checkout", "main"]);
+        assert_eq!(
+            std::fs::read_to_string(dir.join("a/b.txt")).unwrap(),
+            "nested\n"
+        );
+        ok(&dir, &["checkout", "dev"]);
+        assert_eq!(std::fs::read_to_string(dir.join("a")).unwrap(), "flat\n");
+        assert!(ok(&dir, &["status"]).contains("branch: dev"));
+        ok(&dir, &["checkout", "main"]);
+        assert_eq!(
+            std::fs::read_to_string(dir.join("a/b.txt")).unwrap(),
+            "nested\n"
+        );
+        cleanup(&dir);
+    }
 }

@@ -30,7 +30,15 @@
 //! only records refs, HEAD, the repository name and the worktree files,
 //! plus any objects a memory-backed repository brought along. Metadata
 //! files (refs/HEAD/name) are written atomically (temp file + rename),
-//! so a crash mid-save can never leave a truncated ref file behind.
+//! after the worktree, so a crash mid-save can never leave a truncated
+//! ref file behind, nor refs naming a worktree that was not written.
+//!
+//! `save` does work in proportion to what a command changed: it writes
+//! only the worktree files whose bytes differ from the ones on disk and
+//! removes only the files the repository dropped. A first save, into a
+//! directory that holds no repository yet, never deletes anything: the
+//! files already there are not the repository's, and `gitcite init`
+//! adopts them into the next commit.
 //!
 //! New commits always write *loose* objects; `gitcite gc` ([`gc`])
 //! consolidates them into a fresh pack, drops unreachable objects, and
@@ -44,8 +52,9 @@
 
 use gitlite::{
     CachedStore, GitError, Head, MaintenanceReport, ObjectId, ObjectStore, PackStore, RepoPath,
-    Repository,
+    Repository, WorkTree,
 };
+use std::collections::BTreeSet;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -126,12 +135,30 @@ pub fn maybe_gc(dir: &Path, roots: &[ObjectId]) -> Result<Option<MaintenanceRepo
 }
 
 /// Persists `repo` into `dir`: metadata under `.gitcite/`, worktree as
-/// real files (stale files from a previous save are removed).
+/// real files.
+///
+/// Only worktree files whose bytes differ from the ones on disk are
+/// written, and only files the repository dropped are removed. When `dir`
+/// holds no repository yet, no file there belongs to one: the first save
+/// writes the worktree and deletes nothing.
 ///
 /// Works for any backend: objects the on-disk store does not yet hold
 /// (e.g. from a memory-backed repository being saved for the first time)
 /// are copied in; a disk-backed repository's objects are already there.
 pub fn save(dir: &Path, repo: &Repository) -> io::Result<()> {
+    let on_disk = if exists(dir) {
+        read_worktree(dir).map_err(io_err)?
+    } else {
+        WorkTree::new()
+    };
+    save_over(dir, repo, &on_disk)
+}
+
+/// [`save`] for a caller that already holds the worktree files under
+/// `dir` as `on_disk`, typically the worktree [`load`] just read: every
+/// file is then read once per command, and an unchanged file costs no
+/// I/O at all.
+pub(crate) fn save_over(dir: &Path, repo: &Repository, on_disk: &WorkTree) -> io::Result<()> {
     let meta_dir = meta(dir);
     fs::create_dir_all(&meta_dir)?;
 
@@ -159,6 +186,10 @@ pub fn save(dir: &Path, repo: &Repository) -> io::Result<()> {
         store.flush().map_err(io_err)?;
     }
 
+    // The worktree goes before the metadata, which is the commit point:
+    // a save that fails halfway leaves refs and HEAD naming the old state.
+    write_worktree(dir, on_disk, repo.worktree())?;
+
     // Refs. All metadata writes are temp-file + rename, so a crash can
     // truncate neither the ref list nor HEAD.
     let mut refs_text = String::new();
@@ -175,28 +206,35 @@ pub fn save(dir: &Path, repo: &Repository) -> io::Result<()> {
     };
     write_atomic(&meta_dir.join("HEAD"), head_text.as_bytes())?;
     write_atomic(&meta_dir.join("name"), repo.name().as_bytes())?;
+    Ok(())
+}
 
-    // Worktree: remove files that disappeared, then write current ones.
-    let current: std::collections::BTreeSet<PathBuf> = repo
-        .worktree()
-        .paths()
-        .map(|p| dir.join(p.to_string()))
-        .collect();
-    let mut on_disk = Vec::new();
-    collect_files(dir, &mut on_disk)?;
-    for f in on_disk {
-        if !current.contains(&f) {
-            let _ = fs::remove_file(&f);
-        }
+/// Turns the files under `dir` from `old` into `new`. Dropped files go
+/// first, with the directories they leave empty, so a path that changes
+/// between file and directory is free by the time it is written; then
+/// only the files whose bytes changed are written.
+fn write_worktree(dir: &Path, old: &WorkTree, new: &WorkTree) -> io::Result<()> {
+    let mut emptied = BTreeSet::new();
+    for path in old.paths().filter(|p| !new.is_file(p)) {
+        let _ = fs::remove_file(dir.join(path.to_string()));
+        emptied.extend(path.ancestors().filter(|a| !a.is_root()));
     }
-    for (path, data) in repo.worktree().iter() {
+    // A directory sorts before everything under it, so reverse order
+    // removes inner directories first. Removal fails, harmlessly, on a
+    // directory that still holds files.
+    for emptied_dir in emptied.iter().rev() {
+        let _ = fs::remove_dir(dir.join(emptied_dir.to_string()));
+    }
+    for (path, data) in new.iter() {
+        if old.read(path).is_ok_and(|current| current == data) {
+            continue;
+        }
         let target = dir.join(path.to_string());
         if let Some(parent) = target.parent() {
             fs::create_dir_all(parent)?;
         }
         fs::write(target, data)?;
     }
-    prune_empty_dirs(dir)?;
     Ok(())
 }
 
@@ -265,9 +303,15 @@ pub fn load(dir: &Path) -> Result<Repository, GitError> {
     }
 
     // Worktree from the real files (user edits included).
+    *repo.worktree_mut() = read_worktree(dir)?;
+    Ok(repo)
+}
+
+/// Reads the worktree files under `dir`, everything but `.gitcite/`.
+fn read_worktree(dir: &Path) -> Result<WorkTree, GitError> {
     let mut files = Vec::new();
-    collect_files(dir, &mut files).map_err(GitError::from)?;
-    let mut wt = gitlite::WorkTree::new();
+    collect_files(dir, &mut files)?;
+    let mut wt = WorkTree::new();
     for file in files {
         let rel = file
             .strip_prefix(dir)
@@ -275,41 +319,36 @@ pub fn load(dir: &Path) -> Result<Repository, GitError> {
             .to_string_lossy()
             .replace('\\', "/");
         let path = RepoPath::parse(&rel)?;
-        let data = fs::read(&file).map_err(GitError::from)?;
-        wt.write(&path, data)?;
+        wt.write(&path, fs::read(&file)?)?;
     }
-    *repo.worktree_mut() = wt;
-    Ok(repo)
+    Ok(wt)
 }
 
-/// Recursively collects files under `dir`, skipping `.gitcite/`.
+/// Recursively collects files under `dir`, skipping `.gitcite/`. The
+/// entry's own file type saves a stat per entry; only symlinks are
+/// stat'ed, to follow them.
 fn collect_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     if !dir.is_dir() {
         return Ok(());
     }
     for entry in fs::read_dir(dir)? {
-        let path = entry?.path();
-        if path.file_name().map(|n| n == META_DIR).unwrap_or(false) {
+        let entry = entry?;
+        if entry.file_name() == META_DIR {
             continue;
         }
-        if path.is_dir() {
-            collect_files(&path, out)?;
-        } else if path.is_file() {
-            out.push(path);
-        }
-    }
-    Ok(())
-}
-
-/// Removes directories that became empty after stale-file cleanup.
-fn prune_empty_dirs(dir: &Path) -> io::Result<()> {
-    for entry in fs::read_dir(dir)? {
-        let path = entry?.path();
-        if path.is_dir() && path.file_name().map(|n| n != META_DIR).unwrap_or(false) {
-            prune_empty_dirs(&path)?;
-            if fs::read_dir(&path)?.next().is_none() {
-                fs::remove_dir(&path)?;
+        let path = entry.path();
+        let mut file_type = entry.file_type()?;
+        if file_type.is_symlink() {
+            // A dangling link is neither file nor directory: skip it.
+            match fs::metadata(&path) {
+                Ok(target) => file_type = target.file_type(),
+                Err(_) => continue,
             }
+        }
+        if file_type.is_dir() {
+            collect_files(&path, out)?;
+        } else if file_type.is_file() {
+            out.push(path);
         }
     }
     Ok(())

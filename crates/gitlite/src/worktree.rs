@@ -10,6 +10,7 @@ use crate::error::{GitError, Result};
 use crate::path::RepoPath;
 use bytes::Bytes;
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 /// A flat, ordered map of file paths to contents.
 ///
@@ -84,15 +85,20 @@ impl WorkTree {
     }
 
     /// True when `path` is a directory, i.e. some file lives strictly below
-    /// it. The root is a directory iff the tree is non-empty.
+    /// it and `path` itself is not a file. The root is a directory iff the
+    /// tree is non-empty.
+    ///
+    /// One ordered probe: [`RepoPath`] orders component-wise, so the files
+    /// under `path` sort directly after `path` itself, and the first key at
+    /// or after `path` decides.
     pub fn is_dir(&self, path: &RepoPath) -> bool {
         if path.is_root() {
             return !self.files.is_empty();
         }
-        if self.files.contains_key(path) {
-            return false;
-        }
-        self.files.keys().any(|p| p.starts_with(path) && p != path)
+        self.files
+            .range((Bound::Included(path), Bound::Unbounded))
+            .next()
+            .is_some_and(|(first, _)| first != path && first.starts_with(path))
     }
 
     /// True when `path` names an existing file or directory (or the root).

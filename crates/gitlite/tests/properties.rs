@@ -150,4 +150,24 @@ proptest! {
             prop_assert_eq!(repo.worktree().clone(), wt2);
         }
     }
+
+    /// `is_dir`'s ordered probe agrees with the definition by full scan:
+    /// some file lies strictly below the path, and the path is no file.
+    #[test]
+    fn is_dir_matches_scan(wt in arb_worktree(),
+                           queries in prop::collection::vec(
+                               prop::collection::vec("[a-d]{1,3}", 0..4), 0..8)) {
+        let mut probes: Vec<RepoPath> = queries
+            .iter()
+            .filter_map(|parts| RepoPath::parse(&parts.join("/")).ok())
+            .collect();
+        for p in wt.paths() {
+            probes.push(p.clone());
+            probes.extend(p.ancestors());
+        }
+        for q in &probes {
+            let scan = !wt.is_file(q) && wt.paths().any(|p| p.starts_with(q) && p != q);
+            prop_assert_eq!((q, wt.is_dir(q)), (q, scan));
+        }
+    }
 }

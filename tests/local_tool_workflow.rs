@@ -12,7 +12,9 @@ use citekit::CitedRepo;
 use gitcite_cli::{run, storage};
 use gitlite::{path, Signature};
 use hub::Hub;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("gitcite-workflow-{tag}-{}", std::process::id()));
@@ -249,4 +251,78 @@ fn two_members_working_copies_converge_via_hub() {
 
     let _ = std::fs::remove_dir_all(&dir_a);
     let _ = std::fs::remove_dir_all(&dir_b);
+}
+
+/// Every worktree file under `dir` (not `.gitcite/`) with its mtime.
+fn mtimes(dir: &Path) -> BTreeMap<PathBuf, SystemTime> {
+    fn walk(d: &Path, out: &mut BTreeMap<PathBuf, SystemTime>) {
+        for entry in std::fs::read_dir(d).unwrap() {
+            let p = entry.unwrap().path();
+            if p.file_name().is_some_and(|n| n == storage::META_DIR) {
+                continue;
+            }
+            if p.is_dir() {
+                walk(&p, out);
+            } else {
+                let mtime = std::fs::metadata(&p).unwrap().modified().unwrap();
+                out.insert(p, mtime);
+            }
+        }
+    }
+    let mut out = BTreeMap::new();
+    walk(dir, &mut out);
+    out
+}
+
+#[test]
+fn commands_leave_untouched_files_untouched() {
+    let workdir = temp_dir("mtime");
+    cli(
+        &workdir,
+        &["init", "P", "--owner", "O", "--url", "https://x/P"],
+    );
+    for i in 0..12 {
+        let file = workdir.join(format!("src/m{}/f{i}.rs", i % 3));
+        std::fs::create_dir_all(file.parent().unwrap()).unwrap();
+        std::fs::write(file, format!("pub fn f{i}() {{}}\n")).unwrap();
+    }
+    cli(&workdir, &["commit", "-m", "v1", "--author", "O"]);
+    std::fs::write(workdir.join("src/m1/f4.rs"), b"pub fn f4() { edited() }\n").unwrap();
+
+    // Age every worktree file, so a rewrite of any of them shows.
+    let old = UNIX_EPOCH + Duration::from_secs(1_000_000_000);
+    for file in mtimes(&workdir).keys() {
+        let f = std::fs::File::options().write(true).open(file).unwrap();
+        f.set_modified(old).unwrap();
+    }
+    let aged = mtimes(&workdir);
+    assert!(aged.len() > 12 && aged.values().all(|t| *t == old));
+
+    // A commit changes no worktree file.
+    cli(&workdir, &["commit", "-m", "v2", "--author", "O"]);
+    assert_eq!(mtimes(&workdir), aged);
+
+    // A cite op changes only the citation file.
+    cli(
+        &workdir,
+        &[
+            "cite",
+            "add",
+            "src/m0",
+            "--repo-name",
+            "M0",
+            "--authors",
+            "O",
+        ],
+    );
+    let after = mtimes(&workdir);
+    assert_eq!(after.len(), aged.len());
+    for (file, mtime) in &after {
+        if file.ends_with("citation.cite") {
+            assert_ne!(*mtime, old, "citation.cite was not written");
+        } else {
+            assert_eq!(*mtime, old, "{} was rewritten", file.display());
+        }
+    }
+    let _ = std::fs::remove_dir_all(&workdir);
 }
