@@ -142,7 +142,7 @@ pub fn encode_pack(objects: Vec<(ObjectId, Vec<u8>)>) -> EncodedPack {
 /// Candidates are sorted by (object kind, tree-entry name hint, size
 /// descending) so successive versions of the same path land next to each
 /// other, then each object tries a delta against a sliding window of
-/// [`DELTA_WINDOW`] predecessors, keeping the smallest that saves at
+/// `DELTA_WINDOW` predecessors, keeping the smallest that saves at
 /// least a quarter of the full size and stays under [`MAX_DELTA_DEPTH`].
 /// Bases always precede their deltas in the candidate order, so chains
 /// are acyclic by construction. The plan is a pure function of the
@@ -225,7 +225,7 @@ fn encode_with_plan(
 /// Returns `None` when no delta saves at least a quarter of the full
 /// size — callers then store the object full.
 ///
-/// The encoder indexes `base` in [`DELTA_BLOCK`]-byte blocks and greedily
+/// The encoder indexes `base` in `DELTA_BLOCK`-byte blocks and greedily
 /// extends the longest match at each target position; it is deterministic
 /// in its inputs, which keeps deltified packs content-addressed.
 pub fn compute_delta(base: &[u8], target: &[u8]) -> Option<Vec<u8>> {

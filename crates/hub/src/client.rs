@@ -82,6 +82,18 @@ pub struct RetryPolicy {
     pub max_delay_ms: u64,
 }
 
+impl RetryPolicy {
+    /// One full-jitter backoff draw, in milliseconds, before try
+    /// `attempt + 1`.
+    pub(crate) fn jitter_ms(&self, attempt: u32, rng: &mut StdRng) -> u64 {
+        let exp = self
+            .base_delay_ms
+            .saturating_mul(1 << attempt.saturating_sub(1).min(16));
+        let cap = exp.min(self.max_delay_ms);
+        rng.gen_range(0..cap as usize + 1) as u64
+    }
+}
+
 impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
@@ -146,12 +158,7 @@ impl<T: Transport> HubClient<T> {
             if !retryable || attempt >= self.retry.attempts || !request.is_idempotent() {
                 return result;
             }
-            let exp = self
-                .retry
-                .base_delay_ms
-                .saturating_mul(1 << (attempt - 1).min(16));
-            let cap = exp.min(self.retry.max_delay_ms);
-            let jittered = self.rng.lock().gen_range(0..cap as usize + 1) as u64;
+            let jittered = self.retry.jitter_ms(attempt, &mut self.rng.lock());
             if jittered > 0 {
                 std::thread::sleep(std::time::Duration::from_millis(jittered));
             }

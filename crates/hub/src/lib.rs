@@ -18,7 +18,8 @@
 //! * **Software Heritage simulator** ([`heritage`]) — archive whole
 //!   repositories under intrinsic SWHIDs (future work #3).
 //! * **Audit log** ([`audit`]) — every API call recorded, successes and
-//!   denials alike.
+//!   denials alike; a write's entry also carries the typed records of
+//!   the state it changed, enough to replay the hub.
 //! * **Wire protocol** ([`api`]) — every operation above is a typed,
 //!   sjson-encodable [`ApiRequest`]/[`ApiResponse`] pair routed through
 //!   [`Hub::dispatch`]; [`HubClient`] speaks the protocol from the client

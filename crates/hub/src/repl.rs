@@ -18,7 +18,10 @@
 //!    a connectivity walk make a corrupt or truncated bundle fail the
 //!    whole application rather than ever landing partial state.
 //! 3. Audit catch-up through the ordinary `audit_log_page` endpoint,
-//!    and deposit ingestion from the status reply.
+//!    then the deposits from the status reply, both through `Hub::apply`
+//!    (headers keep the primary's sequence numbers, deposits are
+//!    `Deposited` records). A follower's `apply` admits only `Deposited`
+//!    records, so users, credentials and roles — and auth — stay local.
 //!
 //! # Cursor semantics and restart safety
 //!
@@ -47,9 +50,9 @@
 //!
 //! The apply path follows the hub's global lock order (see
 //! [`crate::server`]): `users/tokens → repos map → one repository →
-//! leaf (audit, zenodo)`. Concretely, a sync round takes the repos map
+//! leaf (zenodo) → log`. Concretely, a sync round takes the repos map
 //! guard only to look up or insert a repo cell and **drops it before**
-//! taking the repository's own write lock; the audit and zenodo mutexes
+//! taking the repository's own write lock; the zenodo and log mutexes
 //! are taken last and never while a repository is held. The pull loop
 //! itself holds **no** hub lock across a network call — status and
 //! fetch round trips complete before any local lock is taken, so a
@@ -66,12 +69,14 @@
 //! Prometheus → `gitcite hub top`.
 
 use crate::api::ReplMetrics;
+use crate::audit::{Header, Record};
 use crate::client::{HubClient, RetryPolicy, Transport};
 use crate::error::Result;
-use crate::server::Hub;
+use crate::server::{Held, Hub};
+use gitlite::ObjectId;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -295,41 +300,31 @@ impl<T: Transport> Follower<T> {
             ..SyncReport::default()
         };
 
-        // Diff the primary's per-repo frontier against local state.
+        // Diff the primary's per-repo frontier against local state; the
+        // local tips are the haves of the fetch.
         let mut behind = Vec::new();
         for repo in &status.repos {
             report.repos_checked += 1;
-            match self.hub.repl_local_frontier(&repo.repo_id) {
-                Some((head, refs)) if head == repo.head && refs == repo.refs => {}
-                Some((_, refs)) => {
-                    // Refs added, moved, or deleted upstream.
-                    let moved = repo
-                        .refs
-                        .iter()
-                        .filter(|(name, tip)| {
-                            refs.iter().find(|(n, _)| n == name).map(|(_, t)| t) != Some(tip)
-                        })
-                        .count()
-                        + refs
-                            .iter()
-                            .filter(|(name, _)| !repo.refs.iter().any(|(n, _)| n == name))
-                            .count();
-                    behind.push((repo, moved.max(1) as u64));
-                }
-                None => behind.push((repo, repo.refs.len().max(1) as u64)),
-            }
+            let refs = match self.hub.repl_local_frontier(&repo.repo_id) {
+                Some((head, refs)) if head == repo.head && refs == repo.refs => continue,
+                Some((_, refs)) => refs,
+                None => Vec::new(),
+            };
+            // Refs added, moved, or deleted upstream.
+            let moved = repo.refs.iter().filter(|r| !refs.contains(r)).count()
+                + refs
+                    .iter()
+                    .filter(|(name, _)| !repo.refs.iter().any(|(n, _)| n == name))
+                    .count();
+            let haves: Vec<ObjectId> = refs.into_iter().map(|(_, tip)| tip).collect();
+            behind.push((repo, moved.max(1) as u64, haves));
         }
-        self.state.note_behind(
-            behind
-                .iter()
-                .map(|(r, n)| (r.repo_id.clone(), *n))
-                .collect(),
-        );
+        let lag = behind.iter().map(|(r, n, _)| (r.repo_id.clone(), *n));
+        self.state.note_behind(lag.collect());
 
         // Pull and apply a bundle per out-of-date repository.
-        for (repo, _) in &behind {
-            let haves = self.hub.repl_haves(&repo.repo_id);
-            let bundle = self.client.repl_fetch(&repo.repo_id, &haves)?;
+        for (repo, _, haves) in &behind {
+            let bundle = self.client.repl_fetch(&repo.repo_id, haves)?;
             if bundle.basis.is_empty() {
                 report.full_bundles += 1;
             } else {
@@ -344,6 +339,7 @@ impl<T: Transport> Follower<T> {
         report.repos_dropped = self.hub.repl_drop_missing(&keep);
 
         // Audit catch-up: cursor = local length, pages are seq-ordered.
+        let start = self.hub.repl_audit_cursor();
         while self.hub.repl_audit_cursor() < status.audit_seq {
             let cursor = self.hub.repl_audit_cursor().to_string();
             let page = self
@@ -352,10 +348,16 @@ impl<T: Transport> Follower<T> {
             if page.items.is_empty() {
                 break;
             }
-            report.audit_ingested += self.hub.repl_ingest_audit(page.items)?;
+            for event in page.items {
+                self.hub
+                    .apply(Header::Copied(event), Vec::new(), Held::None)?;
+            }
         }
+        report.audit_ingested = (self.hub.repl_audit_cursor() - start) as usize;
 
-        report.deposits_ingested = self.hub.repl_ingest_deposits(status.deposits);
+        let deposits = status.deposits.into_iter().map(Record::Deposited).collect();
+        let applied = self.hub.apply(Header::None, deposits, Held::None)?;
+        report.deposits_ingested = applied.new_deposits;
         self.hub.repl_observe_epoch(status.epoch);
         self.state.mark_synced(status.epoch, unix_now());
         Ok(report)
@@ -375,22 +377,11 @@ impl<T: Transport> Follower<T> {
                 Err(_) => {
                     failures = failures.saturating_add(1);
                     self.state.note_reconnect();
-                    Duration::from_millis(self.backoff_delay_ms(failures))
+                    Duration::from_millis(self.backoff.jitter_ms(failures, &mut self.rng.lock()))
                 }
             };
             sleep_unless(stop, pause);
         }
-    }
-
-    /// One full-jitter backoff draw for the `n`-th consecutive failure —
-    /// the same arithmetic [`HubClient::call`] uses between retries.
-    fn backoff_delay_ms(&self, n: u32) -> u64 {
-        let exp = self
-            .backoff
-            .base_delay_ms
-            .saturating_mul(1 << n.saturating_sub(1).min(16));
-        let cap = exp.min(self.backoff.max_delay_ms);
-        self.rng.lock().gen_range(0..cap as usize + 1) as u64
     }
 }
 

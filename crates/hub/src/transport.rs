@@ -39,7 +39,7 @@
 //! # Telemetry
 //!
 //! The socket layer registers its instruments in the hub's shared
-//! [`telemetry`] registry at bind time ([`NetMetrics`]): open-connection
+//! [`telemetry`] registry at bind time (`NetMetrics`): open-connection
 //! / queue-depth / busy-worker gauges, byte counters, frames rejected by
 //! the caps, abrupt closes (the server-side tally of the
 //! `transport_closed` errors clients observe), and raw-versus-deflate

@@ -41,51 +41,40 @@ pub struct Zenodo {
 }
 
 impl Zenodo {
-    /// Mints the next DOI and stores the deposit. Depositing the exact
-    /// same version of the same repository again returns the existing DOI
-    /// (idempotent releases).
-    pub fn deposit(
-        &mut self,
+    /// The deposit a release of `version` gets, without storing it:
+    /// the next DOI, or the existing one when that version of that
+    /// repository is already deposited (idempotent releases). Storing is
+    /// [`Zenodo::ingest`]'s job, so the hub logs exactly what it stores.
+    pub fn mint(
+        &self,
         repo_id: &str,
         version: ObjectId,
         tree: ObjectId,
         title: &str,
         creators: Vec<String>,
         timestamp: i64,
-    ) -> &Deposit {
-        let existing = self
-            .deposits
-            .values()
-            .find(|d| d.repo_id == repo_id && d.version == version)
-            .map(|d| d.doi.clone());
-        let doi = match existing {
-            Some(doi) => doi,
-            None => {
-                self.next_id += 1;
-                let doi = format!("{DOI_PREFIX}.{}", self.next_id);
-                self.deposits.insert(
-                    doi.clone(),
-                    Deposit {
-                        doi: doi.clone(),
-                        repo_id: repo_id.to_owned(),
-                        version,
-                        tree,
-                        title: title.to_owned(),
-                        creators,
-                        deposited_at: timestamp,
-                    },
-                );
-                doi
-            }
-        };
-        &self.deposits[&doi]
+    ) -> Deposit {
+        let released = |d: &&Deposit| d.repo_id == repo_id && d.version == version;
+        if let Some(existing) = self.deposits.values().find(released) {
+            return existing.clone();
+        }
+        Deposit {
+            doi: format!("{DOI_PREFIX}.{}", self.next_id + 1),
+            repo_id: repo_id.to_owned(),
+            version,
+            tree,
+            title: title.to_owned(),
+            creators,
+            deposited_at: timestamp,
+        }
     }
 
-    /// Ingests a deposit replicated from another hub, keyed by its
-    /// already-minted DOI. Idempotent: re-delivering an existing DOI
-    /// overwrites with identical content. The mint counter advances past
-    /// any numeric suffix seen so a later local `deposit` (e.g. after
-    /// promotion to primary) can never re-mint a replicated DOI.
+    /// Stores a deposit under its already-minted DOI and returns whether
+    /// the DOI is new here. Idempotent: storing an existing DOI again
+    /// overwrites it with identical content. The mint counter advances
+    /// past any numeric suffix seen, so a later [`Zenodo::mint`] (e.g.
+    /// after a follower's promotion to primary) never re-mints a stored
+    /// DOI.
     pub fn ingest(&mut self, deposit: Deposit) -> bool {
         if let Some(n) = deposit
             .doi
@@ -125,6 +114,23 @@ mod tests {
 
     fn id(n: u8) -> ObjectId {
         ObjectId::hash_bytes(&[n])
+    }
+
+    impl Zenodo {
+        /// Mint and store, as a hub's deposit does.
+        fn deposit(
+            &mut self,
+            repo_id: &str,
+            version: ObjectId,
+            tree: ObjectId,
+            title: &str,
+            creators: Vec<String>,
+            timestamp: i64,
+        ) -> Deposit {
+            let deposit = self.mint(repo_id, version, tree, title, creators, timestamp);
+            self.ingest(deposit.clone());
+            deposit
+        }
     }
 
     #[test]
