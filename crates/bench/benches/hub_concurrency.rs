@@ -12,16 +12,20 @@
 //!   serializes. (On a single-core runner the wall-clock gap compresses
 //!   to scheduling noise — the latency experiment below is the
 //!   conclusive one there.)
-//! * **Read latency under a writer** — a writer loops multi-millisecond
-//!   citation commits on repository A while a reader times individual
-//!   reads on repository B. Sharded: the reader never touches the
-//!   writer's lock, so its latency stays at the cost of the read itself.
-//!   Global mutex: every read queues behind the in-flight write, so
-//!   read latency inflates toward the write duration. This shows the
-//!   lock structure directly, independent of core count.
+//! * **Read latency under a writer** — a writer loops citation commits
+//!   on repository A while a reader times individual reads on repository
+//!   B. Sharded: the reader never touches the writer's lock, so its
+//!   latency stays at the cost of the read itself. Global mutex: every
+//!   read queues behind the in-flight write, so read latency inflates
+//!   toward the write duration. This shows the lock structure directly,
+//!   independent of core count.
 //!
 //! Besides the criterion timings, each experiment prints reads/second or
-//! per-read latency for the two locking shapes side by side.
+//! per-read latency for the two locking shapes side by side. A last group,
+//! `hub_modify_cite`, times one hosted `modify_cite` on repositories of
+//! 8, 600 and 2,400 files: a citation commit edits the `citation.cite`
+//! blob and the root tree in place, so its cost should not grow with the
+//! file count.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gitlite::{path, RepoPath, Signature};
@@ -33,9 +37,13 @@ use std::time::{Duration, Instant};
 const THREADS: usize = 4;
 const OPS_PER_THREAD: usize = 60;
 const FILES_PER_REPO: usize = 8;
-/// File count of the repository the latency experiment's writer churns —
-/// big enough that one citation commit costs milliseconds.
+/// File count of the repository the latency experiment's writer churns.
+/// A citation commit edits one blob and the root tree, so its cost does
+/// not grow with this (see the `hub_modify_cite` group); what the writer
+/// costs the global-mutex reader is the generate-then-modify round.
 const BIG_REPO_FILES: usize = 600;
+/// Repository sizes the `hub_modify_cite` group times one edit at.
+const MODIFY_CITE_FILES: [usize; 3] = [8, 600, 2_400];
 
 /// The pre-redesign locking shape: the same hub, but every call funneled
 /// through one global mutex — exactly what `Mutex<HubState>` used to do
@@ -282,6 +290,34 @@ fn bench(c: &mut Criterion) {
     );
 }
 
+/// One hosted `modify_cite` of the root citation, on a repository of
+/// each size in [`MODIFY_CITE_FILES`]; each iteration changes the note, so
+/// each one commits.
+fn modify_cite_by_size(c: &mut Criterion) {
+    let mut g = c.benchmark_group("hub_modify_cite");
+    let hub = Hub::new("https://bench.example");
+    hub.register_user("owner", "The Owner").unwrap();
+    let token = hub.login("owner").unwrap();
+    for files in MODIFY_CITE_FILES {
+        let repo_id = hub.create_repo(&token, &format!("f{files}")).unwrap();
+        seed_files(&hub, &token, &repo_id, files);
+        let root = RepoPath::root();
+        let stored = hub.citation_entry(&repo_id, "main", &root).unwrap();
+        let stored = stored.expect("the root is always cited");
+        let mut rev = 0u64;
+        g.bench_with_input(BenchmarkId::new("files", files), &files, |b, _| {
+            b.iter(|| {
+                rev += 1;
+                let mut citation = stored.clone();
+                citation.note = Some(format!("rev {rev}"));
+                hub.modify_cite(&token, &repo_id, "main", &root, citation)
+                    .unwrap()
+            })
+        });
+    }
+    g.finish();
+}
+
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -289,5 +325,5 @@ fn config() -> Criterion {
         .measurement_time(Duration::from_millis(900))
 }
 
-criterion_group! { name = benches; config = config(); targets = bench }
+criterion_group! { name = benches; config = config(); targets = bench, modify_cite_by_size }
 criterion_main!(benches);

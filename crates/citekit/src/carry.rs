@@ -8,6 +8,7 @@
 //! the function stays consistent even when files were moved by hand rather
 //! than through [`crate::ops::CitedRepo::rename`].
 
+use crate::error::Result;
 use crate::file::citation_path;
 use crate::function::CitationFunction;
 use gitlite::{diff_listings, Blob, ObjectId, ObjectStore, RepoPath, WorkTree};
@@ -87,19 +88,42 @@ pub fn reconcile<S: ObjectStore + ?Sized>(
 
     // 3. Prune citations whose nodes no longer exist, and normalize the
     //    is_dir flag to the worktree's reality.
-    report.pruned = func.retain(|p, _| wt.exists(p));
-    let flags: Vec<(RepoPath, bool)> = func
-        .iter()
-        .filter(|(p, e)| !p.is_root() && e.is_dir != wt.is_dir(p))
-        .map(|(p, _)| (p.clone(), wt.is_dir(p)))
-        .collect();
-    for (p, is_dir) in flags {
-        if let Some(c) = func.get(&p).cloned() {
-            func.set(p, c, is_dir);
+    report.pruned = fit_to_tree(func, worktree_node(wt)).expect("worktree lookups cannot fail");
+    report
+}
+
+/// Drops the non-root entries whose nodes `node` does not find and sets
+/// each other entry's `is_dir` flag to its node's kind: the last step of
+/// [`reconcile`], and all of it when the tree did not change. `node` is
+/// `None` for a missing path, otherwise whether it is a directory.
+/// Returns the dropped paths in path order.
+pub(crate) fn fit_to_tree(
+    func: &mut CitationFunction,
+    mut node: impl FnMut(&RepoPath) -> Result<Option<bool>>,
+) -> Result<Vec<RepoPath>> {
+    let mut pruned = Vec::new();
+    let mut flags = Vec::new();
+    for (p, e) in func.iter().filter(|(p, _)| !p.is_root()) {
+        match node(p)? {
+            None => pruned.push(p.clone()),
+            Some(is_dir) if is_dir != e.is_dir => flags.push((p.clone(), is_dir)),
+            Some(_) => {}
         }
     }
+    for p in &pruned {
+        func.remove(p)?;
+    }
+    for (p, is_dir) in flags {
+        let citation = func.get(&p).cloned().expect("kept entry");
+        func.set(p, citation, is_dir);
+    }
+    Ok(pruned)
+}
 
-    report
+/// The `node` lookup of [`fit_to_tree`] and [`crate::CiteOp::apply`]
+/// over a worktree.
+pub(crate) fn worktree_node(wt: &WorkTree) -> impl Fn(&RepoPath) -> Result<Option<bool>> + '_ {
+    |p| Ok(wt.exists(p).then(|| wt.is_dir(p)))
 }
 
 #[cfg(test)]

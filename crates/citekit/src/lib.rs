@@ -83,7 +83,7 @@ pub use merge::{
     CitationConflict, ConflictResolver, FailOnConflict, FnResolver, MergeCiteOutcome,
     MergeCiteReport, MergeStrategy, PreferOurs, PreferTheirs, Resolution,
 };
-pub use ops::{CitedRepo, CommitOutcome, PrunePolicy};
+pub use ops::{CiteOp, CitedRepo, CommitOutcome, PrunePolicy};
 pub use retro::{retrofit, retrofit_history, RetrofitOptions, RetrofitReport};
 pub use time::{format_iso8601, parse_iso8601};
 pub use validate::{validate, Violation};

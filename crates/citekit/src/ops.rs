@@ -8,7 +8,7 @@
 //! carried eagerly; edits made behind its back are reconciled at commit
 //! time by [`crate::carry::reconcile`].
 
-use crate::carry::{reconcile, worktree_listing, CarryReport};
+use crate::carry::{reconcile, worktree_listing, worktree_node, CarryReport};
 use crate::citation::Citation;
 use crate::error::{CiteError, Result};
 use crate::file::{self, citation_path};
@@ -38,6 +38,50 @@ pub struct CommitOutcome {
     pub commit: ObjectId,
     /// Citation-key maintenance performed as a side effect.
     pub carry: CarryReport,
+}
+
+/// One of the paper's explicit citation edits (§2–3). [`CiteOp::apply`]
+/// states their rules once: [`CitedRepo`] applies them against its
+/// worktree, [`crate::version::commit_op`] against a branch tip's tree.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CiteOp {
+    /// `AddCite(path, value)`: attaches a citation to an existing,
+    /// not-yet-cited node.
+    Add(Citation),
+    /// `ModifyCite(path, value)`: replaces the citation of a cited node.
+    Modify(Citation),
+    /// `DelCite(path)`: detaches the citation of a cited node other than
+    /// the root.
+    Del,
+}
+
+impl CiteOp {
+    /// Applies the edit at `path` to `func` and returns the citation it
+    /// replaced or removed. `node` looks a path up in the version: `None`
+    /// when nothing exists there, otherwise whether it is a directory.
+    /// Adding and modifying refuse `citation.cite` itself and missing
+    /// paths; deleting only needs the key.
+    pub fn apply(
+        self,
+        func: &mut CitationFunction,
+        path: &RepoPath,
+        node: impl FnOnce(&RepoPath) -> Result<Option<bool>>,
+    ) -> Result<Option<Citation>> {
+        let (citation, must_be_cited) = match self {
+            CiteOp::Add(citation) => (citation, false),
+            CiteOp::Modify(citation) => (citation, true),
+            CiteOp::Del => return func.remove(path).map(Some),
+        };
+        if *path == citation_path() {
+            return Err(CiteError::ReservedPath(path.clone()));
+        }
+        let is_dir = node(path)?.ok_or_else(|| CiteError::PathMissing(path.clone()))?;
+        match (must_be_cited, func.contains(path)) {
+            (false, true) => Err(CiteError::AlreadyCited(path.clone())),
+            (true, false) => Err(CiteError::NotCited(path.clone())),
+            _ => Ok(func.set(path.clone(), citation, is_dir)),
+        }
+    }
 }
 
 /// A citation-enabled project repository.
@@ -201,47 +245,30 @@ impl CitedRepo {
     /// `AddCite(path, value)`: attaches a citation to an existing,
     /// not-yet-cited node.
     pub fn add_cite(&mut self, path: &RepoPath, citation: Citation) -> Result<()> {
-        self.check_citable(path)?;
-        if self.func.contains(path) {
-            return Err(CiteError::AlreadyCited(path.clone()));
-        }
-        let is_dir = path.is_root() || self.repo.worktree().is_dir(path);
-        self.func.set(path.clone(), citation, is_dir);
-        self.sync_file()
+        self.edit(path, CiteOp::Add(citation)).map(drop)
     }
 
     /// `ModifyCite(path, value)`: replaces the citation of an
     /// already-cited node. Returns the previous citation.
     pub fn modify_cite(&mut self, path: &RepoPath, citation: Citation) -> Result<Citation> {
-        self.check_citable(path)?;
-        if !self.func.contains(path) {
-            return Err(CiteError::NotCited(path.clone()));
-        }
-        let is_dir = path.is_root() || self.repo.worktree().is_dir(path);
-        let prev = self
-            .func
-            .set(path.clone(), citation, is_dir)
-            .expect("checked contains");
-        self.sync_file()?;
-        Ok(prev)
+        let prev = self.edit(path, CiteOp::Modify(citation))?;
+        Ok(prev.expect("a modify replaces a citation"))
     }
 
     /// `DelCite(path)`: detaches the citation of a cited node. The root's
     /// citation cannot be deleted.
     pub fn del_cite(&mut self, path: &RepoPath) -> Result<Citation> {
-        let prev = self.func.remove(path)?;
-        self.sync_file()?;
-        Ok(prev)
+        let prev = self.edit(path, CiteOp::Del)?;
+        Ok(prev.expect("a delete removes a citation"))
     }
 
-    fn check_citable(&self, path: &RepoPath) -> Result<()> {
-        if *path == citation_path() {
-            return Err(CiteError::ReservedPath(path.clone()));
-        }
-        if !self.repo.worktree().exists(path) {
-            return Err(CiteError::PathMissing(path.clone()));
-        }
-        Ok(())
+    /// Applies `op` at `path` to the working function, looking `path` up
+    /// in the worktree, and syncs the file. Returns the citation the op
+    /// replaced or removed.
+    pub fn edit(&mut self, path: &RepoPath, op: CiteOp) -> Result<Option<Citation>> {
+        let prev = op.apply(&mut self.func, path, worktree_node(self.repo.worktree()))?;
+        self.sync_file()?;
+        Ok(prev)
     }
 
     // ----- citation generation (GenCite) ----------------------------------

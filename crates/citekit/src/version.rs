@@ -1,19 +1,26 @@
-//! Citations of a committed version, read in place from a borrowed
-//! [`Repository`] — no worktree, no clone.
+//! Citations of committed versions, read and edited in place in a
+//! [`Repository`]'s store — no worktree, no clone.
 //!
 //! A version keeps its citation function in the `citation.cite` blob of
 //! its tree. That blob's id is a content address: two versions whose blob
 //! ids agree carry the same function, so [`function_blob`] keys a cache of
 //! parsed functions that no write can make stale. [`cite_at`] is `GenCite`
 //! for a committed version, with the function supplied by the caller from
-//! such a cache (or read afresh with [`read_function`]).
+//! such a cache (or read afresh with [`read_function`]). [`commit_op`] is
+//! the write side: one citation edit on a branch tip, committed as a new
+//! `citation.cite` blob in the tip's root tree.
 
+use crate::carry::fit_to_tree;
 use crate::citation::Citation;
 use crate::error::{CiteError, Result};
-use crate::file::{self, citation_path};
+use crate::file::{self, citation_path, CITATION_FILE};
 use crate::function::CitationFunction;
+use crate::ops::CiteOp;
 use crate::time::format_iso8601;
-use gitlite::{ObjectId, RepoPath, Repository};
+use gitlite::{
+    resolve_path, Blob, EntryMode, GitError, Object, ObjectId, RepoPath, Repository, Signature,
+    TreeEntry,
+};
 use std::sync::Arc;
 
 /// The id of `version`'s `citation.cite` blob. Fails with
@@ -54,6 +61,77 @@ pub fn cite_at(
     } else {
         Ok(citation.clone())
     }
+}
+
+/// What [`commit_op`] committed.
+#[derive(Debug, Clone)]
+pub struct Edit {
+    /// The new version, now the branch tip.
+    pub commit: ObjectId,
+    /// The version's `citation.cite` blob.
+    pub blob: ObjectId,
+    /// The citation function `blob` holds, for the caller's cache.
+    pub function: Arc<CitationFunction>,
+}
+
+/// Commits the citation edit `op` at `path` onto `branch`, editing the
+/// tip's tree in the store. `function` supplies the tip's parsed function
+/// given its `citation.cite` blob id, as for [`cite_at`]. Paths are
+/// looked up in the tip's tree. After the op, keys whose nodes are gone
+/// are dropped and `is_dir` flags fitted to the tree, as a commit after
+/// a checkout of the tip does.
+///
+/// The new blob replaces `citation.cite` in the root tree, and
+/// [`Repository::commit_onto`] commits that tree on the branch and puts
+/// HEAD there; the worktree is untouched. The commit is the one
+/// [`crate::CitedRepo`] makes from a checkout of the tip, except that a
+/// tip holding an empty directory keeps it here. An edit that leaves the
+/// blob as it was fails with [`GitError::NothingToCommit`] before
+/// anything is written.
+pub fn commit_op(
+    repo: &mut Repository,
+    branch: &str,
+    path: &RepoPath,
+    op: CiteOp,
+    function: impl FnOnce(&Repository, ObjectId) -> Result<Arc<CitationFunction>>,
+    author: Signature,
+    message: impl Into<String>,
+) -> Result<Edit> {
+    let tip = repo.branch_tip(branch)?;
+    let old_blob = function_blob(repo, tip)?;
+    let mut func = Arc::unwrap_or_clone(function(repo, old_blob)?);
+    let tree = repo.tree_of(tip)?;
+    let node = |p: &RepoPath| -> Result<Option<bool>> {
+        let entry = resolve_path(repo.odb(), tree, p)?;
+        Ok(entry.map(|(mode, _)| mode == EntryMode::Dir))
+    };
+    op.apply(&mut func, path, node)?;
+    fit_to_tree(&mut func, node)?;
+    let blob = Blob::new(file::to_text(&func));
+    let blob_id = blob.id();
+    if blob_id == old_blob {
+        return Err(CiteError::Git(GitError::NothingToCommit));
+    }
+    let mut root = repo
+        .odb()
+        .tree_ref(tree)?
+        .as_tree()
+        .expect("checked kind")
+        .clone();
+    let entry = TreeEntry {
+        mode: EntryMode::File,
+        id: blob_id,
+    };
+    root.insert(CITATION_FILE, entry);
+    let odb = repo.odb_mut();
+    odb.put_with_id(blob_id, Arc::new(Object::Blob(blob)));
+    let tree = odb.put(Object::Tree(root));
+    let commit = repo.commit_onto(branch, tree, author, message)?;
+    Ok(Edit {
+        commit,
+        blob: blob_id,
+        function: Arc::new(func),
+    })
 }
 
 #[cfg(test)]

@@ -247,6 +247,23 @@ impl Repository {
         self.finish_commit(tree, parents, author, message.into())
     }
 
+    /// Commits the already-built `tree` onto `branch`, with the branch tip
+    /// as its only parent, moves the branch and puts HEAD on it (see
+    /// [`Repository::set_head`]). The worktree is left untouched: this is
+    /// for callers that edit trees in the store rather than through a
+    /// checkout. An unchanged tree is the caller's to refuse.
+    pub fn commit_onto(
+        &mut self,
+        branch: &str,
+        tree: ObjectId,
+        author: Signature,
+        message: impl Into<String>,
+    ) -> Result<ObjectId> {
+        let tip = self.branch_tip(branch)?;
+        self.head = Head::Branch(branch.to_owned());
+        self.finish_commit(tree, vec![tip], author, message.into())
+    }
+
     fn finish_commit(
         &mut self,
         tree: ObjectId,
@@ -286,6 +303,15 @@ impl Repository {
         let tip = self.branch_tip(name)?;
         let tree = self.tree_of(tip)?;
         self.worktree = read_tree(&*self.odb, tree)?;
+        self.head = Head::Branch(name.to_owned());
+        Ok(())
+    }
+
+    /// Puts HEAD on the existing branch `name` without loading its tree:
+    /// a checkout for a host that reads every file by commit, never from
+    /// the worktree, which keeps whatever it held before.
+    pub fn set_head(&mut self, name: &str) -> Result<()> {
+        self.branch_tip(name)?;
         self.head = Head::Branch(name.to_owned());
         Ok(())
     }
@@ -577,6 +603,31 @@ mod tests {
         assert!(r.delete_branch("main").is_err());
         r.delete_branch("dev").unwrap();
         assert!(!r.has_branch("dev"));
+    }
+
+    #[test]
+    fn set_head_and_commit_onto_leave_the_worktree_alone() {
+        let (mut r, c1) = repo_with_commit();
+        r.create_branch("dev").unwrap();
+        r.worktree_mut().write(&path("wip.txt"), &b"w"[..]).unwrap();
+        let before = r.worktree().clone();
+        r.set_head("dev").unwrap();
+        assert_eq!(r.head(), &Head::Branch("dev".into()));
+        assert_eq!(r.worktree(), &before);
+        assert_eq!(
+            r.set_head("nope").unwrap_err(),
+            GitError::BranchNotFound("nope".into())
+        );
+
+        r.checkout_branch("main").unwrap();
+        let before = r.worktree().clone();
+        let tree = r.tree_of(c1).unwrap();
+        let c2 = r.commit_onto("dev", tree, sig("bob", 2), "onto").unwrap();
+        assert_eq!(r.head(), &Head::Branch("dev".into()));
+        assert_eq!(r.branch_tip("dev").unwrap(), c2);
+        assert_eq!(r.branch_tip("main").unwrap(), c1);
+        assert_eq!(r.commit_obj(c2).unwrap().parents, vec![c1]);
+        assert_eq!(r.worktree(), &before);
     }
 
     #[test]

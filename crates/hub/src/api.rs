@@ -101,7 +101,7 @@
 //! | `non_fast_forward`       | VCS: push rejected (`detail` = branch)        |
 //! | `file_not_found`         | VCS: no such file (`detail` = path)           |
 //! | `object_not_found`       | VCS: missing object (`detail` = hex id)       |
-//! | `nothing_to_commit`      | VCS: worktree identical to HEAD               |
+//! | `nothing_to_commit`      | VCS: the commit would change nothing          |
 //! | `merge_conflicts`        | VCS: conflicted merge (`detail` = count)      |
 //! | `empty_repository`       | VCS: repository has no commits                |
 //! | `git`                    | any other VCS failure                         |

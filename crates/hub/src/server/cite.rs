@@ -8,7 +8,7 @@ use crate::error::{HubError, Result};
 use crate::heritage::{ArchiveReport, SwhKind};
 use crate::perm::Action;
 use crate::zenodo::Deposit;
-use citekit::{Citation, CitedRepo, MergeStrategy, Resolution};
+use citekit::{Citation, CiteOp, CitedRepo, MergeStrategy, Resolution};
 use gitlite::{ObjectId, RepoPath, Signature};
 
 wrappers! {
@@ -156,30 +156,30 @@ impl Hub {
         token: &str,
         repo_id: &str,
         branch: &str,
-        op_name: &str,
-        op: impl FnOnce(&mut CitedRepo, &RepoPath) -> citekit::Result<()>,
         path: &RepoPath,
+        op: CiteOp,
     ) -> Result<ObjectId> {
+        let op_name = match op {
+            CiteOp::Add(_) => "add_cite",
+            CiteOp::Modify(_) => "modify_cite",
+            CiteOp::Del => "del_cite",
+        };
         let user = self.auth(token)?;
         self.write_repo(&user, repo_id, op_name, Action::Write, |hosted, ts, ok| {
-            // Operate on a clone; replace on success so failures can't
-            // corrupt the hosted state.
-            let mut work = hosted.repo.clone();
-            let (cited, outcome) = work
-                .checkout_branch(branch)
-                .map_err(citekit::CiteError::Git)
-                .and_then(|()| {
-                    let mut cited = CitedRepo::open(work)?;
-                    op(&mut cited, path)?;
-                    let outcome = cited.commit(
-                        Signature::new(&user.display_name, &user.email, ts),
-                        format!("{op_name} {}", path.to_cite_key(false)),
-                    )?;
-                    Ok((cited, outcome))
-                })
-                .map_err(HubError::Cite)?;
-            self.swap_in(hosted, cited, repo_id, ok)?;
-            Ok(outcome.commit)
+            let before = frontier(&hosted.repo);
+            let edit = citekit::version::commit_op(
+                &mut hosted.repo,
+                branch,
+                path,
+                op,
+                |repo, blob| hosted.cite_memo.get(repo, blob),
+                Signature::new(&user.display_name, &user.email, ts),
+                format!("{op_name} {}", path.to_cite_key(false)),
+            )
+            .map_err(HubError::Cite)?;
+            hosted.cite_memo.seed(edit.blob, edit.function);
+            self.apply(ok, ref_moves(repo_id, &before, &hosted.repo), Held::None)?;
+            Ok(edit.commit)
         })
     }
 
@@ -237,8 +237,8 @@ impl Hub {
         })
     }
 
-    /// Swaps a cite op's or merge's worked-on clone in for the hosted
-    /// repository and applies the entry of the moves that made.
+    /// Swaps a merge's worked-on clone in for the hosted repository and
+    /// applies the entry of the moves that made.
     fn swap_in(&self, into: &mut HostedRepo, cited: CitedRepo, id: &str, ok: Header) -> Result<()> {
         let before = frontier(&into.repo);
         into.repo = cited.into_repository();

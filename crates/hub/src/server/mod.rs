@@ -25,8 +25,8 @@
 //! builds its records and hands them to `Hub::apply`, the only code that
 //! changes users, credentials, the repository map, roles, deposits, the
 //! archive and the log. Refs and HEAD move inside gitlite and citekit
-//! (commit, push, merge, the cite ops' clone and swap); their records
-//! state the move made. So a log and the repositories' object stores
+//! (a cite op's tree-edit commit, push, a merge's clone and swap); their
+//! records state the move made. So a log and the repositories' object stores
 //! are enough to rebuild the hub (`Hub::replay`).
 //!
 //! Some state is deliberately not logged, because it belongs to a
@@ -50,8 +50,8 @@
 //!   repository's write lock, tick under it, check the role, and apply
 //!   their entry before the lock is released — so the log order of a
 //!   repository's `RefUpdated` records is the order its refs moved.
-//!   Cite ops and merges work on a clone and swap it in on success; fork
-//!   copies the repository out so the guard is not held across its walk.
+//!   Merges work on a clone and swap it in on success; fork copies the
+//!   repository out so the guard is not held across its walk.
 //!   Archive walks under the repository's read guard, which it holds
 //!   until its entry is in the log.
 //! * each repository's roles and citation memo — leaf locks inside the
@@ -137,7 +137,7 @@ use crate::placement::Placement;
 use crate::repl::ReplState;
 use crate::zenodo::Zenodo;
 use auth::{LoginState, TokenBucket, TokenEntry};
-use citekit::CitationFunction;
+use citekit::{CitationFunction, CiteOp};
 use gitlite::{ObjectId, Repository};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -173,6 +173,8 @@ pub struct User {
     pub email: String,
 }
 
+/// A hosted repository. No write refreshes `repo`'s worktree and nothing
+/// reads it: reads go by commit, and merges and forks check out copies.
 #[derive(Debug)]
 pub(crate) struct HostedRepo {
     repo: Repository,
@@ -180,13 +182,35 @@ pub(crate) struct HostedRepo {
     /// leaf lock, so an entry holding the repository's read guard (an
     /// archive, a replay) can still set a role.
     roles: RwLock<BTreeMap<String, Role>>,
-    /// The last citation function read from `repo`, keyed by the id of
-    /// the `citation.cite` blob it was parsed from. The key is a content
-    /// address, so no write (cite op, push, merge, gc, replica apply) can
-    /// make the slot stale; a new blob simply misses. One slot: every
-    /// member edit mints a new blob, and a map of past ones would only
-    /// grow the resident set.
-    cite_memo: Mutex<Option<(ObjectId, Arc<CitationFunction>)>>,
+    cite_memo: CiteMemo,
+}
+
+/// The last citation function read from a repository, keyed by the id of
+/// its `citation.cite` blob: a content address, so no write can make the
+/// slot stale, and a new blob simply misses. One slot: every member edit
+/// mints a new blob, and a map of past ones would only grow the resident
+/// set. Locked only to look and to store, never across a read or a parse.
+#[derive(Debug, Default)]
+struct CiteMemo(Mutex<Option<(ObjectId, Arc<CitationFunction>)>>);
+
+impl CiteMemo {
+    /// The citation function stored in `blob`: the slot's when it holds
+    /// that blob, otherwise read and parsed from `repo`'s store.
+    fn get(&self, repo: &Repository, blob: ObjectId) -> citekit::Result<Arc<CitationFunction>> {
+        if let Some((id, func)) = &*self.0.lock() {
+            if *id == blob {
+                return Ok(Arc::clone(func));
+            }
+        }
+        let func = Arc::new(citekit::version::read_function(repo, blob)?);
+        self.seed(blob, Arc::clone(&func));
+        Ok(func)
+    }
+
+    /// Puts `func`, the function stored in `blob`, in the slot.
+    fn seed(&self, blob: ObjectId, func: Arc<CitationFunction>) {
+        *self.0.lock() = Some((blob, func));
+    }
 }
 
 impl HostedRepo {
@@ -194,7 +218,7 @@ impl HostedRepo {
         HostedRepo {
             repo,
             roles: RwLock::new(roles),
-            cite_memo: Mutex::new(None),
+            cite_memo: CiteMemo::default(),
         }
     }
 
@@ -203,24 +227,10 @@ impl HostedRepo {
         *self.roles.read().get(username).unwrap_or(&Role::Reader)
     }
 
-    /// The citation function stored in `blob`: the slot's when it holds
-    /// that blob, otherwise read and parsed from the hosted store. The
-    /// slot is locked only to look and to store, never across the read
-    /// or the parse.
-    fn function(&self, blob: ObjectId) -> citekit::Result<Arc<CitationFunction>> {
-        if let Some((id, func)) = &*self.cite_memo.lock() {
-            if *id == blob {
-                return Ok(Arc::clone(func));
-            }
-        }
-        let func = Arc::new(citekit::version::read_function(&self.repo, blob)?);
-        *self.cite_memo.lock() = Some((blob, Arc::clone(&func)));
-        Ok(func)
-    }
-
     /// The citation function of the committed version `version`.
     fn function_at(&self, version: ObjectId) -> citekit::Result<Arc<CitationFunction>> {
-        self.function(citekit::version::function_blob(&self.repo, version)?)
+        let blob = citekit::version::function_blob(&self.repo, version)?;
+        self.cite_memo.get(&self.repo, blob)
     }
 }
 
@@ -577,7 +587,7 @@ impl Hub {
                     let hosted = cell.read();
                     let tip = hosted.repo.branch_tip(&branch).map_err(HubError::Git)?;
                     citekit::version::cite_at(&hosted.repo, tip, &path, |blob| {
-                        hosted.function(blob)
+                        hosted.cite_memo.get(&hosted.repo, blob)
                     })
                     .map_err(HubError::Cite)?
                 };
@@ -597,7 +607,10 @@ impl Hub {
                     .repo
                     .blob_at(tip, &citekit::citation_path())
                     .map_err(HubError::Git)?;
-                let func = hosted.function(blob).map_err(HubError::Cite)?;
+                let func = hosted
+                    .cite_memo
+                    .get(&hosted.repo, blob)
+                    .map_err(HubError::Cite)?;
                 R::CitationOpt(func.get(&path).cloned())
             }
             Q::AddCite {
@@ -606,41 +619,25 @@ impl Hub {
                 branch,
                 path,
                 citation,
-            } => R::Commit(self.cite_op(
-                &token,
-                &repo_id,
-                &branch,
-                "add_cite",
-                move |cited, p| cited.add_cite(p, citation),
-                &path,
-            )?),
+            } => {
+                R::Commit(self.cite_op(&token, &repo_id, &branch, &path, CiteOp::Add(citation))?)
+            }
             Q::ModifyCite {
                 token,
                 repo_id,
                 branch,
                 path,
                 citation,
-            } => R::Commit(self.cite_op(
-                &token,
-                &repo_id,
-                &branch,
-                "modify_cite",
-                move |cited, p| cited.modify_cite(p, citation).map(|_| ()),
-                &path,
-            )?),
+            } => {
+                let op = CiteOp::Modify(citation);
+                R::Commit(self.cite_op(&token, &repo_id, &branch, &path, op)?)
+            }
             Q::DelCite {
                 token,
                 repo_id,
                 branch,
                 path,
-            } => R::Commit(self.cite_op(
-                &token,
-                &repo_id,
-                &branch,
-                "del_cite",
-                move |cited, p| cited.del_cite(p).map(|_| ()),
-                &path,
-            )?),
+            } => R::Commit(self.cite_op(&token, &repo_id, &branch, &path, CiteOp::Del)?),
             Q::Push {
                 token,
                 repo_id,
@@ -1081,17 +1078,16 @@ impl Hub {
                     )));
                 }
                 repo.set_branch(&branch, new).map_err(HubError::Git)?;
-                // As a push does: a checked-out branch that moved is
-                // checked out again, which also makes a new repository's
-                // unborn HEAD real.
+                // As a push does: HEAD stays on a branch that moved,
+                // which also makes a new repository's unborn HEAD real.
                 if repo.current_branch() == Some(branch.as_str()) {
-                    repo.checkout_branch(&branch).map_err(HubError::Git)?;
+                    repo.set_head(&branch).map_err(HubError::Git)?;
                 }
             }
             Record::HeadSet { repo_id, branch } => {
                 let cell = self.repo(&repo_id)?;
                 let repo = &mut cell.write().repo;
-                repo.checkout_branch(&branch).map_err(HubError::Git)?;
+                repo.set_head(&branch).map_err(HubError::Git)?;
             }
             _ => {}
         }

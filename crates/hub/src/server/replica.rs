@@ -201,7 +201,7 @@ impl Hub {
 /// bundle fails the whole application without leaving partial state.
 /// Unlike a push there is no fast-forward rule: the primary's frontier
 /// is authoritative, so refs are force-set, branches deleted upstream
-/// are deleted here, and the working tree tracks the primary's head.
+/// are deleted here, and HEAD follows the primary's (no checkout).
 fn apply_replica_bundle(repo: &mut Repository, bundle: &RepoBundle) -> gitlite::Result<()> {
     let tips: Vec<ObjectId> = bundle.refs.iter().map(|(_, tip)| *tip).collect();
     load_bundle(repo, bundle, &tips)?;
@@ -209,14 +209,14 @@ fn apply_replica_bundle(repo: &mut Repository, bundle: &RepoBundle) -> gitlite::
         repo.set_branch(branch, *tip)?;
     }
     // Track the primary's head (or any surviving ref) *before* pruning,
-    // so the branch being deleted is never the checked-out one.
+    // so the branch being deleted is never HEAD's.
     let head = bundle
         .head
         .clone()
         .filter(|h| repo.has_branch(h))
         .or_else(|| bundle.refs.first().map(|(b, _)| b.clone()));
     if let Some(head) = head {
-        repo.checkout_branch(&head)?;
+        repo.set_head(&head)?;
     }
     if !bundle.refs.is_empty() {
         let stale: Vec<String> = repo

@@ -435,11 +435,11 @@ fn parse_log_cursor(c: &str) -> Result<(ObjectId, usize)> {
         .ok_or_else(|| HubError::BadRequest(format!("invalid log cursor {c:?}")))
 }
 
-/// Applies a negotiated delta bundle onto the hosted
-/// repository: the server-side half of the have/want exchange. Same ref
-/// rules as [`gitlite::push`]; on top of them [`load_bundle`] proves the
-/// delta anchored and complete, so a lying or stale client can make the
-/// push fail but never leave the branch pointing into a hole.
+/// Applies a negotiated delta bundle onto the hosted repository: the
+/// server-side half of the have/want exchange. The ref rules of
+/// [`gitlite::push`], minus its checkout; [`load_bundle`] proves the delta
+/// anchored and complete, so a lying or stale client can make the push
+/// fail but never leave the branch pointing into a hole.
 fn apply_delta_push(
     repo: &mut Repository,
     src_branch: &str,
@@ -464,7 +464,7 @@ fn apply_delta_push(
     }
     repo.set_branch(dst_branch, new_tip)?;
     if repo.current_branch() == Some(dst_branch) {
-        repo.checkout_branch(dst_branch)?;
+        repo.set_head(dst_branch)?;
     }
     Ok(new_tip)
 }

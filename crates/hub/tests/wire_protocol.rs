@@ -955,3 +955,152 @@ fn citation_reads_keep_their_error_codes() {
         assert_eq!(served(entry), entry_code, "citation_entry, {case}");
     }
 }
+
+/// The cite ops answer each refusal with the error code they have always
+/// answered it with, whatever path commits the edit. Every row fails, so
+/// no row changes what the next one sees. `del_cite` never looks its
+/// path up: a missing path or `citation.cite` is merely not cited.
+#[test]
+fn cite_ops_keep_their_error_codes() {
+    use ErrorCode::*;
+    let hub = hub::Hub::new("https://h");
+    hub.register_user("ann", "Ann").unwrap();
+    hub.register_user("rob", "Rob").unwrap();
+    let ann = hub.login("ann").unwrap();
+    let rob = hub.login("rob").unwrap();
+    let repo_id = hub.create_repo(&ann, "p").unwrap();
+    let d = RepoPath::parse("d").unwrap();
+    let mut local = citekit::CitedRepo::open(hub.clone_repo(&repo_id).unwrap()).unwrap();
+    for f in ["a.txt", "d/b.txt"] {
+        let p = RepoPath::parse(f).unwrap();
+        local.write_file(&p, f.as_bytes().to_vec()).unwrap();
+    }
+    local.add_cite(&d, cite_named("d")).unwrap();
+    local
+        .commit(gitlite::Signature::new("Ann", "ann@x", 50), "files")
+        .unwrap();
+    let local = local.into_repository();
+    hub.push(&ann, &repo_id, "main", &local, "main", false)
+        .unwrap();
+
+    let unknown = "ann/nope".to_owned();
+    let table = [
+        // (case, token, repo, branch, path, [add, modify, del])
+        (
+            "unknown repo",
+            &ann,
+            &unknown,
+            "main",
+            "a.txt",
+            [RepoNotFound; 3],
+        ),
+        (
+            "unknown branch",
+            &ann,
+            &repo_id,
+            "nope",
+            "a.txt",
+            [BranchNotFound; 3],
+        ),
+        (
+            "missing path",
+            &ann,
+            &repo_id,
+            "main",
+            "nope.txt",
+            [PathMissing, PathMissing, NotCited],
+        ),
+        (
+            "citation.cite",
+            &ann,
+            &repo_id,
+            "main",
+            "citation.cite",
+            [ReservedPath, ReservedPath, NotCited],
+        ),
+        (
+            "reader's token",
+            &rob,
+            &repo_id,
+            "main",
+            "d",
+            [PermissionDenied; 3],
+        ),
+    ];
+    let served = |req: ApiRequest| -> Option<ErrorCode> {
+        match ApiResponse::parse(&hub.handle_wire(&req.encode())).unwrap() {
+            ApiResponse::Error(e) => Some(e.code),
+            _ => None,
+        }
+    };
+    let add = |token: &hub::Token, repo: &str, branch: &str, path: &RepoPath| ApiRequest::AddCite {
+        token: token.as_str().into(),
+        repo_id: repo.into(),
+        branch: branch.into(),
+        path: path.clone(),
+        citation: cite_named("x"),
+    };
+    let modify = |token: &hub::Token, repo: &str, branch: &str, path: &RepoPath, name: &str| {
+        ApiRequest::ModifyCite {
+            token: token.as_str().into(),
+            repo_id: repo.into(),
+            branch: branch.into(),
+            path: path.clone(),
+            citation: cite_named(name),
+        }
+    };
+    let del = |token: &hub::Token, repo: &str, branch: &str, path: &RepoPath| ApiRequest::DelCite {
+        token: token.as_str().into(),
+        repo_id: repo.into(),
+        branch: branch.into(),
+        path: path.clone(),
+    };
+    for (case, token, repo, branch, path, [add_code, modify_code, del_code]) in table {
+        let path = RepoPath::parse(path).unwrap();
+        let got = served(add(token, repo, branch, &path));
+        assert_eq!(got, Some(add_code), "add_cite, {case}");
+        let got = served(modify(token, repo, branch, &path, "x"));
+        assert_eq!(got, Some(modify_code), "modify_cite, {case}");
+        let got = served(del(token, repo, branch, &path));
+        assert_eq!(got, Some(del_code), "del_cite, {case}");
+    }
+
+    // Refusals only some of the ops can meet.
+    let a = RepoPath::parse("a.txt").unwrap();
+    let singles = [
+        (
+            "add to a cited path",
+            add(&ann, &repo_id, "main", &d),
+            AlreadyCited,
+        ),
+        (
+            "modify an uncited path",
+            modify(&ann, &repo_id, "main", &a, "x"),
+            NotCited,
+        ),
+        (
+            "modify to the same citation",
+            modify(&ann, &repo_id, "main", &d, "d"),
+            NothingToCommit,
+        ),
+        (
+            "delete an uncited path",
+            del(&ann, &repo_id, "main", &a),
+            NotCited,
+        ),
+        (
+            "delete the root",
+            del(&ann, &repo_id, "main", &RepoPath::root()),
+            RootCitationRequired,
+        ),
+    ];
+    for (case, request, code) in singles {
+        assert_eq!(served(request), Some(code), "{case}");
+    }
+    let tip = hub.log(&repo_id, "main").unwrap()[0].id;
+    assert_eq!(tip, local.branch_tip("main").unwrap(), "no row committed");
+}
+
+fn cite_named(name: &str) -> Citation {
+    Citation::builder(name, "Ann").author("Ann").build()
+}
