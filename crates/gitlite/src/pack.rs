@@ -75,7 +75,7 @@ use crate::error::{GitError, Result};
 use crate::graph::{CommitGraph, GraphEntry, GRAPH_FILE};
 use crate::hash::ObjectId;
 use crate::object::Object;
-use crate::store::{DiskStore, ObjectStore};
+use crate::store::{verify_claimed_id, DiskStore, ObjectStore};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
@@ -1375,6 +1375,8 @@ impl ObjectStore for PackStore {
 
     fn put_raw(&mut self, id: ObjectId, bytes: &[u8]) -> Result<ObjectId> {
         if self.packed.contains(&id) {
+            // Checked all the same: the caller may go on to trust `bytes`.
+            verify_claimed_id(id, bytes)?;
             return Ok(id);
         }
         self.loose.put_raw(id, bytes)
@@ -1573,6 +1575,21 @@ mod tests {
         assert_eq!(reopened.len(), 4);
         assert!(reopened.contains(c1));
         assert!(reopened.contains(extra));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn put_raw_checks_bytes_claimed_for_a_packed_object() {
+        let dir = temp_dir("packed-raw");
+        let mut store = PackStore::open(&dir).unwrap();
+        let c1 = sample_commit(&mut store, "one", vec![]);
+        store.repack().unwrap();
+        let bytes = store.get(c1).unwrap().canonical_bytes();
+        assert_eq!(store.put_raw(c1, &bytes).unwrap(), c1);
+        assert!(matches!(
+            store.put_raw(c1, b"blob 4\0fake"),
+            Err(GitError::Corrupt(_))
+        ));
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -115,8 +115,7 @@ pub fn push(
         }
     }
     dst.set_branch(dst_branch, new_tip)?;
-    // Keep the destination's checkout in sync when it is on that branch
-    // (hosted repositories always serve from their branch tips).
+    // Keep the destination's checkout in sync when it is on that branch.
     if dst.current_branch() == Some(dst_branch) {
         dst.checkout_branch(dst_branch)?;
     }

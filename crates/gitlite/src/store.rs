@@ -256,7 +256,7 @@ pub trait ObjectStore: fmt::Debug + Send + Sync {
 
 /// Verifies that `bytes` really hash to the claimed `id` — the integrity
 /// check shared by every raw-bytes path.
-fn verify_claimed_id(id: ObjectId, bytes: &[u8]) -> Result<()> {
+pub(crate) fn verify_claimed_id(id: ObjectId, bytes: &[u8]) -> Result<()> {
     let actual = ObjectId::hash_bytes(bytes);
     if actual != id {
         return Err(GitError::Corrupt(format!(

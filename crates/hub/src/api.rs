@@ -146,8 +146,9 @@ use crate::zenodo::Deposit;
 use citekit::{Citation, MergeStrategy, Resolution};
 use gitlite::{CacheStats, ObjectId, ObjectStore, RepoPath, Repository};
 use sjson::{Object, Value};
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 
 /// The protocol version every envelope is stamped with. An envelope
 /// stamped with anything else is refused with a `protocol` error.
@@ -832,7 +833,7 @@ impl Wire for ErrorCode {
 pub struct RepoBundle {
     /// Repository name.
     pub name: String,
-    /// Branch the receiver should check out, when known.
+    /// Branch the receiver's HEAD should name, when known.
     pub head: Option<String>,
     /// `(branch, tip)` pairs.
     pub refs: Vec<(String, ObjectId)>,
@@ -988,32 +989,127 @@ impl RepoBundle {
         })
     }
 
-    /// Materializes the bundle as a repository on `store`, verifying
-    /// every object's bytes against its claimed id. Delta bundles cannot
-    /// stand alone: their basis objects live only on the negotiating
-    /// receiver, so this fails with `ObjectNotFound` instead of building
-    /// a repository with holes in its history.
+    /// Materializes the bundle as a repository on `store`, loaded the way
+    /// the hub hosts an import: a new repository takes the bundle's
+    /// objects, each hash-checked, and its refs and HEAD once a walk has
+    /// proved the bundle complete. Then HEAD is checked out, for callers
+    /// that read the worktree (clients and tools; the hub never does).
+    /// Delta bundles cannot stand alone: their basis objects live only on
+    /// the negotiating receiver, so this fails with `ObjectNotFound`
+    /// instead of building a repository with holes in its history.
     pub fn into_repository(&self, store: Box<dyn ObjectStore>) -> gitlite::Result<Repository> {
-        if let Some(&b) = self.basis.first() {
-            return Err(gitlite::GitError::ObjectNotFound(b));
-        }
         let mut repo = Repository::init_with(self.name.clone(), store);
-        for (id, bytes) in &self.objects {
-            repo.odb_mut().put_raw(*id, bytes)?;
-        }
-        for (branch, tip) in &self.refs {
-            repo.set_branch(branch, *tip)?;
-        }
-        let head = self
-            .head
-            .clone()
-            .filter(|b| repo.has_branch(b))
-            .or_else(|| self.refs.first().map(|(b, _)| b.clone()));
-        if let Some(b) = head {
+        mirror_bundle(&mut repo, self)?;
+        if let gitlite::Head::Branch(b) = repo.head().clone() {
             repo.checkout_branch(&b)?;
         }
         Ok(repo)
     }
+}
+
+/// Loads `bundle`'s objects into `repo` and proves them complete for
+/// `tips`: the only code that writes wire objects into a hosted
+/// repository, and the one safety ladder an import, a push and a replica
+/// round share. The bundle must be *anchored* (every basis commit already
+/// present), `put_raw` hash-checks every object, and the bundle must be
+/// *complete*: a walk from each tip finds its whole closure. A corrupt,
+/// truncated or garbled bundle fails here, before any ref moves.
+///
+/// The walk reads an object the bundle carries from the bundle's own
+/// bytes, which `put_raw` has just checked; only objects the bundle
+/// leaves out are read back from the store. Into a repository with refs
+/// (a push, a replica round) it hands each decoded object to the store
+/// as well, so a caching store keeps what the next reads of the moved
+/// refs want. A new repository's whole history would only crowd its
+/// cache, so there a blob needs only its `blob ` header. The walk stops
+/// at commits whose closures are complete already: `repo`'s current ref
+/// tips (a ref moves only after a successful load or a complete local
+/// write) and commits the commit-graph indexes (they were reachable at
+/// the last gc). That bounds the walk to the objects the bundle adds,
+/// even when a full bundle lands on a deep history. A basis commit is no
+/// stop of its own: a refused load leaves its objects behind, so being
+/// present proves nothing, and the walk from an honest sender's tips
+/// meets a ref tip before it gets that deep.
+pub(crate) fn load_bundle(
+    repo: &mut Repository,
+    bundle: &RepoBundle,
+    tips: &[ObjectId],
+) -> gitlite::Result<()> {
+    for &b in &bundle.basis {
+        if !repo.odb().contains(b) {
+            return Err(gitlite::GitError::ObjectNotFound(b));
+        }
+    }
+    let mut carried: HashMap<ObjectId, &[u8]> = HashMap::with_capacity(bundle.objects.len());
+    for (id, bytes) in &bundle.objects {
+        repo.odb_mut().put_raw(*id, bytes)?;
+        carried.insert(*id, bytes);
+    }
+    let prime = repo.branches().next().is_some();
+    let graph = repo.odb().commit_graph();
+    let mut seen: HashSet<ObjectId> = repo.branches().map(|(_, tip)| tip).collect();
+    let mut stack = tips.to_vec();
+    while let Some(id) = stack.pop() {
+        if !seen.insert(id) || graph.as_ref().is_some_and(|g| g.lookup(id).is_some()) {
+            continue;
+        }
+        let obj = match carried.get(&id) {
+            Some(bytes) if !prime && bytes.starts_with(b"blob ") => continue,
+            Some(bytes) => {
+                let obj = Arc::new(gitlite::codec::decode_object(bytes)?);
+                if prime {
+                    repo.odb_mut().put_with_id(id, Arc::clone(&obj));
+                }
+                obj
+            }
+            None => repo.odb().get(id)?, // ObjectNotFound if the bundle is short
+        };
+        match &*obj {
+            gitlite::Object::Commit(c) => {
+                stack.push(c.tree);
+                stack.extend_from_slice(&c.parents);
+            }
+            gitlite::Object::Tree(t) => stack.extend(t.iter().map(|(_, e)| e.id)),
+            gitlite::Object::Blob(_) => {}
+        }
+    }
+    Ok(())
+}
+
+/// Loads `bundle` into `repo` from **every** advertised tip and makes
+/// `repo`'s refs and HEAD its copy: the all-refs form of
+/// [`load_bundle`], behind a new repository (an import, a follower's
+/// bootstrap, [`RepoBundle::into_repository`]) and a replica round. There
+/// is no fast-forward rule: the bundle's frontier is authoritative, so
+/// refs are force-set, branches it lacks are deleted, and HEAD follows
+/// its `head` (or any surviving ref) without a checkout.
+pub(crate) fn mirror_bundle(repo: &mut Repository, bundle: &RepoBundle) -> gitlite::Result<()> {
+    let tips: Vec<ObjectId> = bundle.refs.iter().map(|(_, tip)| *tip).collect();
+    load_bundle(repo, bundle, &tips)?;
+    for (branch, tip) in &bundle.refs {
+        repo.set_branch(branch, *tip)?;
+    }
+    // Track the bundle's head (or any surviving ref) *before* pruning,
+    // so the branch being deleted is never HEAD's.
+    let head = bundle
+        .head
+        .clone()
+        .filter(|h| repo.has_branch(h))
+        .or_else(|| bundle.refs.first().map(|(b, _)| b.clone()));
+    if let Some(head) = head {
+        repo.set_head(&head)?;
+    }
+    if !bundle.refs.is_empty() {
+        let stale: Vec<String> = repo
+            .branches()
+            .map(|(b, _)| b.to_owned())
+            .filter(|b| !bundle.refs.iter().any(|(name, _)| name == b))
+            .collect();
+        for b in stale {
+            repo.delete_branch(&b)?;
+        }
+    }
+    Ok(())
 }
 
 /// Inline, `objects` is an array of `[id, hex bytes]` pairs; on the side

@@ -173,8 +173,10 @@ pub struct User {
     pub email: String,
 }
 
-/// A hosted repository. No write refreshes `repo`'s worktree and nothing
-/// reads it: reads go by commit, and merges and forks check out copies.
+/// A hosted repository. Nothing reads `repo`'s worktree, since reads go
+/// by commit, and imports, pushes, replica rounds and cite ops never fill
+/// it. Create, fork and merge leave one: each installs a repository
+/// citekit built with its worktree checked out.
 #[derive(Debug)]
 pub(crate) struct HostedRepo {
     repo: Repository,
@@ -1502,6 +1504,101 @@ mod tests {
         assert_eq!(report[0].repo_id, mem_repo);
         assert!(!report[0].supported);
         let _ = std::fs::remove_dir_all(&data_dir);
+    }
+
+    /// Imports, pushes, replica rounds and cite ops leave the hosted
+    /// worktree empty: only create, fork and merge install one. A full
+    /// push is the delta with an empty basis, so it leaves the state a
+    /// negotiated push of the same commits leaves, and it fails the way
+    /// a delta does: after the role check, logged as one `ok=false`
+    /// entry, its objects hashed under the repository's write lock.
+    #[test]
+    fn hosted_worktrees_stay_empty() {
+        use crate::client::{HubClient, InProcess};
+        let empty = |hub: &Hub, id: &str| hub.repo(id).unwrap().read().repo.worktree().is_empty();
+        let state = |hub: &Hub, id: &str| {
+            let cell = hub.repo(id).unwrap();
+            let hosted = cell.read();
+            (frontier(&hosted.repo), hosted.repo.odb().len())
+        };
+        let mut local = citekit::CitedRepo::init("P", "Ann", "https://elsewhere/P");
+        local.write_file(&path("a.txt"), &b"a\n"[..]).unwrap();
+        local
+            .commit(Signature::new("Ann", "a@x", 10), "files")
+            .unwrap();
+        let mut local = local.into_repository();
+        let mut hubs = Vec::new();
+        for _ in 0..2 {
+            let hub = Hub::new("https://hub.example");
+            hub.register_user("ann", "Ann").unwrap();
+            let ann = hub.login("ann").unwrap();
+            let id = hub.import_repo(&ann, "P", local.clone()).unwrap();
+            assert!(empty(&hub, &id), "import");
+            hubs.push((hub, ann, id));
+        }
+        local
+            .worktree_mut()
+            .write(&path("b.txt"), &b"b\n"[..])
+            .unwrap();
+        local
+            .commit(Signature::new("Ann", "a@x", 20), "more")
+            .unwrap();
+        let [(full, ann, id), (neg, neg_ann, neg_id)] = &hubs[..] else {
+            unreachable!()
+        };
+        HubClient::in_process(full)
+            .push_full(ann, id, "main", &local, "main", false)
+            .unwrap();
+        assert!(empty(full, id), "full push into HEAD's branch");
+        HubClient::in_process(neg)
+            .push_negotiated(neg_ann, neg_id, "main", &local, "main", false)
+            .unwrap();
+        assert!(empty(neg, neg_id), "negotiated push");
+        assert_eq!(state(full, id), state(neg, neg_id));
+
+        full.add_cite(ann, id, "main", &path("a.txt"), cite("A"))
+            .unwrap();
+        assert!(empty(full, id), "cite op");
+        let follower = Arc::new(Hub::new("https://follower.example"));
+        let engine =
+            crate::repl::Follower::new(Arc::clone(&follower), InProcess::new(full), "p:1", 30);
+        engine.sync_once().unwrap();
+        assert!(empty(&follower, id), "follower bootstrap");
+
+        // A corrupt full push: refused by role first, then by hash.
+        local
+            .worktree_mut()
+            .write(&path("c.txt"), &b"c\n"[..])
+            .unwrap();
+        local
+            .commit(Signature::new("Ann", "a@x", 30), "corrupt")
+            .unwrap();
+        let mut bundle = RepoBundle::from_branch(&local, "main").unwrap();
+        let tip = local.branch_tip("main").unwrap();
+        let (_, bytes) = bundle.objects.iter_mut().find(|(o, _)| *o == tip).unwrap();
+        *bytes.last_mut().unwrap() ^= 1;
+        full.register_user("rob", "Rob").unwrap();
+        let rob = full.login("rob").unwrap();
+        let push = |token: &Token| {
+            full.dispatch(ApiRequest::Push {
+                token: token.as_str().to_owned(),
+                repo_id: id.clone(),
+                branch: "main".into(),
+                force: false,
+                bundle: bundle.clone(),
+            })
+            .into_result()
+        };
+        assert!(matches!(push(&rob), Err(HubError::PermissionDenied(_))));
+        let logged = full.log.lock().events().len();
+        assert!(matches!(
+            push(ann),
+            Err(HubError::Git(e)) if e.to_string().contains("does not match its content")
+        ));
+        let log = full.log.lock();
+        let new: Vec<_> = log.events()[logged..].iter().collect();
+        assert_eq!(new.len(), 1);
+        assert_eq!((new[0].action.as_str(), new[0].ok), ("push", false));
     }
 
     #[test]

@@ -4,10 +4,9 @@
 //! its primary's through bundles, with no roles (every write redirects
 //! to the primary); only its log and deposits go through `Hub::apply`.
 
-use super::repos::load_bundle;
 use super::{frontier, Frontier, HostedRepo, Hub};
 use crate::api::{
-    ApiRequest, FollowerClass, PlacementInfo, ReplRepoStatus, ReplStatus, RepoBundle,
+    mirror_bundle, ApiRequest, FollowerClass, PlacementInfo, ReplRepoStatus, ReplStatus, RepoBundle,
 };
 use crate::error::{HubError, Result};
 use crate::placement::Placement;
@@ -100,7 +99,7 @@ impl Hub {
         match existing {
             Some(cell) => {
                 let mut hosted = cell.write();
-                apply_replica_bundle(&mut hosted.repo, bundle).map_err(HubError::Git)
+                mirror_bundle(&mut hosted.repo, bundle).map_err(HubError::Git)
             }
             None => {
                 if bundle.is_delta() {
@@ -108,9 +107,8 @@ impl Hub {
                         "delta bundle for a repository this replica does not hold ({repo_id})"
                     )));
                 }
-                let repo = bundle
-                    .into_repository((self.store_factory)())
-                    .map_err(HubError::Git)?;
+                let mut repo = Repository::init_with(bundle.name.clone(), (self.store_factory)());
+                mirror_bundle(&mut repo, bundle).map_err(HubError::Git)?;
                 let hosted = HostedRepo::new(repo, BTreeMap::new());
                 let cell = Arc::new(RwLock::new(hosted));
                 self.repos.write().insert(repo_id.to_owned(), cell);
@@ -193,40 +191,4 @@ impl Hub {
             },
         }
     }
-}
-
-/// Applies a replication bundle onto the local replica of a repository:
-/// the multi-ref sibling of a negotiated push. [`load_bundle`] walks
-/// from **every** advertised tip, so a corrupt, truncated or garbled
-/// bundle fails the whole application without leaving partial state.
-/// Unlike a push there is no fast-forward rule: the primary's frontier
-/// is authoritative, so refs are force-set, branches deleted upstream
-/// are deleted here, and HEAD follows the primary's (no checkout).
-fn apply_replica_bundle(repo: &mut Repository, bundle: &RepoBundle) -> gitlite::Result<()> {
-    let tips: Vec<ObjectId> = bundle.refs.iter().map(|(_, tip)| *tip).collect();
-    load_bundle(repo, bundle, &tips)?;
-    for (branch, tip) in &bundle.refs {
-        repo.set_branch(branch, *tip)?;
-    }
-    // Track the primary's head (or any surviving ref) *before* pruning,
-    // so the branch being deleted is never HEAD's.
-    let head = bundle
-        .head
-        .clone()
-        .filter(|h| repo.has_branch(h))
-        .or_else(|| bundle.refs.first().map(|(b, _)| b.clone()));
-    if let Some(head) = head {
-        repo.set_head(&head)?;
-    }
-    if !bundle.refs.is_empty() {
-        let stale: Vec<String> = repo
-            .branches()
-            .map(|(b, _)| b.to_owned())
-            .filter(|b| !bundle.refs.iter().any(|(name, _)| name == b))
-            .collect();
-        for b in stale {
-            repo.delete_branch(&b)?;
-        }
-    }
-    Ok(())
 }

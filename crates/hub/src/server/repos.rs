@@ -3,8 +3,8 @@
 
 use super::{frontier, ref_moves, unexpected, Held, Hub, Token};
 use crate::api::{
-    walk_pages, ApiRequest, ApiResponse, Negotiation, Page, RepoBundle, DEFAULT_PAGE_SIZE,
-    MAX_PAGE_SIZE,
+    load_bundle, mirror_bundle, walk_pages, ApiRequest, ApiResponse, Negotiation, Page, RepoBundle,
+    DEFAULT_PAGE_SIZE, MAX_PAGE_SIZE,
 };
 use crate::audit::Record;
 use crate::error::{HubError, Result};
@@ -202,11 +202,10 @@ impl Hub {
                 "import requires a full bundle (delta bundles are push-only)".into(),
             ));
         }
-        // Quota check before any object is materialized or any lock held.
+        // Quota check before any object is loaded or any lock held.
         let size = self.check_bundle_quota(&user.username, &repo_id, false, bundle)?;
-        let rehomed = bundle
-            .into_repository((self.store_factory)())
-            .map_err(HubError::Git)?;
+        let mut rehomed = Repository::init_with(bundle.name.clone(), (self.store_factory)());
+        mirror_bundle(&mut rehomed, bundle).map_err(HubError::Git)?;
         rehomed.head_commit().map_err(HubError::Git)?; // must have content
         let ts = self.tick();
         self.host(ts, &user, "import_repo", &repo_id, rehomed)?;
@@ -368,37 +367,23 @@ impl Hub {
         bundle: &RepoBundle,
     ) -> Result<ObjectId> {
         let user = self.auth(token)?;
-        let src_branch = bundle
-            .head
-            .clone()
-            .or_else(|| bundle.refs.first().map(|(b, _)| b.clone()))
+        let new_tip = bundle
+            .refs
+            .iter()
+            .find(|(b, _)| bundle.head.as_ref() == Some(b))
+            .or_else(|| bundle.refs.first())
+            .map(|(_, tip)| *tip)
             .ok_or_else(|| HubError::BadRequest("push bundle carries no ref".into()))?;
-        // Quota check before materialization: an oversized bundle is
-        // refused on its declared byte count alone, costing the server
-        // nothing but the summation.
+        // Quota check before the lock: an oversized bundle is refused on
+        // its declared byte count alone, costing the server nothing but
+        // the summation.
         let size = self.check_bundle_quota(&user.username, repo_id, true, bundle)?;
-        // Materialize a full bundle (hash-verifying its whole closure)
-        // *before* taking the repository's write lock — readers of this
-        // repo must only stall for the ref update, not the verification.
-        // A delta is O(new objects) and needs the hosted store anyway.
-        let src = match bundle.is_delta() {
-            true => None,
-            false => Some(
-                bundle
-                    .into_repository(Box::new(gitlite::MemStore::new()))
-                    .map_err(HubError::Git)?,
-            ),
-        };
         self.write_repo(&user, repo_id, "push", Action::Write, |hosted, _, ok| {
             let before = frontier(&hosted.repo);
-            let tip = match &src {
-                Some(src) => gitlite::push(src, &mut hosted.repo, &src_branch, branch, force),
-                None => apply_delta_push(&mut hosted.repo, &src_branch, branch, force, bundle),
-            }
-            .map_err(HubError::Git)?;
+            apply_push(&mut hosted.repo, branch, new_tip, force, bundle).map_err(HubError::Git)?;
             self.account_repo_bytes(repo_id, size);
             self.apply(ok, ref_moves(repo_id, &before, &hosted.repo), Held::None)?;
-            Ok(tip)
+            Ok(new_tip)
         })
     }
 
@@ -435,25 +420,20 @@ fn parse_log_cursor(c: &str) -> Result<(ObjectId, usize)> {
         .ok_or_else(|| HubError::BadRequest(format!("invalid log cursor {c:?}")))
 }
 
-/// Applies a negotiated delta bundle onto the hosted repository: the
-/// server-side half of the have/want exchange. The ref rules of
-/// [`gitlite::push`], minus its checkout; [`load_bundle`] proves the delta
-/// anchored and complete, so a lying or stale client can make the push
-/// fail but never leave the branch pointing into a hole.
-fn apply_delta_push(
+/// Moves `dst_branch` of the hosted repository to `new_tip`, which
+/// `bundle` carries: fast-forward unless `force`, and HEAD stays on a
+/// branch that moved, with no checkout. A full bundle is the delta with
+/// an empty basis, so both go through [`load_bundle`]: it proves the
+/// bundle anchored and complete, walking only down to `repo`'s ref tips,
+/// so a lying or stale client can make the push fail but never leave the
+/// branch pointing into a hole.
+fn apply_push(
     repo: &mut Repository,
-    src_branch: &str,
     dst_branch: &str,
+    new_tip: ObjectId,
     force: bool,
     bundle: &RepoBundle,
-) -> gitlite::Result<ObjectId> {
-    let new_tip = bundle
-        .refs
-        .iter()
-        .find(|(b, _)| b == src_branch)
-        .or_else(|| bundle.refs.first())
-        .map(|(_, tip)| *tip)
-        .ok_or(gitlite::GitError::BranchNotFound(src_branch.to_owned()))?;
+) -> gitlite::Result<()> {
     load_bundle(repo, bundle, &[new_tip])?;
     if let Ok(old_tip) = repo.branch_tip(dst_branch) {
         if !repo.is_ancestor(old_tip, new_tip)? && !force {
@@ -465,59 +445,6 @@ fn apply_delta_push(
     repo.set_branch(dst_branch, new_tip)?;
     if repo.current_branch() == Some(dst_branch) {
         repo.set_head(dst_branch)?;
-    }
-    Ok(new_tip)
-}
-
-/// Loads a bundle's objects into `repo` and proves them complete for
-/// `tips`, the one safety ladder a negotiated push and a replica apply
-/// share. The bundle must be *anchored* (every basis commit already
-/// present), `put_raw` hash-verifies every object, and the bundle must be
-/// *complete*: a walk from each tip finds its whole closure, stopping at
-/// basis commits (complete by the first check) and at commits the
-/// commit-graph indexes (they were reachable at the last gc, so their
-/// closures are complete too — this bounds the walk to roughly the
-/// bundle even when the sender's have sample was sparse). A corrupt,
-/// truncated or garbled bundle fails here, before any ref moves.
-pub(super) fn load_bundle(
-    repo: &mut Repository,
-    bundle: &RepoBundle,
-    tips: &[ObjectId],
-) -> gitlite::Result<()> {
-    for &b in &bundle.basis {
-        if !repo.odb().contains(b) {
-            return Err(gitlite::GitError::ObjectNotFound(b));
-        }
-    }
-    for (id, bytes) in &bundle.objects {
-        repo.odb_mut().put_raw(*id, bytes)?;
-    }
-    let mut seen: HashSet<ObjectId> = bundle.basis.iter().copied().collect();
-    let mut stack = tips.to_vec();
-    while let Some(id) = stack.pop() {
-        if !seen.insert(id) {
-            continue;
-        }
-        if repo
-            .odb()
-            .commit_graph()
-            .is_some_and(|g| g.lookup(id).is_some())
-        {
-            continue;
-        }
-        let obj = repo.odb().get(id)?; // ObjectNotFound if the bundle is short
-        match &*obj {
-            gitlite::Object::Commit(c) => {
-                stack.push(c.tree);
-                stack.extend_from_slice(&c.parents);
-            }
-            gitlite::Object::Tree(t) => {
-                for (_, e) in t.iter() {
-                    stack.push(e.id);
-                }
-            }
-            gitlite::Object::Blob(_) => {}
-        }
     }
     Ok(())
 }

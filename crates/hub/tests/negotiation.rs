@@ -270,6 +270,135 @@ fn short_delta_fails_connectivity_not_corruption() {
     assert_eq!(hub.log(&repo_id, "main").unwrap().len(), 6);
 }
 
+/// Serves `primary`, minus `victim` in every bundle it answers.
+struct Holed<'h> {
+    primary: &'h Hub,
+    victim: ObjectId,
+}
+
+impl hub::Transport for Holed<'_> {
+    fn send(&self, request: &str) -> String {
+        self.primary.handle_wire(request)
+    }
+
+    fn exchange(&self, request: &hub::ApiRequest) -> hub::ApiResponse {
+        match self.primary.dispatch(request.clone()) {
+            hub::ApiResponse::Bundle(mut bundle) => {
+                bundle.objects.retain(|(id, _)| *id != self.victim);
+                hub::ApiResponse::Bundle(bundle)
+            }
+            other => other,
+        }
+    }
+}
+
+/// A full bundle missing the tree of a commit below its tip lands
+/// nowhere: not as an import, not as a full push, not as a follower's
+/// bootstrap. Each would leave a ref whose history cannot be read.
+#[test]
+fn holed_full_bundles_are_refused_everywhere() {
+    let (hub, token, repo_id, mut local) = seeded(3);
+    let old_tip = hub.log(&repo_id, "main").unwrap()[0].id;
+    advance(&mut local, 3, 2_000);
+    let chain = local
+        .first_parent_chain(local.branch_tip("main").unwrap())
+        .unwrap();
+    // The middle new commit's tree: above the hosted tip, below the new one.
+    let victim = local.tree_of(chain[1]).unwrap();
+    let mut holed = RepoBundle::from_branch(&local, "main").unwrap();
+    assert!(!holed.is_delta());
+    holed.objects.retain(|(id, _)| *id != victim);
+    let refused = |resp: hub::ApiResponse| {
+        matches!(
+            resp.into_result(),
+            Err(HubError::Git(gitlite::GitError::ObjectNotFound(id))) if id == victim
+        )
+    };
+
+    // An import creates no repository.
+    let import = hub.dispatch(hub::ApiRequest::ImportRepo {
+        token: token.as_str().to_owned(),
+        name: "holed".into(),
+        bundle: holed.clone(),
+    });
+    assert!(refused(import));
+    assert!(!hub.list_repos().contains(&"ann/holed".to_owned()));
+
+    // A full push leaves the branch where it was.
+    let push = hub.dispatch(hub::ApiRequest::Push {
+        token: token.as_str().to_owned(),
+        repo_id: repo_id.clone(),
+        branch: "main".into(),
+        force: false,
+        bundle: holed,
+    });
+    assert!(refused(push));
+    assert_eq!(hub.log(&repo_id, "main").unwrap()[0].id, old_tip);
+
+    // A follower bootstrapping from a primary that serves the hole holds
+    // no repository afterwards.
+    let primary = Hub::new("https://p");
+    primary.register_user("ann", "Ann").unwrap();
+    let owner = primary.login("ann").unwrap();
+    let primary_id = primary.import_repo(&owner, "p", local.clone()).unwrap();
+    let follower = std::sync::Arc::new(Hub::new("https://f"));
+    let engine = hub::Follower::new(
+        std::sync::Arc::clone(&follower),
+        Holed {
+            primary: &primary,
+            victim,
+        },
+        "primary.local:1",
+        30,
+    );
+    assert!(matches!(
+        engine.sync_once(),
+        Err(HubError::Git(gitlite::GitError::ObjectNotFound(id))) if id == victim
+    ));
+    let status = HubClient::in_process(&follower).repl_status().unwrap();
+    assert!(status.repos.is_empty(), "follower holds {:?}", status.repos);
+    assert!(primary.clone_repo(&primary_id).is_ok());
+}
+
+/// A refused push leaves its objects in the store. A delta that names
+/// one of them as its basis is still proved complete, not trusted.
+#[test]
+fn basis_left_by_a_refused_push_is_walked_not_trusted() {
+    let (hub, token, repo_id, mut local) = seeded(3);
+    let old_tip = hub.log(&repo_id, "main").unwrap()[0].id;
+    advance(&mut local, 3, 2_000);
+    let chain = local
+        .first_parent_chain(local.branch_tip("main").unwrap())
+        .unwrap();
+    let victim = local.tree_of(chain[1]).unwrap();
+    let mut holed = RepoBundle::from_branch(&local, "main").unwrap();
+    holed.objects.retain(|(id, _)| *id != victim);
+    let push = |bundle: RepoBundle| {
+        hub.dispatch(hub::ApiRequest::Push {
+            token: token.as_str().to_owned(),
+            repo_id: repo_id.clone(),
+            branch: "main".into(),
+            force: false,
+            bundle,
+        })
+        .into_result()
+    };
+    let refused = |r: hub::Result<hub::ApiResponse>| {
+        matches!(
+            r,
+            Err(HubError::Git(gitlite::GitError::ObjectNotFound(id))) if id == victim
+        )
+    };
+    assert!(refused(push(holed)));
+    // The refused tip is in the store now; a delta claims it as basis.
+    let common = HashSet::from([chain[0]]);
+    let delta = RepoBundle::delta_from_branch(&local, "main", &common).unwrap();
+    assert_eq!(delta.basis, vec![chain[0]]);
+    assert!(refused(push(delta)));
+    assert_eq!(hub.log(&repo_id, "main").unwrap()[0].id, old_tip);
+    assert!(hub.clone_repo(&repo_id).is_ok());
+}
+
 #[test]
 fn delta_bundles_cannot_import_or_materialize() {
     let (hub, token, _, mut local) = seeded(3);
