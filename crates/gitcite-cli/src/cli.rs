@@ -886,9 +886,7 @@ fn is_loopback_bind(addr: &str) -> bool {
 }
 
 fn cmd_hub_serve(p: &Parsed) -> Result<String> {
-    // `--bind` is the documented spelling; `--addr` stays as an alias
-    // for scripts written against earlier releases.
-    let addr = match p.flag("bind").or_else(|| p.flag("addr")) {
+    let addr = match p.flag("bind") {
         Some(addr) => addr,
         None => return Err(CliError::Usage("missing required flag --bind".into())),
     };

@@ -23,7 +23,7 @@
 //! * **Merges** — merge-base selection and three-way merge with diff3
 //!   conflict markers ([`mergebase`], [`merge`]), with an exclusion hook so
 //!   `citation.cite` is never text-merged.
-//! * **Remotes** — clone / fetch / push between repositories ([`remote`]).
+//! * **Remotes** — clone and push between repositories ([`remote`]).
 //!
 //! ```
 //! use gitlite::{Repository, Signature, path};
@@ -70,7 +70,7 @@ pub use pack::{
     MaintenanceReport, Pack, PackIndex, PackStore, MAX_DELTA_DEPTH, PACK_DIR,
 };
 pub use path::{path, PathError, RepoPath};
-pub use remote::{clone_repository, clone_repository_into, fetch, push, transfer_objects};
+pub use remote::{clone_repository, clone_repository_into, push, transfer_objects};
 pub use repo::{Head, Repository, DEFAULT_BRANCH};
 pub use snapshot::{
     flatten_tree, read_tree, resolve_path, tree_directories, write_tree, write_tree_from_listing,

@@ -1,4 +1,4 @@
-//! Repository-to-repository object transfer: clone, fetch and push.
+//! Repository-to-repository object transfer: clone and push.
 //!
 //! These are the primitives under the paper's hosted-platform operations:
 //! `ForkCite` clones a repository with its history; the local tool's final
@@ -14,7 +14,7 @@ use std::collections::HashSet;
 /// Copies every object reachable from `roots` that `dst` is missing.
 /// Returns how many objects were transferred. Traversal stops at objects
 /// the destination already has (their closures are complete by
-/// construction), which is what makes incremental fetch cheap.
+/// construction), which is what makes incremental transfers cheap.
 ///
 /// The whole batch is inserted in one [`ObjectStore::put_many`] call, so
 /// backends amortize per-insert overhead; and because the traversal
@@ -82,14 +82,6 @@ pub fn clone_repository_into(
         dst.checkout_branch(&b)?;
     }
     Ok(dst)
-}
-
-/// Fetches `branch` from `src` into `dst`'s object store (no ref update).
-/// Returns the fetched tip.
-pub fn fetch(dst: &mut Repository, src: &Repository, branch: &str) -> Result<ObjectId> {
-    let tip = src.branch_tip(branch)?;
-    transfer_objects(src.odb(), dst.odb_mut(), &[tip])?;
-    Ok(tip)
 }
 
 /// Pushes `src_branch` of `src` to `dst_branch` of `dst`.
@@ -187,14 +179,18 @@ mod tests {
     }
 
     #[test]
-    fn fetch_transfers_missing_objects_only() {
+    fn transfer_copies_missing_objects_only() {
         let src = seeded_repo();
         let mut dst = Repository::init("local");
-        let tip = fetch(&mut dst, &src, "main").unwrap();
+        let tip = src.branch_tip("main").unwrap();
+        assert!(transfer_objects(src.odb(), dst.odb_mut(), &[tip]).unwrap() > 0);
         assert!(dst.odb().contains(tip));
-        // Second fetch transfers nothing new.
+        // A second transfer moves nothing new.
         let before = dst.odb().len();
-        fetch(&mut dst, &src, "main").unwrap();
+        assert_eq!(
+            transfer_objects(src.odb(), dst.odb_mut(), &[tip]).unwrap(),
+            0
+        );
         assert_eq!(dst.odb().len(), before);
     }
 

@@ -7,18 +7,34 @@
 //! in-repo simulation (the browser extension drives the hub through it);
 //! a socket or HTTP transport slots in behind the same one-method trait
 //! without touching any client logic.
+//!
+//! # Typed surface
+//!
+//! The typed methods come from the `wrappers!` rows in [`crate::server`]:
+//! each row declares one method for both [`Hub`] and [`HubClient`], with
+//! the same signature, request and response shape. What is written here
+//! by hand is where the two types deliberately differ:
+//!
+//! - `push` negotiates and falls back to a full push; `push_negotiated`,
+//!   `push_full` and `sync` have no `Hub` form (`Hub::push` sends a full
+//!   bundle);
+//! - `import_repo` borrows its repository, where `Hub`'s takes it by
+//!   value;
+//! - `revoke`, `archive_visits`, `find_repos_citing`, `list_repos` and
+//!   `audit_log` return a `Result`, where `Hub`'s forms do not;
+//! - `batch`, `repl_status`, `repl_fetch` and `placement` are client-only.
+//!
+//! `log` (a page walk), `clone_repo` (a bundle load) and `resolve_swhid`
+//! (a two-field shape) do more than a row can, so both types write them
+//! by hand, with the same signature.
 
 use crate::api::{
-    walk_pages, ApiRequest, ApiResponse, ErrorCode, MergeSummary, MetricsSnapshot, Negotiation,
-    Page, PlacementInfo, ReplStatus, RepoBundle, RepoMaintenance, StoreStats,
+    walk_pages, ApiRequest, ApiResponse, ErrorCode, PlacementInfo, ReplStatus, RepoBundle,
 };
 use crate::audit::AuditEvent;
 use crate::error::{HubError, Result};
-use crate::heritage::{ArchiveReport, SwhKind};
-use crate::perm::Role;
-use crate::server::{Hub, LogEntry, Token, User};
-use crate::zenodo::Deposit;
-use citekit::{Citation, MergeStrategy};
+use crate::heritage::SwhKind;
+use crate::server::{unexpected, Hub, LogEntry, Token};
 use gitlite::{ObjectId, RepoPath, Repository};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -104,8 +120,10 @@ impl Default for RetryPolicy {
     }
 }
 
-/// A typed client over the wire protocol. Method-for-method equivalent to
-/// the hub's typed surface, but every call crosses the protocol boundary.
+/// A typed client over the wire protocol. Its typed methods are [`Hub`]'s,
+/// generated from the same `wrappers!` rows, but every call crosses the
+/// protocol boundary through [`HubClient::call`]; the module doc lists
+/// where the two differ.
 pub struct HubClient<T> {
     transport: T,
     retry: RetryPolicy,
@@ -180,73 +198,11 @@ impl<T: Transport> HubClient<T> {
                 "batch response has {} items for {expected} requests",
                 responses.len()
             ))),
-            other => Err(shape(&other)),
+            other => Err(unexpected(&other)),
         }
     }
 
     // ----- users & auth ------------------------------------------------------
-
-    /// Registers a user with no login secret (open account).
-    pub fn register_user(&self, username: &str, display_name: &str) -> Result<()> {
-        match self.call(ApiRequest::RegisterUser {
-            username: username.to_owned(),
-            display_name: display_name.to_owned(),
-            secret: None,
-        })? {
-            ApiResponse::Unit => Ok(()),
-            other => Err(shape(&other)),
-        }
-    }
-
-    /// Registers a user whose logins must present `secret`.
-    pub fn register_user_with_secret(
-        &self,
-        username: &str,
-        display_name: &str,
-        secret: &str,
-    ) -> Result<()> {
-        match self.call(ApiRequest::RegisterUser {
-            username: username.to_owned(),
-            display_name: display_name.to_owned(),
-            secret: Some(secret.to_owned()),
-        })? {
-            ApiResponse::Unit => Ok(()),
-            other => Err(shape(&other)),
-        }
-    }
-
-    /// Obtains a personal-access token.
-    pub fn login(&self, username: &str) -> Result<Token> {
-        match self.call(ApiRequest::Login {
-            username: username.to_owned(),
-            secret: None,
-        })? {
-            ApiResponse::Token(t) => Ok(Token::new(t)),
-            other => Err(shape(&other)),
-        }
-    }
-
-    /// Obtains a personal-access token for a secret-protected account.
-    pub fn login_with_secret(&self, username: &str, secret: &str) -> Result<Token> {
-        match self.call(ApiRequest::Login {
-            username: username.to_owned(),
-            secret: Some(secret.to_owned()),
-        })? {
-            ApiResponse::Token(t) => Ok(Token::new(t)),
-            other => Err(shape(&other)),
-        }
-    }
-
-    /// Exchanges a token (possibly expired) for a fresh one, revoking the
-    /// old.
-    pub fn refresh(&self, token: &Token) -> Result<Token> {
-        match self.call(ApiRequest::Refresh {
-            token: token.as_str().to_owned(),
-        })? {
-            ApiResponse::Token(t) => Ok(Token::new(t)),
-            other => Err(shape(&other)),
-        }
-    }
 
     /// Revokes a token.
     pub fn revoke(&self, token: &Token) -> Result<()> {
@@ -254,84 +210,23 @@ impl<T: Transport> HubClient<T> {
             token: token.as_str().to_owned(),
         })? {
             ApiResponse::Unit => Ok(()),
-            other => Err(shape(&other)),
+            other => Err(unexpected(&other)),
         }
     }
 
-    /// Resolves a token to its user.
-    pub fn whoami(&self, token: &Token) -> Result<User> {
-        match self.call(ApiRequest::Whoami {
-            token: token.as_str().to_owned(),
-        })? {
-            ApiResponse::User(u) => Ok(u),
-            other => Err(shape(&other)),
-        }
-    }
+    // ----- repositories & reads ----------------------------------------------
 
-    // ----- repositories ------------------------------------------------------
-
-    /// Creates a repository; returns its id.
-    pub fn create_repo(&self, token: &Token, name: &str) -> Result<String> {
-        match self.call(ApiRequest::CreateRepo {
-            token: token.as_str().to_owned(),
-            name: name.to_owned(),
-        })? {
-            ApiResponse::Id(id) => Ok(id),
-            other => Err(shape(&other)),
-        }
-    }
-
-    /// Imports an existing repository; returns its id.
+    /// Imports an existing repository; returns its id. Borrows `repo`,
+    /// where [`Hub::import_repo`] takes it by value.
     pub fn import_repo(&self, token: &Token, name: &str, repo: &Repository) -> Result<String> {
-        let bundle = crate::api::RepoBundle::from_repository(repo).map_err(HubError::Git)?;
+        let bundle = RepoBundle::from_repository(repo).map_err(HubError::Git)?;
         match self.call(ApiRequest::ImportRepo {
             token: token.as_str().to_owned(),
             name: name.to_owned(),
             bundle,
         })? {
             ApiResponse::Id(id) => Ok(id),
-            other => Err(shape(&other)),
-        }
-    }
-
-    /// Grants a role (owner only).
-    pub fn add_member(
-        &self,
-        token: &Token,
-        repo_id: &str,
-        username: &str,
-        role: Role,
-    ) -> Result<()> {
-        match self.call(ApiRequest::AddMember {
-            token: token.as_str().to_owned(),
-            repo_id: repo_id.to_owned(),
-            username: username.to_owned(),
-            role,
-        })? {
-            ApiResponse::Unit => Ok(()),
-            other => Err(shape(&other)),
-        }
-    }
-
-    /// The role a user holds on a repository.
-    pub fn role_of(&self, repo_id: &str, username: &str) -> Result<Option<Role>> {
-        match self.call(ApiRequest::RoleOf {
-            repo_id: repo_id.to_owned(),
-            username: username.to_owned(),
-        })? {
-            ApiResponse::RoleOpt(r) => Ok(r),
-            other => Err(shape(&other)),
-        }
-    }
-
-    /// Whether the token's user may modify citations on the repository.
-    pub fn can_write(&self, token: &Token, repo_id: &str) -> Result<bool> {
-        match self.call(ApiRequest::CanWrite {
-            token: token.as_str().to_owned(),
-            repo_id: repo_id.to_owned(),
-        })? {
-            ApiResponse::Bool(b) => Ok(b),
-            other => Err(shape(&other)),
+            other => Err(unexpected(&other)),
         }
     }
 
@@ -340,108 +235,11 @@ impl<T: Transport> HubClient<T> {
         walk_pages(|cursor, limit| self.list_repos_page(cursor, limit))
     }
 
-    // ----- public reads ------------------------------------------------------
-
-    /// Branch names.
-    pub fn branches(&self, repo_id: &str) -> Result<Vec<String>> {
-        match self.call(ApiRequest::Branches {
-            repo_id: repo_id.to_owned(),
-        })? {
-            ApiResponse::Names(names) => Ok(names),
-            other => Err(shape(&other)),
-        }
-    }
-
-    /// File paths at a branch tip.
-    pub fn list_files(&self, repo_id: &str, branch: &str) -> Result<Vec<RepoPath>> {
-        match self.call(ApiRequest::ListFiles {
-            repo_id: repo_id.to_owned(),
-            branch: branch.to_owned(),
-        })? {
-            ApiResponse::Paths(paths) => Ok(paths),
-            other => Err(shape(&other)),
-        }
-    }
-
-    /// One file's bytes at a branch tip.
-    pub fn read_file(&self, repo_id: &str, branch: &str, path: &RepoPath) -> Result<Vec<u8>> {
-        match self.call(ApiRequest::ReadFile {
-            repo_id: repo_id.to_owned(),
-            branch: branch.to_owned(),
-            path: path.clone(),
-        })? {
-            ApiResponse::FileData(data) => Ok(data),
-            other => Err(shape(&other)),
-        }
-    }
-
     /// Commit log of a branch, newest first, walked page by page — one
     /// round trip per [`crate::api::MAX_PAGE_SIZE`] entries; prefer
     /// [`HubClient::log_page`] when only the recent history is shown.
     pub fn log(&self, repo_id: &str, branch: &str) -> Result<Vec<LogEntry>> {
         walk_pages(|cursor, limit| self.log_page(repo_id, branch, cursor, limit))
-    }
-
-    /// One page of a branch's log: pass `None` to start at the tip, then
-    /// the returned `next` cursor to continue.
-    pub fn log_page(
-        &self,
-        repo_id: &str,
-        branch: &str,
-        cursor: Option<&str>,
-        limit: Option<u32>,
-    ) -> Result<Page<LogEntry>> {
-        match self.call(ApiRequest::LogPage {
-            repo_id: repo_id.to_owned(),
-            branch: branch.to_owned(),
-            cursor: cursor.map(str::to_owned),
-            limit,
-        })? {
-            ApiResponse::LogPage(page) => Ok(page),
-            other => Err(shape(&other)),
-        }
-    }
-
-    /// One page of the repository listing, ordered by id.
-    pub fn list_repos_page(
-        &self,
-        cursor: Option<&str>,
-        limit: Option<u32>,
-    ) -> Result<Page<String>> {
-        match self.call(ApiRequest::ListReposPage {
-            cursor: cursor.map(str::to_owned),
-            limit,
-        })? {
-            ApiResponse::NamesPage(page) => Ok(page),
-            other => Err(shape(&other)),
-        }
-    }
-
-    /// One page of the audit log, oldest first.
-    pub fn audit_log_page(
-        &self,
-        cursor: Option<&str>,
-        limit: Option<u32>,
-    ) -> Result<Page<AuditEvent>> {
-        match self.call(ApiRequest::AuditLogPage {
-            cursor: cursor.map(str::to_owned),
-            limit,
-        })? {
-            ApiResponse::AuditPage(page) => Ok(page),
-            other => Err(shape(&other)),
-        }
-    }
-
-    /// Asks the server which of `haves` it already holds reachable from
-    /// the repository's refs.
-    pub fn negotiate(&self, repo_id: &str, haves: &[ObjectId]) -> Result<Negotiation> {
-        match self.call(ApiRequest::Negotiate {
-            repo_id: repo_id.to_owned(),
-            haves: haves.to_vec(),
-        })? {
-            ApiResponse::Negotiation(n) => Ok(n),
-            other => Err(shape(&other)),
-        }
     }
 
     /// Clones a hosted repository over the wire into a fresh in-memory
@@ -453,104 +251,7 @@ impl<T: Transport> HubClient<T> {
             ApiResponse::Bundle(bundle) => bundle
                 .into_repository(Box::new(gitlite::MemStore::new()))
                 .map_err(HubError::Git),
-            other => Err(shape(&other)),
-        }
-    }
-
-    // ----- citations ---------------------------------------------------------
-
-    /// `GenCite` for a node at a branch tip (anonymous).
-    pub fn generate_citation(
-        &self,
-        repo_id: &str,
-        branch: &str,
-        path: &RepoPath,
-    ) -> Result<Citation> {
-        match self.call(ApiRequest::GenerateCitation {
-            repo_id: repo_id.to_owned(),
-            branch: branch.to_owned(),
-            path: path.clone(),
-        })? {
-            ApiResponse::Citation(c) => Ok(c),
-            other => Err(shape(&other)),
-        }
-    }
-
-    /// The explicit citation entry at a path, if any.
-    pub fn citation_entry(
-        &self,
-        repo_id: &str,
-        branch: &str,
-        path: &RepoPath,
-    ) -> Result<Option<Citation>> {
-        match self.call(ApiRequest::CitationEntry {
-            repo_id: repo_id.to_owned(),
-            branch: branch.to_owned(),
-            path: path.clone(),
-        })? {
-            ApiResponse::CitationOpt(c) => Ok(c),
-            other => Err(shape(&other)),
-        }
-    }
-
-    /// `AddCite` on the remote repository (member+).
-    pub fn add_cite(
-        &self,
-        token: &Token,
-        repo_id: &str,
-        branch: &str,
-        path: &RepoPath,
-        citation: Citation,
-    ) -> Result<ObjectId> {
-        match self.call(ApiRequest::AddCite {
-            token: token.as_str().to_owned(),
-            repo_id: repo_id.to_owned(),
-            branch: branch.to_owned(),
-            path: path.clone(),
-            citation,
-        })? {
-            ApiResponse::Commit(id) => Ok(id),
-            other => Err(shape(&other)),
-        }
-    }
-
-    /// `ModifyCite` on the remote repository (member+).
-    pub fn modify_cite(
-        &self,
-        token: &Token,
-        repo_id: &str,
-        branch: &str,
-        path: &RepoPath,
-        citation: Citation,
-    ) -> Result<ObjectId> {
-        match self.call(ApiRequest::ModifyCite {
-            token: token.as_str().to_owned(),
-            repo_id: repo_id.to_owned(),
-            branch: branch.to_owned(),
-            path: path.clone(),
-            citation,
-        })? {
-            ApiResponse::Commit(id) => Ok(id),
-            other => Err(shape(&other)),
-        }
-    }
-
-    /// `DelCite` on the remote repository (member+).
-    pub fn del_cite(
-        &self,
-        token: &Token,
-        repo_id: &str,
-        branch: &str,
-        path: &RepoPath,
-    ) -> Result<ObjectId> {
-        match self.call(ApiRequest::DelCite {
-            token: token.as_str().to_owned(),
-            repo_id: repo_id.to_owned(),
-            branch: branch.to_owned(),
-            path: path.clone(),
-        })? {
-            ApiResponse::Commit(id) => Ok(id),
-            other => Err(shape(&other)),
+            other => Err(unexpected(&other)),
         }
     }
 
@@ -598,16 +299,7 @@ impl<T: Transport> HubClient<T> {
         let common: HashSet<ObjectId> = reply.common.into_iter().collect();
         let bundle =
             RepoBundle::delta_from_branch(local, local_branch, &common).map_err(HubError::Git)?;
-        match self.call(ApiRequest::Push {
-            token: token.as_str().to_owned(),
-            repo_id: repo_id.to_owned(),
-            branch: branch.to_owned(),
-            force,
-            bundle,
-        })? {
-            ApiResponse::Commit(id) => Ok(id),
-            other => Err(shape(&other)),
-        }
+        self.send_push(token, repo_id, branch, force, bundle)
     }
 
     /// The full push: ships the whole closure of the branch in one bundle.
@@ -621,6 +313,18 @@ impl<T: Transport> HubClient<T> {
         force: bool,
     ) -> Result<ObjectId> {
         let bundle = RepoBundle::from_branch(local, local_branch).map_err(HubError::Git)?;
+        self.send_push(token, repo_id, branch, force, bundle)
+    }
+
+    /// Sends one push request carrying `bundle`.
+    fn send_push(
+        &self,
+        token: &Token,
+        repo_id: &str,
+        branch: &str,
+        force: bool,
+        bundle: RepoBundle,
+    ) -> Result<ObjectId> {
         match self.call(ApiRequest::Push {
             token: token.as_str().to_owned(),
             repo_id: repo_id.to_owned(),
@@ -629,7 +333,7 @@ impl<T: Transport> HubClient<T> {
             bundle,
         })? {
             ApiResponse::Commit(id) => Ok(id),
-            other => Err(shape(&other)),
+            other => Err(unexpected(&other)),
         }
     }
 
@@ -668,79 +372,7 @@ impl<T: Transport> HubClient<T> {
         }
     }
 
-    /// Forks a repository under the token's user.
-    pub fn fork(&self, token: &Token, src_repo_id: &str, new_name: &str) -> Result<String> {
-        match self.call(ApiRequest::Fork {
-            token: token.as_str().to_owned(),
-            src_repo_id: src_repo_id.to_owned(),
-            new_name: new_name.to_owned(),
-        })? {
-            ApiResponse::Id(id) => Ok(id),
-            other => Err(shape(&other)),
-        }
-    }
-
-    /// Server-side `MergeCite`.
-    pub fn merge_branches(
-        &self,
-        token: &Token,
-        repo_id: &str,
-        branch: &str,
-        other_branch: &str,
-        strategy: MergeStrategy,
-    ) -> Result<MergeSummary> {
-        match self.call(ApiRequest::MergeBranches {
-            token: token.as_str().to_owned(),
-            repo_id: repo_id.to_owned(),
-            branch: branch.to_owned(),
-            other_branch: other_branch.to_owned(),
-            strategy,
-        })? {
-            ApiResponse::Merge(m) => Ok(m),
-            other => Err(shape(&other)),
-        }
-    }
-
-    // ----- archives ----------------------------------------------------------
-
-    /// Deposits a branch tip, minting a DOI.
-    pub fn deposit(
-        &self,
-        token: &Token,
-        repo_id: &str,
-        branch: &str,
-        title: &str,
-    ) -> Result<Deposit> {
-        match self.call(ApiRequest::Deposit {
-            token: token.as_str().to_owned(),
-            repo_id: repo_id.to_owned(),
-            branch: branch.to_owned(),
-            title: title.to_owned(),
-        })? {
-            ApiResponse::Deposit(d) => Ok(d),
-            other => Err(shape(&other)),
-        }
-    }
-
-    /// Resolves a minted DOI.
-    pub fn resolve_doi(&self, doi: &str) -> Result<Deposit> {
-        match self.call(ApiRequest::ResolveDoi {
-            doi: doi.to_owned(),
-        })? {
-            ApiResponse::Deposit(d) => Ok(d),
-            other => Err(shape(&other)),
-        }
-    }
-
-    /// Archives a repository into the Software Heritage simulator.
-    pub fn archive(&self, repo_id: &str) -> Result<ArchiveReport> {
-        match self.call(ApiRequest::Archive {
-            repo_id: repo_id.to_owned(),
-        })? {
-            ApiResponse::Archive(report) => Ok(report),
-            other => Err(shape(&other)),
-        }
-    }
+    // ----- archives & credit -------------------------------------------------
 
     /// Resolves an archived SWHID.
     pub fn resolve_swhid(&self, swhid: &str) -> Result<(SwhKind, ObjectId)> {
@@ -748,7 +380,7 @@ impl<T: Transport> HubClient<T> {
             swhid: swhid.to_owned(),
         })? {
             ApiResponse::Swhid(kind, id) => Ok((kind, id)),
-            other => Err(shape(&other)),
+            other => Err(unexpected(&other)),
         }
     }
 
@@ -758,24 +390,7 @@ impl<T: Transport> HubClient<T> {
             repo_id: repo_id.to_owned(),
         })? {
             ApiResponse::Count(n) => Ok(n),
-            other => Err(shape(&other)),
-        }
-    }
-
-    // ----- credit & operations -----------------------------------------------
-
-    /// Credited authors of a repository at a branch tip.
-    pub fn credited_authors(
-        &self,
-        repo_id: &str,
-        branch: &str,
-    ) -> Result<Vec<(String, Vec<RepoPath>)>> {
-        match self.call(ApiRequest::CreditedAuthors {
-            repo_id: repo_id.to_owned(),
-            branch: branch.to_owned(),
-        })? {
-            ApiResponse::Credits(c) => Ok(c),
-            other => Err(shape(&other)),
+            other => Err(unexpected(&other)),
         }
     }
 
@@ -785,47 +400,13 @@ impl<T: Transport> HubClient<T> {
             author: author.to_owned(),
         })? {
             ApiResponse::Credits(c) => Ok(c),
-            other => Err(shape(&other)),
+            other => Err(unexpected(&other)),
         }
     }
 
     /// The audit log, walked page by page.
     pub fn audit_log(&self) -> Result<Vec<AuditEvent>> {
         walk_pages(|cursor, limit| self.audit_log_page(cursor, limit))
-    }
-
-    /// Store statistics for one repository.
-    pub fn store_stats(&self, repo_id: &str) -> Result<StoreStats> {
-        match self.call(ApiRequest::StoreStats {
-            repo_id: repo_id.to_owned(),
-        })? {
-            ApiResponse::Stats(s) => Ok(s),
-            other => Err(shape(&other)),
-        }
-    }
-
-    /// Runs storage maintenance over every hosted repository.
-    pub fn maintenance(&self) -> Result<Vec<RepoMaintenance>> {
-        match self.call(ApiRequest::Maintenance)? {
-            ApiResponse::Maintenance(repos) => Ok(repos),
-            other => Err(shape(&other)),
-        }
-    }
-
-    /// The server's telemetry snapshot: per-method call
-    /// counts and latency histograms, the socket transport's gauges and
-    /// byte counters, and store-layer read statistics. Operator-scoped
-    /// over a socket — the token must belong to a user the server
-    /// granted the operator capability — which is why, unlike
-    /// [`HubClient::maintenance`], it takes one. What `gitcite hub top`
-    /// renders.
-    pub fn server_metrics(&self, token: Option<&Token>) -> Result<MetricsSnapshot> {
-        match self.call(ApiRequest::ServerMetrics {
-            token: token.map(|t| t.as_str().to_owned()),
-        })? {
-            ApiResponse::Metrics(m) => Ok(m),
-            other => Err(shape(&other)),
-        }
     }
 
     // ----- replication & placement ---------------------------------------------
@@ -836,7 +417,7 @@ impl<T: Transport> HubClient<T> {
     pub fn repl_status(&self) -> Result<ReplStatus> {
         match self.call(ApiRequest::ReplStatus)? {
             ApiResponse::ReplStatus(s) => Ok(s),
-            other => Err(shape(&other)),
+            other => Err(unexpected(&other)),
         }
     }
 
@@ -849,7 +430,7 @@ impl<T: Transport> HubClient<T> {
             haves: haves.to_vec(),
         })? {
             ApiResponse::Bundle(bundle) => Ok(bundle),
-            other => Err(shape(&other)),
+            other => Err(unexpected(&other)),
         }
     }
 
@@ -860,7 +441,7 @@ impl<T: Transport> HubClient<T> {
             repo_id: repo_id.map(str::to_owned),
         })? {
             ApiResponse::Placement(p) => Ok(p),
-            other => Err(shape(&other)),
+            other => Err(unexpected(&other)),
         }
     }
 }
@@ -956,13 +537,6 @@ impl<T: Transport> Transport for FleetTransport<T> {
         }
         response
     }
-}
-
-fn shape(response: &ApiResponse) -> HubError {
-    HubError::Protocol(format!(
-        "response shape does not match the request (got {})",
-        response.kind()
-    ))
 }
 
 /// Have sample for negotiation: the tip, every commit of the recent

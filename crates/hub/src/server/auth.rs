@@ -144,7 +144,7 @@ wrappers! {
 
     /// Issues a personal-access token (the credential the popup asks
     /// for). Open login: refused for users enrolled with a secret (use
-    /// [`Hub::login_with_secret`]) and on auth-required hubs.
+    /// [`Self::login_with_secret`]) and on auth-required hubs.
     fn login(username: &str) -> Token =
         Login { username: username.to_owned(), secret: None } => Token(Token);
 

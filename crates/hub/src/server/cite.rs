@@ -62,7 +62,7 @@ wrappers! {
             title: title.to_owned(),
         } => Deposit;
 
-    /// Resolves a DOI minted by [`Hub::deposit`].
+    /// Resolves a DOI minted by [`Self::deposit`].
     fn resolve_doi(doi: &str) -> Deposit = ResolveDoi { doi: doi.to_owned() } => Deposit;
 
     /// Archives a repository into the Software Heritage simulator.

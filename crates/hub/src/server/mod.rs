@@ -10,8 +10,12 @@
 //! ...) are thin wrappers that build the request, dispatch it, and unpack
 //! the typed result — so the wire protocol is, by construction, the
 //! complete surface; the whole-listing helpers (`log`, `audit_log`,
-//! `list_repos`) walk the paginated reads. The operations live in
-//! submodules along their seams: `auth` (users, tokens, lockout, rate
+//! `list_repos`) walk the paginated reads. Each `wrappers!` row declares
+//! one typed method for both `Hub` and [`crate::client::HubClient`], so
+//! the two typed surfaces are one declaration; the few methods whose two
+//! forms differ (`import_repo`, `push`, `revoke`, ...) are written by
+//! hand on each type, and [`crate::client`] lists them. The operations
+//! live in submodules along their seams: `auth` (users, tokens, lockout, rate
 //! limits, quotas), `repos` (hosting, roles, reads, pushes, forks),
 //! `cite` (cite ops, merges, deposits, archives, credit queries),
 //! `replica` (the follower side of [`crate::repl`]) and `operator`
@@ -83,10 +87,15 @@
 //! audited and tallied in the `limits` section of
 //! [`Hub::server_metrics`].
 
-/// Declares typed wrappers over [`Hub::dispatch`], one row each: the
-/// method's signature, the request it sends, and the response shape it
-/// unpacks (optionally wrapped, as a token string in [`Token`]) — any
-/// other shape is a protocol error.
+/// Declares the typed methods of both [`Hub`] and
+/// [`HubClient`](crate::client::HubClient), one row each: the method's
+/// signature, the request it sends, and the response shape it unpacks
+/// (optionally wrapped, as a token string in [`Token`]) — any other shape
+/// is a protocol error. `Hub`'s form dispatches the request in process;
+/// the client's sends it through its transport with [`HubClient::call`].
+/// A method whose two forms differ is written by hand on each type.
+///
+/// [`HubClient::call`]: crate::client::HubClient::call
 macro_rules! wrappers {
     (@unpack $response:expr, Unit) => {
         match $response {
@@ -112,6 +121,16 @@ macro_rules! wrappers {
                 pub fn $name(&self, $($arg: $ty),*) -> Result<$ret> {
                     let request = ApiRequest::$request { $($field $(: $value)?),* };
                     wrappers!(@unpack self.unwrap(request)?, $shape $(($wrap))?)
+                }
+            )*
+        }
+
+        impl<T: crate::client::Transport> crate::client::HubClient<T> {
+            $(
+                $(#[$doc])*
+                pub fn $name(&self, $($arg: $ty),*) -> Result<$ret> {
+                    let request = ApiRequest::$request { $($field $(: $value)?),* };
+                    wrappers!(@unpack self.call(request)?, $shape $(($wrap))?)
                 }
             )*
         }
@@ -947,7 +966,7 @@ impl Hub {
     }
 }
 
-fn unexpected(response: &ApiResponse) -> HubError {
+pub(crate) fn unexpected(response: &ApiResponse) -> HubError {
     HubError::Protocol(format!(
         "response shape does not match the request (got {})",
         response.kind()

@@ -34,7 +34,7 @@ wrappers! {
     /// dispatch stats, socket-layer gauges (when a transport is
     /// attached) and aggregated storage counters. Pass `None` from a
     /// trusted in-process embedder; a token must belong to a user
-    /// granted [`Hub::grant_operator`].
+    /// granted [`Hub::grant_operator`]. What `gitcite hub top` renders.
     fn server_metrics(token: Option<&Token>) -> MetricsSnapshot =
         ServerMetrics { token: token.map(|t| t.0.clone()) } => Metrics;
 }

@@ -102,37 +102,50 @@ wrappers! {
         username: username.to_owned(),
         role,
     } => Unit;
+}
 
+impl Hub {
     /// Hosts an existing repository (e.g. a retrofitted one) under the
     /// token's user. The repository is re-homed onto the hub's configured
     /// store backend (all branches and their histories are transferred),
     /// so imported repositories get the same durability as created ones.
-    fn import_repo(token: &Token, name: &str, repo: Repository) -> String = ImportRepo {
-        token: token.0.clone(),
-        name: name.to_owned(),
-        bundle: RepoBundle::from_repository(&repo).map_err(HubError::Git)?,
-    } => Id;
+    pub fn import_repo(&self, token: &Token, name: &str, repo: Repository) -> Result<String> {
+        let bundle = RepoBundle::from_repository(&repo).map_err(HubError::Git)?;
+        match self.unwrap(ApiRequest::ImportRepo {
+            token: token.0.clone(),
+            name: name.to_owned(),
+            bundle,
+        })? {
+            ApiResponse::Id(id) => Ok(id),
+            other => Err(unexpected(&other)),
+        }
+    }
 
     /// Pushes `local_branch` of `local` to `branch` of the hosted
-    /// repository (member+; fast-forward unless `force`).
-    fn push(
+    /// repository (member+; fast-forward unless `force`), shipping the
+    /// branch's whole closure in one bundle.
+    pub fn push(
+        &self,
         token: &Token,
         repo_id: &str,
         branch: &str,
         local: &Repository,
         local_branch: &str,
         force: bool,
-    ) -> ObjectId =
-        Push {
+    ) -> Result<ObjectId> {
+        let bundle = RepoBundle::from_branch(local, local_branch).map_err(HubError::Git)?;
+        match self.unwrap(ApiRequest::Push {
             token: token.0.clone(),
             repo_id: repo_id.to_owned(),
             branch: branch.to_owned(),
             force,
-            bundle: RepoBundle::from_branch(local, local_branch).map_err(HubError::Git)?,
-        } => Commit;
-}
+            bundle,
+        })? {
+            ApiResponse::Commit(id) => Ok(id),
+            other => Err(unexpected(&other)),
+        }
+    }
 
-impl Hub {
     /// All repository ids, walked page by page (empty when the listing
     /// cannot be read, e.g. on a follower past its staleness bound).
     pub fn list_repos(&self) -> Vec<String> {

@@ -4,9 +4,10 @@
 //! response parsed back. Anything that works here works over a socket.
 
 use citekit::{Citation, CitedRepo, MergeStrategy};
-use gitlite::{path, RepoPath, Repository, Signature};
+use gitlite::{path, ObjectId, RepoPath, Repository, Signature};
 use hub::api::MergeOutcome;
-use hub::{Hub, HubClient, HubError, Role};
+use hub::{ApiResponse, Hub, HubClient, HubError, Role, Token, Transport};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn client_hub() -> Hub {
     Hub::new("https://hub.example")
@@ -228,4 +229,125 @@ fn import_repo_over_the_wire_rehomes_objects() {
         client.import_repo(&lab, "empty", &empty),
         Err(HubError::Git(_))
     ));
+}
+
+/// Answers every request with one well-formed `count` response, which no
+/// typed method generated from the hub's wrapper rows expects, and counts
+/// the requests it saw.
+struct CountOnly(AtomicUsize);
+
+impl Transport for CountOnly {
+    fn send(&self, _request: &str) -> String {
+        self.0.fetch_add(1, Ordering::SeqCst);
+        ApiResponse::Count(7).encode()
+    }
+}
+
+#[test]
+fn generated_methods_refuse_a_mismatched_response_shape() {
+    let client = HubClient::new(CountOnly(AtomicUsize::new(0)));
+    let t = Token::new("tok");
+    let p = path("src/lib.rs");
+    let id = ObjectId::hash_bytes(b"have");
+    let cite = || Citation::builder("core", "Ann A").build();
+    let results: Vec<(&str, hub::Result<()>)> = vec![
+        (
+            "register_user",
+            client.register_user("ann", "Ann").map(drop),
+        ),
+        (
+            "register_user_with_secret",
+            client
+                .register_user_with_secret("ann", "Ann", "s")
+                .map(drop),
+        ),
+        ("login", client.login("ann").map(drop)),
+        (
+            "login_with_secret",
+            client.login_with_secret("ann", "s").map(drop),
+        ),
+        ("refresh", client.refresh(&t).map(drop)),
+        ("whoami", client.whoami(&t).map(drop)),
+        ("role_of", client.role_of("ann/p", "bob").map(drop)),
+        ("can_write", client.can_write(&t, "ann/p").map(drop)),
+        (
+            "list_repos_page",
+            client.list_repos_page(None, Some(2)).map(drop),
+        ),
+        ("branches", client.branches("ann/p").map(drop)),
+        ("list_files", client.list_files("ann/p", "main").map(drop)),
+        ("read_file", client.read_file("ann/p", "main", &p).map(drop)),
+        (
+            "log_page",
+            client.log_page("ann/p", "main", None, None).map(drop),
+        ),
+        ("negotiate", client.negotiate("ann/p", &[id]).map(drop)),
+        ("create_repo", client.create_repo(&t, "p").map(drop)),
+        ("fork", client.fork(&t, "ann/p", "q").map(drop)),
+        (
+            "add_member",
+            client
+                .add_member(&t, "ann/p", "bob", Role::Member)
+                .map(drop),
+        ),
+        (
+            "generate_citation",
+            client.generate_citation("ann/p", "main", &p).map(drop),
+        ),
+        (
+            "citation_entry",
+            client.citation_entry("ann/p", "main", &p).map(drop),
+        ),
+        (
+            "merge_branches",
+            client
+                .merge_branches(&t, "ann/p", "main", "dev", MergeStrategy::Ours)
+                .map(drop),
+        ),
+        (
+            "deposit",
+            client.deposit(&t, "ann/p", "main", "v1").map(drop),
+        ),
+        (
+            "resolve_doi",
+            client.resolve_doi("10.5281/zenodo.1").map(drop),
+        ),
+        ("archive", client.archive("ann/p").map(drop)),
+        (
+            "credited_authors",
+            client.credited_authors("ann/p", "main").map(drop),
+        ),
+        (
+            "add_cite",
+            client.add_cite(&t, "ann/p", "main", &p, cite()).map(drop),
+        ),
+        (
+            "modify_cite",
+            client
+                .modify_cite(&t, "ann/p", "main", &p, cite())
+                .map(drop),
+        ),
+        (
+            "del_cite",
+            client.del_cite(&t, "ann/p", "main", &p).map(drop),
+        ),
+        ("maintenance", client.maintenance().map(drop)),
+        (
+            "audit_log_page",
+            client.audit_log_page(None, None).map(drop),
+        ),
+        ("store_stats", client.store_stats("ann/p").map(drop)),
+        ("server_metrics", client.server_metrics(Some(&t)).map(drop)),
+    ];
+    assert_eq!(results.len(), 31, "one entry per generated method");
+    for (name, result) in results {
+        match result {
+            Err(HubError::Protocol(msg)) => {
+                assert!(msg.contains("(got count)"), "{name}: {msg}")
+            }
+            other => panic!("{name}: expected a protocol error, got {other:?}"),
+        }
+    }
+    // One request per call: a shape mismatch is not retried.
+    assert_eq!(client.transport().0.load(Ordering::SeqCst), 31);
 }
