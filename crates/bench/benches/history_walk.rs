@@ -1,5 +1,6 @@
-//! History-walk bench: commit-graph vs decode walk for `log` and
-//! `merge_base`, on the two shapes that stress them — a deep linear
+//! History-walk bench: commit-graph vs decode walk for `log`, its
+//! bounded first page (`log_take` of 25, what a hub history page walks)
+//! and `merge_base`, on the two shapes that stress them — a deep linear
 //! history (10k commits: the retrofit/audit workload) and a wide
 //! merge-heavy history (parallel branches merged repeatedly: the hub's
 //! collaboration workload).
@@ -183,6 +184,22 @@ fn bench(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("log_decode", commits), &commits, |b, _| {
             b.iter(|| criterion::black_box(decode_repo.log(tip).unwrap()))
         });
+
+        // The first 25-entry page: the bounded walk stops after 25 pops.
+        assert_eq!(
+            graph_repo.log_take(tip, 25).unwrap(),
+            decode_repo.log_take(tip, 25).unwrap()
+        );
+        g.bench_with_input(
+            BenchmarkId::new("log_take25_graph", commits),
+            &commits,
+            |b, _| b.iter(|| criterion::black_box(graph_repo.log_take(tip, 25).unwrap())),
+        );
+        g.bench_with_input(
+            BenchmarkId::new("log_take25_decode", commits),
+            &commits,
+            |b, _| b.iter(|| criterion::black_box(decode_repo.log_take(tip, 25).unwrap())),
+        );
 
         // merge_base across the full depth: tip vs root on the linear
         // chain (the ancestor-containment fast path for decode, a

@@ -677,11 +677,14 @@ impl CommitGraph {
 
     // ----- walks (positions only — the store is never touched) ----------
 
-    /// Commits reachable from `from`, newest first (by timestamp, ties by
-    /// id) — byte-identical to [`crate::Repository::log`]'s decode walk.
-    /// Position order *is* id order (the table is sorted), so `(timestamp,
-    /// position)` keys reproduce the reference's `(timestamp, id)` ties.
-    pub fn log(&self, from: u32) -> Vec<ObjectId> {
+    /// The first `n` commits reachable from `from`, newest first (by
+    /// timestamp, ties by id), and whether more follow — byte-identical
+    /// to [`crate::Repository::log_take`]'s decode walk. Position order
+    /// *is* id order (the table is sorted), so `(timestamp, position)`
+    /// keys reproduce the reference's `(timestamp, id)` ties. The heap
+    /// stops popping after `n`: what it popped is the unbounded walk's
+    /// prefix, so `usize::MAX` gives the whole history.
+    pub fn log_take(&self, from: u32, n: usize) -> (Vec<ObjectId>, bool) {
         #[derive(PartialEq, Eq)]
         struct Entry(i64, u32);
         impl Ord for Entry {
@@ -699,7 +702,10 @@ impl CommitGraph {
         heap.push(Entry(self.timestamp_of(from), from));
         seen.insert(from);
         let mut out = Vec::new();
-        while let Some(Entry(_, pos)) = heap.pop() {
+        while out.len() < n {
+            let Some(Entry(_, pos)) = heap.pop() else {
+                break;
+            };
             out.push(self.id_at(pos));
             self.for_each_parent(pos, |p| {
                 if seen.insert(p) {
@@ -707,7 +713,8 @@ impl CommitGraph {
                 }
             });
         }
-        out
+        let more = !heap.is_empty();
+        (out, more)
     }
 
     /// All commits reachable from `from` (inclusive).
@@ -1178,8 +1185,8 @@ mod tests {
         let repo = crate::Repository::init_with("t", Box::new(odb));
         for &tip in &c {
             assert_eq!(
-                g.log(g.lookup(tip).unwrap()),
-                repo.log(tip).unwrap(),
+                g.log_take(g.lookup(tip).unwrap(), usize::MAX),
+                (repo.log(tip).unwrap(), false),
                 "log from {tip:?}"
             );
         }
@@ -1275,7 +1282,7 @@ mod tests {
         let g = CommitGraph::build(&odb, &[tip]).unwrap();
         let pos = g.lookup(tip).unwrap();
         assert_eq!(g.generation_of(pos), 4999);
-        assert_eq!(g.log(pos).len(), 5000);
+        assert_eq!(g.log_take(pos, usize::MAX).0.len(), 5000);
         assert_eq!(g.first_parent_chain(pos).len(), 5000);
     }
 

@@ -16,6 +16,7 @@ use crate::store::{MemStore, ObjectStore};
 use crate::worktree::WorkTree;
 use bytes::Bytes;
 use std::collections::{BTreeMap, BinaryHeap, HashSet};
+use std::sync::Arc;
 
 /// Where HEAD points.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -327,27 +328,36 @@ impl Repository {
     // ----- history ------------------------------------------------------
 
     /// Commits reachable from `from`, newest first (by timestamp, ties by
-    /// id for determinism).
+    /// id for determinism): [`Repository::log_take`] without a bound.
+    pub fn log(&self, from: ObjectId) -> Result<Vec<ObjectId>> {
+        Ok(self.log_take(from, usize::MAX)?.0)
+    }
+
+    /// The first `n` commits of [`Repository::log`]'s order, and whether
+    /// more follow.
     ///
     /// Served from the store's commit-graph when it covers `from`
     /// (positions and record timestamps only — no commit is decoded);
-    /// otherwise a decode walk that fetches each commit exactly once.
-    pub fn log(&self, from: ObjectId) -> Result<Vec<ObjectId>> {
+    /// otherwise a decode walk that fetches each commit it discovers
+    /// exactly once. Both paths are one date-ordered heap walk that stops
+    /// popping after `n` commits, so a page near the tip costs what it
+    /// returns (plus the parents of its last commits), not the history.
+    pub fn log_take(&self, from: ObjectId, n: usize) -> Result<(Vec<ObjectId>, bool)> {
         if let Some(graph) = self.odb.commit_graph() {
             if let Some(pos) = graph.lookup(from) {
                 crate::metrics::count_walk(true);
-                return Ok(graph.log(pos));
+                return Ok(graph.log_take(pos, n));
             }
         }
         crate::metrics::count_walk(false);
-        self.log_decode(from)
+        self.log_decode(from, n)
     }
 
-    /// Decode-walk reference for [`Repository::log`]. Each heap entry
-    /// carries the commit's `(timestamp, parents)` from the single fetch
-    /// made when it was first discovered, so no commit is decoded twice.
-    fn log_decode(&self, from: ObjectId) -> Result<Vec<ObjectId>> {
-        struct Entry(i64, ObjectId, Vec<ObjectId>);
+    /// Decode-walk reference for [`Repository::log_take`]. Each heap entry
+    /// carries the commit from the single fetch made when it was first
+    /// discovered, so no commit is decoded twice.
+    fn log_decode(&self, from: ObjectId, n: usize) -> Result<(Vec<ObjectId>, bool)> {
+        struct Entry(i64, ObjectId, Arc<Object>);
         impl PartialEq for Entry {
             fn eq(&self, other: &Self) -> bool {
                 (self.0, self.1) == (other.0, other.1)
@@ -366,23 +376,27 @@ impl Repository {
         }
         let fetch = |id: ObjectId| -> Result<Entry> {
             let obj = self.odb.commit_ref(id)?;
-            let c = obj.as_commit().expect("checked kind");
-            Ok(Entry(c.author.timestamp, id, c.parents.clone()))
+            let ts = obj.as_commit().expect("checked kind").author.timestamp;
+            Ok(Entry(ts, id, obj))
         };
         let mut heap = BinaryHeap::new();
         let mut seen = HashSet::new();
         heap.push(fetch(from)?);
         seen.insert(from);
         let mut out = Vec::new();
-        while let Some(Entry(_, id, parents)) = heap.pop() {
+        while out.len() < n {
+            let Some(Entry(_, id, obj)) = heap.pop() else {
+                break;
+            };
             out.push(id);
-            for p in parents {
+            for &p in &obj.as_commit().expect("checked kind").parents {
                 if seen.insert(p) {
                     heap.push(fetch(p)?);
                 }
             }
         }
-        Ok(out)
+        let more = !heap.is_empty();
+        Ok((out, more))
     }
 
     /// Commits reachable from HEAD, newest first.

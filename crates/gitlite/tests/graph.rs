@@ -12,6 +12,7 @@ use gitlite::{
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 static COUNTER: AtomicU64 = AtomicU64::new(0);
 
@@ -92,6 +93,17 @@ fn random_dag(seed: u64, commits: usize) -> (MemStore, Vec<ObjectId>) {
     (store, ids)
 }
 
+/// A single chain of `commits` commits, timestamps colliding in pairs.
+fn linear_dag(commits: usize) -> (MemStore, Vec<ObjectId>) {
+    let mut store = MemStore::new();
+    let mut ids: Vec<ObjectId> = Vec::with_capacity(commits);
+    for i in 0..commits {
+        let parents = ids.last().copied().into_iter().collect();
+        ids.push(mk(&mut store, &format!("l{i}"), (i as i64) / 2, parents));
+    }
+    (store, ids)
+}
+
 proptest! {
     /// The core equivalence property: over random DAGs (linear chains,
     /// merges, octopus merges, unrelated roots), every graph-backed walk
@@ -115,12 +127,37 @@ proptest! {
             let pb = graph.lookup(b).unwrap();
 
             prop_assert_eq!(graph.merge_base(pa, pb), merge_base_decode(&store, a, b).unwrap());
-            prop_assert_eq!(graph.log(pa), repo.log(a).unwrap());
+            prop_assert_eq!(graph.log_take(pa, usize::MAX), (repo.log(a).unwrap(), false));
             prop_assert_eq!(graph.ancestor_set(pa), ancestor_set_decode(&store, a).unwrap());
             prop_assert_eq!(
                 graph.is_ancestor(pa, pb),
                 ancestor_set_decode(&store, b).unwrap().contains(&a)
             );
+        }
+    }
+
+    /// The bounded walk is a prefix of the full one on both paths: for
+    /// every `n` around and past the history's length, `log_take(tip, n)`
+    /// is `log(tip)[..n]` with `more` exactly when commits were left out.
+    #[test]
+    fn log_take_is_a_prefix_of_log_on_both_paths(seed in any::<u64>()) {
+        let commits = 2 + (seed % 38) as usize;
+        for (store, ids) in [random_dag(seed, commits), linear_dag(commits)] {
+            let graph = Arc::new(CommitGraph::build(&store, &ids).unwrap());
+            let decode = Repository::init_with("decode", Box::new(store.clone()));
+            let graphed = Repository::init_with("graph", Box::new(Graphed { store, graph }));
+
+            let mut rng = Rng(seed ^ 0x1f2e_3d4c);
+            for _ in 0..4 {
+                let tip = ids[rng.below(ids.len())];
+                let full = decode.log(tip).unwrap();
+                prop_assert_eq!(&graphed.log(tip).unwrap(), &full);
+                for n in 0..=full.len() + 1 {
+                    let expected = (full[..n.min(full.len())].to_vec(), n < full.len());
+                    prop_assert_eq!(&decode.log_take(tip, n).unwrap(), &expected);
+                    prop_assert_eq!(&graphed.log_take(tip, n).unwrap(), &expected);
+                }
+            }
         }
     }
 
@@ -152,6 +189,41 @@ proptest! {
         let at = flip as usize % bytes.len();
         bytes[at] ^= 0xff;
         prop_assert!(CommitGraph::parse(&bytes).is_err(), "flip at {}", at);
+    }
+}
+
+/// A `MemStore` that serves a prebuilt commit-graph, so a `Repository`
+/// on it takes the graph path without a pack directory.
+#[derive(Debug, Clone)]
+struct Graphed {
+    store: MemStore,
+    graph: Arc<CommitGraph>,
+}
+
+impl ObjectStore for Graphed {
+    fn get(&self, id: ObjectId) -> gitlite::Result<Arc<Object>> {
+        self.store.get(id)
+    }
+    fn put_with_id(&mut self, id: ObjectId, object: Arc<Object>) {
+        self.store.put_with_id(id, object)
+    }
+    fn contains(&self, id: ObjectId) -> bool {
+        self.store.contains(id)
+    }
+    fn len(&self) -> usize {
+        self.store.len()
+    }
+    fn ids(&self) -> Vec<ObjectId> {
+        self.store.ids()
+    }
+    fn clone_box(&self) -> Box<dyn ObjectStore> {
+        Box::new(self.clone())
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+    fn commit_graph(&self) -> Option<Arc<CommitGraph>> {
+        Some(Arc::clone(&self.graph))
     }
 }
 

@@ -20,8 +20,8 @@
 //!   bundle);
 //! - `import_repo` borrows its repository, where `Hub`'s takes it by
 //!   value;
-//! - `revoke`, `archive_visits`, `find_repos_citing`, `list_repos` and
-//!   `audit_log` return a `Result`, where `Hub`'s forms do not;
+//! - `revoke`, `list_repos` and `audit_log` return a `Result`, where
+//!   `Hub`'s forms do not;
 //! - `batch`, `repl_status`, `repl_fetch` and `placement` are client-only.
 //!
 //! `log` (a page walk), `clone_repo` (a bundle load) and `resolve_swhid`
@@ -35,7 +35,7 @@ use crate::audit::AuditEvent;
 use crate::error::{HubError, Result};
 use crate::heritage::SwhKind;
 use crate::server::{unexpected, Hub, LogEntry, Token};
-use gitlite::{ObjectId, RepoPath, Repository};
+use gitlite::{ObjectId, Repository};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -380,26 +380,6 @@ impl<T: Transport> HubClient<T> {
             swhid: swhid.to_owned(),
         })? {
             ApiResponse::Swhid(kind, id) => Ok((kind, id)),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Archive visits recorded for a repository.
-    pub fn archive_visits(&self, repo_id: &str) -> Result<u64> {
-        match self.call(ApiRequest::ArchiveVisits {
-            repo_id: repo_id.to_owned(),
-        })? {
-            ApiResponse::Count(n) => Ok(n),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Repositories citing an author.
-    pub fn find_repos_citing(&self, author: &str) -> Result<Vec<(String, Vec<RepoPath>)>> {
-        match self.call(ApiRequest::FindReposCiting {
-            author: author.to_owned(),
-        })? {
-            ApiResponse::Credits(c) => Ok(c),
             other => Err(unexpected(&other)),
         }
     }

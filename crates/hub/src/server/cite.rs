@@ -68,6 +68,17 @@ wrappers! {
     /// Archives a repository into the Software Heritage simulator.
     fn archive(repo_id: &str) -> ArchiveReport = Archive { repo_id: repo_id.to_owned() } => Archive;
 
+    /// Number of archive visits recorded for a repository the hub hosts.
+    fn archive_visits(repo_id: &str) -> u64 =
+        ArchiveVisits { repo_id: repo_id.to_owned() } => Count;
+
+    /// All hosted repositories whose current citation function credits
+    /// `author`, with the citing keys per repository — a platform-wide
+    /// credit search. A repository whose citation file cannot be read
+    /// fails the search rather than reading as "cites nobody".
+    fn find_repos_citing(author: &str) -> Vec<(String, Vec<RepoPath>)> =
+        FindReposCiting { author: author.to_owned() } => Credits;
+
     /// Every author credited in a repository's citation function at a
     /// branch tip, with the citing keys — the "give credit to the
     /// appropriate contributors" view (paper §1).
@@ -125,28 +136,6 @@ impl Hub {
         })? {
             ApiResponse::Swhid(kind, id) => Ok((kind, id)),
             other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Number of archive visits recorded for a repository.
-    pub fn archive_visits(&self, repo_id: &str) -> usize {
-        match self.unwrap(ApiRequest::ArchiveVisits {
-            repo_id: repo_id.to_owned(),
-        }) {
-            Ok(ApiResponse::Count(n)) => n as usize,
-            _ => 0,
-        }
-    }
-
-    /// All hosted repositories whose current citation function credits
-    /// `author`, with the citing keys per repository — a platform-wide
-    /// credit search.
-    pub fn find_repos_citing(&self, author: &str) -> Vec<(String, Vec<RepoPath>)> {
-        match self.unwrap(ApiRequest::FindReposCiting {
-            author: author.to_owned(),
-        }) {
-            Ok(ApiResponse::Credits(c)) => c,
-            _ => Vec::new(),
         }
     }
 
@@ -283,16 +272,22 @@ impl Hub {
         Ok(applied.archive.expect("an Archived record reports"))
     }
 
-    pub(super) fn op_find_repos_citing(&self, author: &str) -> Vec<(String, Vec<RepoPath>)> {
+    /// Repositories whose HEAD version credits `author`. One without
+    /// commits cites nobody; one whose `citation.cite` fails to load
+    /// fails the search with that error.
+    pub(super) fn op_find_repos_citing(
+        &self,
+        author: &str,
+    ) -> Result<Vec<(String, Vec<RepoPath>)>> {
         let mut out = Vec::new();
         for (repo_id, cell) in self.cells() {
             let hosted = cell.read();
-            let Ok(head) = hosted.repo.head_commit() else {
-                continue;
+            let head = match hosted.repo.head_commit() {
+                Ok(head) => head,
+                Err(gitlite::GitError::EmptyRepository) => continue,
+                Err(e) => return Err(HubError::Git(e)),
             };
-            let Ok(func) = hosted.function_at(head) else {
-                continue;
-            };
+            let func = hosted.function_at(head).map_err(HubError::Cite)?;
             let paths: Vec<RepoPath> = func
                 .iter()
                 .filter(|(_, e)| e.citation.author_list.iter().any(|a| a == author))
@@ -302,6 +297,6 @@ impl Hub {
                 out.push((repo_id, paths));
             }
         }
-        out
+        Ok(out)
     }
 }

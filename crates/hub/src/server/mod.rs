@@ -697,6 +697,7 @@ impl Hub {
                 R::Swhid(kind, id)
             }
             Q::ArchiveVisits { repo_id } => {
+                self.repo(&repo_id)?;
                 let origin = format!("{}/{}", self.base_url, repo_id);
                 R::Count(self.heritage.lock().visits(&origin) as u64)
             }
@@ -707,7 +708,7 @@ impl Hub {
                 let func = hosted.function_at(tip).map_err(HubError::Cite)?;
                 R::Credits(func.credited_authors())
             }
-            Q::FindReposCiting { author } => R::Credits(self.op_find_repos_citing(&author)),
+            Q::FindReposCiting { author } => R::Credits(self.op_find_repos_citing(&author)?),
             Q::StoreStats { repo_id } => {
                 let cell = self.repo(&repo_id)?;
                 let hosted = cell.read();
@@ -1362,9 +1363,19 @@ mod tests {
         let report = hub.archive(&repo_id).unwrap();
         assert_eq!(report.heads.len(), 1);
         assert!(hub.resolve_swhid(&report.heads[0]).is_ok());
-        assert_eq!(hub.archive_visits(&repo_id), 1);
+        assert_eq!(hub.archive_visits(&repo_id).unwrap(), 1);
         hub.archive(&repo_id).unwrap();
-        assert_eq!(hub.archive_visits(&repo_id), 2);
+        assert_eq!(hub.archive_visits(&repo_id).unwrap(), 2);
+    }
+
+    #[test]
+    fn archive_visits_of_an_unhosted_repository_is_repo_not_found() {
+        let (hub, _, repo_id) = hub_with_repo();
+        assert_eq!(hub.archive_visits(&repo_id).unwrap(), 0);
+        assert!(matches!(
+            hub.archive_visits("nobody/none"),
+            Err(HubError::RepoNotFound(id)) if id == "nobody/none"
+        ));
     }
 
     #[test]
@@ -1426,11 +1437,31 @@ mod tests {
         let names: Vec<&str> = credits.iter().map(|(a, _)| a.as_str()).collect();
         assert_eq!(names, vec!["Leshang Chen", "Ada", "Grace"]);
 
-        let found = hub.find_repos_citing("Ada");
+        let found = hub.find_repos_citing("Ada").unwrap();
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].0, repo_id);
         assert_eq!(found[0].1, vec![path("core")]);
-        assert!(hub.find_repos_citing("Nobody").is_empty());
+        assert!(hub.find_repos_citing("Nobody").unwrap().is_empty());
+    }
+
+    #[test]
+    fn credit_search_fails_on_a_citation_file_that_does_not_load() {
+        let (hub, token, repo_id) = hub_with_repo();
+        let mut local = hub.clone_repo(&repo_id).unwrap();
+        local
+            .worktree_mut()
+            .write(&citekit::citation_path(), &b"{ not a citation file"[..])
+            .unwrap();
+        local
+            .commit(Signature::new("Leshang Chen", "l@x", 50), "corrupt")
+            .unwrap();
+        hub.push(&token, &repo_id, "main", &local, "main", false)
+            .unwrap();
+        // The corrupt repository is not read as "cites nobody".
+        assert!(matches!(
+            hub.find_repos_citing("Leshang Chen"),
+            Err(HubError::Cite(citekit::CiteError::BadCitationFile(_)))
+        ));
     }
 
     #[test]

@@ -278,13 +278,14 @@ impl Hub {
             None => (hosted.repo.branch_tip(branch).map_err(HubError::Git)?, 0),
             Some(c) => parse_log_cursor(c)?,
         };
-        // The ordering walk is graph-served and cheap; only the page's
-        // entries decode their commits.
-        let ids = hosted.repo.log(tip).map_err(HubError::Git)?;
-        let start = offset.min(ids.len());
-        let end = (start + limit).min(ids.len());
-        let mut items = Vec::with_capacity(end - start);
-        for &id in &ids[start..end] {
+        // The walk stops once it has popped the commits up to the page's
+        // end (graph-served when the store has a commit-graph, a decode
+        // walk otherwise), so a page near the tip costs what it returns.
+        let end = offset.saturating_add(limit);
+        let (ids, more) = hosted.repo.log_take(tip, end).map_err(HubError::Git)?;
+        let page = ids.get(offset..).unwrap_or_default();
+        let mut items = Vec::with_capacity(page.len());
+        for &id in page {
             let obj = hosted.repo.odb().commit_ref(id).map_err(HubError::Git)?;
             let c = obj.as_commit().expect("checked kind");
             items.push(LogEntry {
@@ -294,7 +295,7 @@ impl Hub {
                 message: c.message.clone(),
             });
         }
-        let next = (end < ids.len()).then(|| format!("{}:{end}", tip.to_hex()));
+        let next = more.then(|| format!("{}:{end}", tip.to_hex()));
         Ok(Page { items, next })
     }
 

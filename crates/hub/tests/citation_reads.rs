@@ -189,7 +189,7 @@ fn credit_reads_answer_for_the_tip_across_a_push_to_the_head_branch() {
             .map(|(p, _)| p.clone())
             .collect();
         assert_eq!(
-            hub.find_repos_citing(author),
+            hub.find_repos_citing(author).unwrap(),
             vec![(repo_id.clone(), paths)]
         );
     };
@@ -205,7 +205,10 @@ fn credit_reads_answer_for_the_tip_across_a_push_to_the_head_branch() {
         .unwrap();
     check("Ann Author");
     check("Grace");
-    assert_eq!(hub.find_repos_citing("Grace")[0].1, vec![path("d")]);
+    assert_eq!(
+        hub.find_repos_citing("Grace").unwrap()[0].1,
+        vec![path("d")]
+    );
 }
 
 #[test]

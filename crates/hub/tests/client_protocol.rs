@@ -176,6 +176,10 @@ fn archives_credit_and_operations_over_the_wire() {
     assert_eq!(report.heads.len(), 1);
     assert!(client.resolve_swhid(&report.heads[0]).is_ok());
     assert_eq!(client.archive_visits(&repo_id).unwrap(), 1);
+    assert!(matches!(
+        client.archive_visits("ann/missing"),
+        Err(HubError::RepoNotFound(id)) if id == "ann/missing"
+    ));
 
     // Credit family.
     let credits = client.credited_authors(&repo_id, "main").unwrap();

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Runs the history-walk benchmark (commit-graph vs decode walk for `log`
-# and `merge_base`) and writes the headline numbers to BENCH_history.json
-# at the repository root, so the perf trajectory is tracked PR over PR.
+# Runs the history-walk benchmark (commit-graph vs decode walk for `log`,
+# its first 25-entry page and `merge_base`) and writes the headline
+# numbers to BENCH_history.json at the repository root, so the perf
+# trajectory is tracked PR over PR.
 #
 # Usage: scripts/bench_history.sh [output.json]
 set -euo pipefail
