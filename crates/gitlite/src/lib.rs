@@ -71,7 +71,7 @@ pub use pack::{
 };
 pub use path::{path, PathError, RepoPath};
 pub use remote::{clone_repository, clone_repository_into, push, transfer_objects};
-pub use repo::{Head, Repository, DEFAULT_BRANCH};
+pub use repo::{Head, LogPage, Repository, DEFAULT_BRANCH};
 pub use snapshot::{
     flatten_tree, read_tree, resolve_path, tree_directories, write_tree, write_tree_from_listing,
 };

@@ -32,6 +32,10 @@ pub enum Head {
 /// The default branch name used by [`Repository::init`].
 pub const DEFAULT_BRANCH: &str = "main";
 
+/// A page of history from [`Repository::log_page`]: each commit's id
+/// with its commit object, newest first, and whether more follow.
+pub type LogPage = (Vec<(ObjectId, Arc<Object>)>, bool);
+
 /// A version-controlled project repository.
 ///
 /// The object database behind it is pluggable: [`Repository::init`]
@@ -343,20 +347,62 @@ impl Repository {
     /// popping after `n` commits, so a page near the tip costs what it
     /// returns (plus the parents of its last commits), not the history.
     pub fn log_take(&self, from: ObjectId, n: usize) -> Result<(Vec<ObjectId>, bool)> {
-        if let Some(graph) = self.odb.commit_graph() {
-            if let Some(pos) = graph.lookup(from) {
-                crate::metrics::count_walk(true);
-                return Ok(graph.log_take(pos, n));
-            }
+        if let Some((graph, pos)) = self.graph_covering(from) {
+            return Ok(graph.log_take(pos, n));
         }
-        crate::metrics::count_walk(false);
-        self.log_decode(from, n)
+        let mut ids = Vec::new();
+        let more = self.log_decode(from, n, |id, _| ids.push(id))?;
+        Ok((ids, more))
     }
 
-    /// Decode-walk reference for [`Repository::log_take`]. Each heap entry
-    /// carries the commit from the single fetch made when it was first
-    /// discovered, so no commit is decoded twice.
-    fn log_decode(&self, from: ObjectId, n: usize) -> Result<(Vec<ObjectId>, bool)> {
+    /// Commits `offset..offset + limit` of [`Repository::log`]'s order,
+    /// each with its commit object, and whether more follow: the walk of
+    /// [`Repository::log_take`] bounded at `offset + limit`. The decode
+    /// walk hands back the commits it already fetched to order its heap;
+    /// the graph walk fetches only the returned ones. Either way no commit
+    /// is fetched twice.
+    pub fn log_page(&self, from: ObjectId, offset: usize, limit: usize) -> Result<LogPage> {
+        let end = offset.saturating_add(limit);
+        if let Some((graph, pos)) = self.graph_covering(from) {
+            let (ids, more) = graph.log_take(pos, end);
+            let page = ids
+                .into_iter()
+                .skip(offset)
+                .map(|id| Ok((id, self.odb.commit_ref(id)?)))
+                .collect::<Result<_>>()?;
+            return Ok((page, more));
+        }
+        let (mut page, mut popped) = (Vec::new(), 0);
+        let more = self.log_decode(from, end, |id, obj| {
+            if popped >= offset {
+                page.push((id, obj));
+            }
+            popped += 1;
+        })?;
+        Ok((page, more))
+    }
+
+    /// The store's commit-graph and `from`'s position in it, when the
+    /// graph covers `from`; counts the walk as graph-served or not.
+    fn graph_covering(&self, from: ObjectId) -> Option<(Arc<crate::graph::CommitGraph>, u32)> {
+        let covered = self
+            .odb
+            .commit_graph()
+            .and_then(|graph| graph.lookup(from).map(|pos| (graph, pos)));
+        crate::metrics::count_walk(covered.is_some());
+        covered
+    }
+
+    /// Decode-walk reference for [`Repository::log_take`]: hands each of
+    /// the first `n` commits to `emit` in order, and returns whether more
+    /// follow. Each heap entry carries the commit from the single fetch
+    /// made when it was first discovered, so no commit is decoded twice.
+    fn log_decode(
+        &self,
+        from: ObjectId,
+        n: usize,
+        mut emit: impl FnMut(ObjectId, Arc<Object>),
+    ) -> Result<bool> {
         struct Entry(i64, ObjectId, Arc<Object>);
         impl PartialEq for Entry {
             fn eq(&self, other: &Self) -> bool {
@@ -383,20 +429,18 @@ impl Repository {
         let mut seen = HashSet::new();
         heap.push(fetch(from)?);
         seen.insert(from);
-        let mut out = Vec::new();
-        while out.len() < n {
+        for _ in 0..n {
             let Some(Entry(_, id, obj)) = heap.pop() else {
                 break;
             };
-            out.push(id);
             for &p in &obj.as_commit().expect("checked kind").parents {
                 if seen.insert(p) {
                     heap.push(fetch(p)?);
                 }
             }
+            emit(id, obj);
         }
-        let more = !heap.is_empty();
-        Ok((out, more))
+        Ok(!heap.is_empty())
     }
 
     /// Commits reachable from HEAD, newest first.

@@ -326,6 +326,12 @@ impl ObjectStore for Box<dyn ObjectStore> {
     fn put_many(&mut self, objects: Vec<(ObjectId, Arc<Object>)>) {
         (**self).put_many(objects)
     }
+    fn commit_ref(&self, id: ObjectId) -> Result<Arc<Object>> {
+        (**self).commit_ref(id)
+    }
+    fn tree_ref(&self, id: ObjectId) -> Result<Arc<Object>> {
+        (**self).tree_ref(id)
+    }
     fn cache_metrics(&self) -> Option<CacheStats> {
         (**self).cache_metrics()
     }

@@ -12,7 +12,6 @@ use gitlite::{
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 static COUNTER: AtomicU64 = AtomicU64::new(0);
 
@@ -106,57 +105,47 @@ fn linear_dag(commits: usize) -> (MemStore, Vec<ObjectId>) {
 
 proptest! {
     /// The core equivalence property: over random DAGs (linear chains,
-    /// merges, octopus merges, unrelated roots), every graph-backed walk
-    /// returns exactly what the decode-walk reference returns.
+    /// merges, octopus merges, unrelated roots) and a purely linear
+    /// history, every graph-backed walk returns exactly what the
+    /// decode-walk reference returns, and a bounded log walk on either
+    /// path is the prefix of the full one, `more` exactly when commits
+    /// were left out.
     #[test]
     fn graph_walks_match_decode_reference(seed in any::<u64>()) {
         let commits = 2 + (seed % 38) as usize;
-        let (store, ids) = random_dag(seed, commits);
-        let graph = CommitGraph::build(&store, &ids).unwrap();
-        prop_assert_eq!(graph.len(), ids.len());
-
-        // A MemStore-backed repository has no graph: its walks ARE the
-        // decode reference.
-        let repo = Repository::init_with("ref", Box::new(store.clone()));
-
-        let mut rng = Rng(seed ^ 0xdead_beef);
-        for _ in 0..8 {
-            let a = ids[rng.below(ids.len())];
-            let b = ids[rng.below(ids.len())];
-            let pa = graph.lookup(a).unwrap();
-            let pb = graph.lookup(b).unwrap();
-
-            prop_assert_eq!(graph.merge_base(pa, pb), merge_base_decode(&store, a, b).unwrap());
-            prop_assert_eq!(graph.log_take(pa, usize::MAX), (repo.log(a).unwrap(), false));
-            prop_assert_eq!(graph.ancestor_set(pa), ancestor_set_decode(&store, a).unwrap());
-            prop_assert_eq!(
-                graph.is_ancestor(pa, pb),
-                ancestor_set_decode(&store, b).unwrap().contains(&a)
-            );
-        }
-    }
-
-    /// The bounded walk is a prefix of the full one on both paths: for
-    /// every `n` around and past the history's length, `log_take(tip, n)`
-    /// is `log(tip)[..n]` with `more` exactly when commits were left out.
-    #[test]
-    fn log_take_is_a_prefix_of_log_on_both_paths(seed in any::<u64>()) {
-        let commits = 2 + (seed % 38) as usize;
         for (store, ids) in [random_dag(seed, commits), linear_dag(commits)] {
-            let graph = Arc::new(CommitGraph::build(&store, &ids).unwrap());
-            let decode = Repository::init_with("decode", Box::new(store.clone()));
-            let graphed = Repository::init_with("graph", Box::new(Graphed { store, graph }));
+            let graph = CommitGraph::build(&store, &ids).unwrap();
+            prop_assert_eq!(graph.len(), ids.len());
 
-            let mut rng = Rng(seed ^ 0x1f2e_3d4c);
-            for _ in 0..4 {
-                let tip = ids[rng.below(ids.len())];
-                let full = decode.log(tip).unwrap();
-                prop_assert_eq!(&graphed.log(tip).unwrap(), &full);
+            // A MemStore-backed repository has no graph: its walks ARE the
+            // decode reference.
+            let repo = Repository::init_with("ref", Box::new(store.clone()));
+
+            let mut rng = Rng(seed ^ 0xdead_beef);
+            for _ in 0..8 {
+                let a = ids[rng.below(ids.len())];
+                let b = ids[rng.below(ids.len())];
+                let pa = graph.lookup(a).unwrap();
+                let pb = graph.lookup(b).unwrap();
+
+                prop_assert_eq!(graph.merge_base(pa, pb), merge_base_decode(&store, a, b).unwrap());
+                let full = repo.log(a).unwrap();
                 for n in 0..=full.len() + 1 {
                     let expected = (full[..n.min(full.len())].to_vec(), n < full.len());
-                    prop_assert_eq!(&decode.log_take(tip, n).unwrap(), &expected);
-                    prop_assert_eq!(&graphed.log_take(tip, n).unwrap(), &expected);
+                    prop_assert_eq!(&graph.log_take(pa, n), &expected);
+                    prop_assert_eq!(&repo.log_take(a, n).unwrap(), &expected);
                 }
+                let offset = rng.below(full.len() + 2);
+                let (page, more) = repo.log_page(a, offset, 3).unwrap();
+                let page: Vec<ObjectId> = page.into_iter().map(|(id, _)| id).collect();
+                let end = (offset + 3).min(full.len());
+                prop_assert_eq!(page, full.get(offset..end).unwrap_or_default().to_vec());
+                prop_assert_eq!(more, offset + 3 < full.len());
+                prop_assert_eq!(graph.ancestor_set(pa), ancestor_set_decode(&store, a).unwrap());
+                prop_assert_eq!(
+                    graph.is_ancestor(pa, pb),
+                    ancestor_set_decode(&store, b).unwrap().contains(&a)
+                );
             }
         }
     }
@@ -189,41 +178,6 @@ proptest! {
         let at = flip as usize % bytes.len();
         bytes[at] ^= 0xff;
         prop_assert!(CommitGraph::parse(&bytes).is_err(), "flip at {}", at);
-    }
-}
-
-/// A `MemStore` that serves a prebuilt commit-graph, so a `Repository`
-/// on it takes the graph path without a pack directory.
-#[derive(Debug, Clone)]
-struct Graphed {
-    store: MemStore,
-    graph: Arc<CommitGraph>,
-}
-
-impl ObjectStore for Graphed {
-    fn get(&self, id: ObjectId) -> gitlite::Result<Arc<Object>> {
-        self.store.get(id)
-    }
-    fn put_with_id(&mut self, id: ObjectId, object: Arc<Object>) {
-        self.store.put_with_id(id, object)
-    }
-    fn contains(&self, id: ObjectId) -> bool {
-        self.store.contains(id)
-    }
-    fn len(&self) -> usize {
-        self.store.len()
-    }
-    fn ids(&self) -> Vec<ObjectId> {
-        self.store.ids()
-    }
-    fn clone_box(&self) -> Box<dyn ObjectStore> {
-        Box::new(self.clone())
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn commit_graph(&self) -> Option<Arc<CommitGraph>> {
-        Some(Arc::clone(&self.graph))
     }
 }
 
@@ -279,6 +233,15 @@ fn gc_writes_a_graph_that_serves_walks() {
         r
     };
     assert_eq!(repo.log(main_tip).unwrap(), reference_log);
+    let (page, more) = repo.log_page(main_tip, 1, 5).unwrap();
+    let page: Vec<ObjectId> = page
+        .iter()
+        .map(|(id, obj)| {
+            assert!(obj.as_commit().is_some());
+            *id
+        })
+        .collect();
+    assert_eq!((page, more), (reference_log[1..].to_vec(), false));
     assert_eq!(
         merge_base(repo.odb(), main_tip, side_tip).unwrap(),
         reference_base

@@ -273,8 +273,9 @@ impl Hub {
     }
 
     /// Repositories whose HEAD version credits `author`. One without
-    /// commits cites nobody; one whose `citation.cite` fails to load
-    /// fails the search with that error.
+    /// commits, or whose HEAD has no `citation.cite`, cites nobody; one
+    /// whose `citation.cite` fails to load fails the search with that
+    /// error.
     pub(super) fn op_find_repos_citing(
         &self,
         author: &str,
@@ -287,7 +288,15 @@ impl Hub {
                 Err(gitlite::GitError::EmptyRepository) => continue,
                 Err(e) => return Err(HubError::Git(e)),
             };
-            let func = hosted.function_at(head).map_err(HubError::Cite)?;
+            let blob = match hosted.repo.blob_at(head, &citekit::citation_path()) {
+                Ok(blob) => blob,
+                Err(gitlite::GitError::FileNotFound(_)) => continue,
+                Err(e) => return Err(HubError::Git(e)),
+            };
+            let func = hosted
+                .cite_memo
+                .get(&hosted.repo, blob)
+                .map_err(HubError::Cite)?;
             let paths: Vec<RepoPath> = func
                 .iter()
                 .filter(|(_, e)| e.citation.author_list.iter().any(|a| a == author))

@@ -1465,6 +1465,37 @@ mod tests {
     }
 
     #[test]
+    fn credit_search_reads_a_repository_without_a_citation_file_as_citing_nobody() {
+        let (hub, token, cited) = hub_with_repo();
+        // A plain import: commits, but no citation.cite.
+        let mut plain = Repository::init_with("plain", Box::new(gitlite::MemStore::new()));
+        plain
+            .worktree_mut()
+            .write(&path("a.txt"), &b"a\n"[..])
+            .unwrap();
+        plain
+            .commit(Signature::new("Ann", "a@x", 10), "plain")
+            .unwrap();
+        hub.import_repo(&token, "plain", plain).unwrap();
+        // A push that deletes the citation file from a cited repository.
+        let dropped = hub.create_repo(&token, "P2").unwrap();
+        let mut local = hub.clone_repo(&dropped).unwrap();
+        local
+            .worktree_mut()
+            .remove_file(&citekit::citation_path())
+            .unwrap();
+        local
+            .commit(Signature::new("Leshang Chen", "l@x", 50), "drop citations")
+            .unwrap();
+        hub.push(&token, &dropped, "main", &local, "main", false)
+            .unwrap();
+
+        let found = hub.find_repos_citing("Leshang Chen").unwrap();
+        let ids: Vec<&str> = found.iter().map(|(id, _)| id.as_str()).collect();
+        assert_eq!(ids, vec![cited.as_str()]);
+    }
+
+    #[test]
     fn audit_log_tracks_operations() {
         let (hub, token, repo_id) = hub_with_repo();
         hub.generate_citation(&repo_id, "main", &RepoPath::root())

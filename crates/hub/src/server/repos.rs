@@ -279,22 +279,25 @@ impl Hub {
             Some(c) => parse_log_cursor(c)?,
         };
         // The walk stops once it has popped the commits up to the page's
-        // end (graph-served when the store has a commit-graph, a decode
-        // walk otherwise), so a page near the tip costs what it returns.
+        // end and hands back the page's commits as it fetched them, so a
+        // page near the tip costs what it returns, not the history.
+        let (page, more) = hosted
+            .repo
+            .log_page(tip, offset, limit)
+            .map_err(HubError::Git)?;
+        let items = page
+            .into_iter()
+            .map(|(id, obj)| {
+                let c = obj.as_commit().expect("checked kind");
+                LogEntry {
+                    id,
+                    author: c.author.name.clone(),
+                    timestamp: c.author.timestamp,
+                    message: c.message.clone(),
+                }
+            })
+            .collect();
         let end = offset.saturating_add(limit);
-        let (ids, more) = hosted.repo.log_take(tip, end).map_err(HubError::Git)?;
-        let page = ids.get(offset..).unwrap_or_default();
-        let mut items = Vec::with_capacity(page.len());
-        for &id in page {
-            let obj = hosted.repo.odb().commit_ref(id).map_err(HubError::Git)?;
-            let c = obj.as_commit().expect("checked kind");
-            items.push(LogEntry {
-                id,
-                author: c.author.name.clone(),
-                timestamp: c.author.timestamp,
-                message: c.message.clone(),
-            });
-        }
         let next = more.then(|| format!("{}:{end}", tip.to_hex()));
         Ok(Page { items, next })
     }
