@@ -8,6 +8,11 @@
 //! * `push_negotiated` — the negotiated path: `negotiate` finds the
 //!   common frontier, the delta bundle ships only the objects past it.
 //!
+//! * `clone_pack_storage` — a visitor's clone of the same 5k-commit
+//!   history hosted through `Hub::with_pack_storage`, its objects loose
+//!   as an import leaves them: the bundle walk reads each object once,
+//!   from disk, as its stored bytes.
+//!
 //! Bytes on the wire are counted by a transport wrapper and printed as
 //! `transfer_bytes ...` / `transfer_objects ...` lines (stderr), which
 //! `scripts/bench_transfer.sh` folds together with the Criterion times
@@ -223,7 +228,17 @@ fn bench(c: &mut Criterion) {
                 .unwrap()
         })
     });
+    // A clone from pack storage: every object of the history is a loose
+    // file, bigger than the hub's object cache.
+    let dir = std::env::temp_dir().join(format!("gitcite-bench-clone-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let hub_packed = Hub::with_pack_storage("https://h", &dir).unwrap();
+    let packed = setup(&hub_packed);
+    g.bench_function("clone_pack_storage", |b| {
+        b.iter(|| hub_packed.clone_repo(&packed.repo_id).unwrap())
+    });
     g.finish();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn config() -> Criterion {

@@ -1170,28 +1170,28 @@ impl PackStore {
         // Everything must be readable from disk state before we rewrite it.
         self.loose.flush()?;
         let total = self.len();
-        let keep = match roots {
-            Some(roots) => self.reachable_closure(roots)?,
-            None => self.ids(),
-        };
-        let dropped = total - keep.len();
-
-        let mut objects = Vec::with_capacity(keep.len());
-        for id in &keep {
-            let bytes = self.canonical_bytes_of(*id)?;
-            // Abort before anything is written or deleted: a record length
-            // is 31 bits (the high bit is the delta flag), and silently
-            // truncating would corrupt the fresh pack while the loose
-            // originals get removed underneath it.
-            if bytes.len() > LEN_MASK as usize {
-                return Err(GitError::Io(format!(
-                    "object {} is {} bytes, exceeding the 2 GiB pack record \
-                     limit; repack aborted (the object stays loose)",
-                    id.short(),
-                    bytes.len()
-                )));
+        // Each kept object is read once, as its stored bytes.
+        let mut objects = Vec::new();
+        match roots {
+            Some(roots) => self.walk_raw(roots, &mut |id, bytes| objects.push((id, bytes)))?,
+            None => {
+                for id in self.ids() {
+                    objects.push((id, self.get_raw(id)?));
+                }
             }
-            objects.push((*id, bytes));
+        }
+        let dropped = total - objects.len();
+        // Abort before anything is written or deleted: a record length
+        // is 31 bits (the high bit is the delta flag), and silently
+        // truncating would corrupt the fresh pack while the loose
+        // originals get removed underneath it.
+        if let Some((id, bytes)) = objects.iter().find(|(_, b)| b.len() > LEN_MASK as usize) {
+            return Err(GitError::Io(format!(
+                "object {} is {} bytes, exceeding the 2 GiB pack record \
+                 limit; repack aborted (the object stays loose)",
+                id.short(),
+                bytes.len()
+            )));
         }
         let old_packs: Vec<PathBuf> = self.packs.iter().map(|p| p.path.clone()).collect();
         let old_loose = self.loose.ids();
@@ -1309,16 +1309,6 @@ impl PackStore {
         })
     }
 
-    /// Canonical bytes of `id` from whichever layer holds it.
-    fn canonical_bytes_of(&self, id: ObjectId) -> Result<Vec<u8>> {
-        for pack in &self.packs {
-            if let Some(bytes) = pack.raw(id) {
-                return Ok(bytes.into_owned());
-            }
-        }
-        Ok(self.loose.get(id)?.canonical_bytes())
-    }
-
     /// Records stored as deltas across every opened pack.
     pub fn delta_objects(&self) -> usize {
         self.packs.iter().map(|p| p.delta_objects()).sum()
@@ -1363,6 +1353,20 @@ impl ObjectStore for PackStore {
         }
         crate::metrics::LOOSE_READS.inc();
         self.loose.get(id)
+    }
+
+    /// Packed bytes through [`Pack::raw`] (the trailer was checked at
+    /// open, resolved deltas are re-hashed), else the loose file's bytes
+    /// under its per-read hash check.
+    fn get_raw(&self, id: ObjectId) -> Result<Vec<u8>> {
+        for pack in &self.packs {
+            if let Some(bytes) = pack.raw(id) {
+                crate::metrics::PACK_READS.inc();
+                return Ok(bytes.into_owned());
+            }
+        }
+        crate::metrics::LOOSE_READS.inc();
+        self.loose.get_raw(id)
     }
 
     fn put_with_id(&mut self, id: ObjectId, object: Arc<Object>) {

@@ -49,9 +49,21 @@ use std::sync::{Arc, Mutex};
 ///
 /// Implementations supply the five primitives (`get`, `put_with_id`,
 /// `contains`, `len`, `ids`) plus `clone_box`; everything else — typed
-/// fetches, hashing inserts, raw-byte loads, reachability — is provided
-/// on top. The trait is object-safe: [`crate::Repository`] holds a
-/// `Box<dyn ObjectStore>`.
+/// fetches, hashing inserts, raw-byte loads and reads, reachability — is
+/// provided on top. The trait is object-safe: [`crate::Repository`] holds
+/// a `Box<dyn ObjectStore>`.
+///
+/// Objects travel two ways. [`ObjectStore::get`] hands out decoded
+/// objects for the code that reads them. [`ObjectStore::get_raw`] hands
+/// out the stored canonical bytes for the code that only moves them — a
+/// clone's bundle, a gc's pack, an archive visit — so nothing is decoded
+/// and re-encoded on the way through. Each backend keeps its own
+/// integrity rule on the raw path: [`DiskStore`] re-hashes every file it
+/// reads, [`crate::PackStore`] serves bytes its open-time trailer check
+/// covered (re-hashing resolved deltas), and [`CachedStore`] answers from
+/// memory when it holds the object but never fills its LRU from a raw
+/// read, so a bulk walk does not evict the hot set. The one reachability
+/// walk, [`ObjectStore::walk_raw`], is built on that read.
 pub trait ObjectStore: fmt::Debug + Send + Sync {
     /// Fetches an object.
     fn get(&self, id: ObjectId) -> Result<Arc<Object>>;
@@ -222,34 +234,52 @@ pub trait ObjectStore: fmt::Debug + Send + Sync {
         None
     }
 
-    /// Collects every object reachable from `roots` (commits walk to
-    /// their trees and parents; trees walk to entries). Missing objects
-    /// are an error — a reachable closure must be complete.
-    fn reachable_closure(&self, roots: &[ObjectId]) -> Result<Vec<ObjectId>> {
+    /// Fetches an object's stored canonical bytes (`"<kind> <len>\0<body>"`,
+    /// hashing to `id`) for callers that move objects rather than read
+    /// them. The default encodes what [`ObjectStore::get`] returns;
+    /// backends that store the bytes hand them out as they are, under
+    /// the same integrity check as `get` (see the trait docs), and
+    /// [`CachedStore`] serves them without filling its cache.
+    fn get_raw(&self, id: ObjectId) -> Result<Vec<u8>> {
+        Ok(self.get(id)?.canonical_bytes())
+    }
+
+    /// Visits every object reachable from `roots` once, as its stored
+    /// bytes ([`ObjectStore::get_raw`]): commits lead to their tree and
+    /// parents, trees to their entries. Only commits and trees are
+    /// decoded, to find those edges; a blob is known by its `blob `
+    /// prefix, and nothing is re-encoded. Objects are visited in a fixed
+    /// depth-first order (a commit's parents before its tree, a tree's
+    /// entries last-first), the order bundles are shipped in. Missing
+    /// objects are an error — a reachable closure must be complete.
+    fn walk_raw(&self, roots: &[ObjectId], visit: &mut dyn FnMut(ObjectId, Vec<u8>)) -> Result<()> {
         let mut seen = HashSet::new();
         let mut stack: Vec<ObjectId> = roots.to_vec();
-        let mut out = Vec::new();
         while let Some(id) = stack.pop() {
             if !seen.insert(id) {
                 continue;
             }
-            let obj = self.get(id)?;
-            out.push(id);
-            match &*obj {
-                Object::Blob(_) => {}
-                Object::Tree(t) => {
-                    for (_, entry) in t.iter() {
-                        stack.push(entry.id);
-                    }
-                }
-                Object::Commit(c) => {
-                    stack.push(c.tree);
-                    for p in &c.parents {
-                        stack.push(*p);
+            let bytes = self.get_raw(id)?;
+            if !bytes.starts_with(b"blob ") {
+                match decode_object(&bytes)? {
+                    Object::Blob(_) => {}
+                    Object::Tree(t) => stack.extend(t.iter().map(|(_, entry)| entry.id)),
+                    Object::Commit(c) => {
+                        stack.push(c.tree);
+                        stack.extend_from_slice(&c.parents);
                     }
                 }
             }
+            visit(id, bytes);
         }
+        Ok(())
+    }
+
+    /// The ids of every object reachable from `roots`, in
+    /// [`ObjectStore::walk_raw`]'s order.
+    fn reachable_closure(&self, roots: &[ObjectId]) -> Result<Vec<ObjectId>> {
+        let mut out = Vec::new();
+        self.walk_raw(roots, &mut |id, _| out.push(id))?;
         Ok(out)
     }
 }
@@ -322,6 +352,9 @@ impl ObjectStore for Box<dyn ObjectStore> {
     // so e.g. `DiskStore`'s no-decode `put_raw` survives boxing.
     fn put_raw(&mut self, id: ObjectId, bytes: &[u8]) -> Result<ObjectId> {
         (**self).put_raw(id, bytes)
+    }
+    fn get_raw(&self, id: ObjectId) -> Result<Vec<u8>> {
+        (**self).get_raw(id)
     }
     fn put_many(&mut self, objects: Vec<(ObjectId, Arc<Object>)>) {
         (**self).put_many(objects)
@@ -433,7 +466,8 @@ impl ObjectStore for MemStore {
 ///   next [`DiskStore::flush`].
 /// * `get` reads and decodes on every call, verifying that the bytes
 ///   hash back to the requested id (corruption is detected at read
-///   time). Wrap a `DiskStore` in a [`CachedStore`] for hot paths.
+///   time); `get_raw` makes the same check and skips the decode. Wrap a
+///   `DiskStore` in a [`CachedStore`] for hot paths.
 #[derive(Debug, Clone)]
 pub struct DiskStore {
     root: PathBuf,
@@ -546,6 +580,27 @@ impl DiskStore {
         false
     }
 
+    /// Reads `id`'s object file, verifying that its bytes hash back to
+    /// the id (a file changed on disk is caught at every read).
+    fn read_checked(&self, id: ObjectId) -> Result<Vec<u8>> {
+        let bytes = match fs::read(self.object_file(id)) {
+            Ok(b) => b,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                return Err(GitError::ObjectNotFound(id))
+            }
+            Err(e) => return Err(GitError::Io(e.to_string())),
+        };
+        let actual = ObjectId::hash_bytes(&bytes);
+        if actual != id {
+            return Err(GitError::Corrupt(format!(
+                "object file {} holds bytes hashing to {}",
+                id.short(),
+                actual.short()
+            )));
+        }
+        Ok(bytes)
+    }
+
     fn write_object(&self, id: ObjectId, bytes: &[u8]) -> std::io::Result<()> {
         // No exists() pre-check: callers filter through `known()`, and a
         // racing duplicate write produces identical bytes via temp+rename
@@ -587,22 +642,15 @@ impl ObjectStore for DiskStore {
         if let Some(obj) = self.staged.get(&id) {
             return Ok(Arc::clone(obj));
         }
-        let bytes = match fs::read(self.object_file(id)) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Err(GitError::ObjectNotFound(id))
-            }
-            Err(e) => return Err(GitError::Io(e.to_string())),
-        };
-        let actual = ObjectId::hash_bytes(&bytes);
-        if actual != id {
-            return Err(GitError::Corrupt(format!(
-                "object file {} holds bytes hashing to {}",
-                id.short(),
-                actual.short()
-            )));
+        Ok(Arc::new(decode_object(&self.read_checked(id)?)?))
+    }
+
+    /// The file's bytes as they are, after the same hash check as `get`.
+    fn get_raw(&self, id: ObjectId) -> Result<Vec<u8>> {
+        if let Some(obj) = self.staged.get(&id) {
+            return Ok(obj.canonical_bytes());
         }
-        Ok(Arc::new(decode_object(&bytes)?))
+        self.read_checked(id)
     }
 
     /// Raw-bytes fast path: after the hash check, the bytes go straight
@@ -712,9 +760,13 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 8192;
 /// An LRU read-through cache over another backend.
 ///
 /// `get` serves hot objects from memory; misses fall through to the
-/// inner store and populate the cache. Writes go through to the inner
-/// store and prime the cache (a freshly written object is usually read
-/// next). `contains`/`len`/`ids` always reflect the inner store.
+/// inner store and populate the cache. `get_raw` answers from memory
+/// when the object is cached and otherwise reads the inner store's bytes
+/// without filling the cache or counting a hit or miss: the objects a
+/// clone or gc streams through once must not evict what readers keep
+/// asking for. Writes go through to the inner store and prime the cache
+/// (a freshly written object is usually read next).
+/// `contains`/`len`/`ids` always reflect the inner store.
 pub struct CachedStore<S> {
     inner: S,
     cache: Mutex<Lru>,
@@ -847,6 +899,20 @@ impl<S: ObjectStore + Clone + 'static> ObjectStore for CachedStore<S> {
         self.inner.ids()
     }
 
+    /// A cached object is encoded from memory; anything else is the
+    /// inner store's bytes, read past the cache (see the type docs).
+    fn get_raw(&self, id: ObjectId) -> Result<Vec<u8>> {
+        let cached = self
+            .cache
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .peek(id);
+        match cached {
+            Some(obj) => Ok(obj.canonical_bytes()),
+            None => self.inner.get_raw(id),
+        }
+    }
+
     /// Delegates so the inner backend's raw-bytes fast path is kept
     /// (`DiskStore` writes the bytes without decoding them).
     fn put_raw(&mut self, id: ObjectId, bytes: &[u8]) -> Result<ObjectId> {
@@ -943,6 +1009,11 @@ impl Lru {
                 None
             }
         }
+    }
+
+    /// The cached object, leaving recency and the counters as they are.
+    fn peek(&self, id: ObjectId) -> Option<Arc<Object>> {
+        self.map.get(&id).map(|(obj, _)| Arc::clone(obj))
     }
 
     fn insert(&mut self, id: ObjectId, obj: Arc<Object>) {
@@ -1150,6 +1221,21 @@ mod tests {
         let hex = id.to_hex();
         fs::write(dir.join(&hex[..2]).join(&hex[2..]), b"tampered").unwrap();
         assert!(matches!(disk.get(id), Err(GitError::Corrupt(_))));
+        assert!(matches!(disk.get_raw(id), Err(GitError::Corrupt(_))));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn raw_reads_are_the_stored_bytes() {
+        let dir = temp_dir("raw");
+        let mut disk = DiskStore::open(&dir).unwrap();
+        let c = sample_commit(&mut disk, "c", vec![]);
+        for id in disk.reachable_closure(&[c]).unwrap() {
+            let hex = id.to_hex();
+            let file = fs::read(dir.join(&hex[..2]).join(&hex[2..])).unwrap();
+            assert_eq!(disk.get_raw(id).unwrap(), file);
+            assert_eq!(file, disk.get(id).unwrap().canonical_bytes());
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1260,6 +1346,35 @@ mod tests {
         let (hits, misses) = cached.cache_stats();
         assert_eq!(hits, 10, "writes prime the cache; every read hits");
         assert_eq!(misses, 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn cached_raw_reads_answer_hits_and_never_fill_the_cache() {
+        let dir = temp_dir("cache-raw");
+        let mut disk = DiskStore::open(&dir).unwrap();
+        let cold = disk.put_blob("cold");
+        let mut cached = CachedStore::with_capacity(disk, 4);
+        let hot = cached.put_blob("hot");
+        let before = cached.stats();
+        assert_eq!(
+            cached.get_raw(cold).unwrap(),
+            cached.get(cold).unwrap().canonical_bytes()
+        );
+        let after_get = cached.stats();
+        assert_eq!(after_get.len, before.len + 1, "a get fills the cache");
+        // A hit is answered from memory, even once the file is gone; a
+        // miss reads through and leaves the cache as it was.
+        let hex = hot.to_hex();
+        fs::remove_file(dir.join(&hex[..2]).join(&hex[2..])).unwrap();
+        assert_eq!(cached.get_raw(hot).unwrap(), b"blob 3\0hot".to_vec());
+        let other = cached
+            .put_raw(ObjectId::hash_bytes(b"blob 1\0x"), b"blob 1\0x")
+            .unwrap();
+        // Boxed, as a `Repository` holds it: the box forwards `get_raw`.
+        let boxed: Box<dyn ObjectStore> = Box::new(cached);
+        assert_eq!(boxed.get_raw(other).unwrap(), b"blob 1\0x".to_vec());
+        assert_eq!(boxed.cache_metrics(), Some(after_get));
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -873,9 +873,8 @@ impl RepoBundle {
         head: Option<String>,
     ) -> gitlite::Result<RepoBundle> {
         let mut objects = Vec::new();
-        for id in repo.odb().reachable_closure(roots)? {
-            objects.push((id, repo.odb().get(id)?.canonical_bytes()));
-        }
+        repo.odb()
+            .walk_raw(roots, &mut |id, bytes| objects.push((id, bytes)))?;
         Ok(RepoBundle {
             name: repo.name().to_owned(),
             head,
@@ -963,21 +962,23 @@ impl RepoBundle {
         for &b in &basis {
             collect_tree_closure(repo, repo.tree_of(b)?, &mut known)?;
         }
+        // What ships is read as stored bytes; only trees are decoded, for
+        // their entries.
         let mut objects = Vec::new();
         for &id in &new_commits {
-            objects.push((id, repo.odb().get(id)?.canonical_bytes()));
+            objects.push((id, repo.odb().get_raw(id)?));
             let mut stack = vec![repo.tree_of(id)?];
             while let Some(oid) = stack.pop() {
                 if !known.insert(oid) {
                     continue;
                 }
-                let obj = repo.odb().get(oid)?;
-                if let gitlite::Object::Tree(t) = &*obj {
-                    for (_, e) in t.iter() {
-                        stack.push(e.id);
+                let bytes = repo.odb().get_raw(oid)?;
+                if !bytes.starts_with(b"blob ") {
+                    if let gitlite::Object::Tree(t) = gitlite::codec::decode_object(&bytes)? {
+                        stack.extend(t.iter().map(|(_, e)| e.id));
                     }
                 }
-                objects.push((oid, obj.canonical_bytes()));
+                objects.push((oid, bytes));
             }
         }
         Ok(RepoBundle {
@@ -1167,6 +1168,7 @@ impl Wire for RepoBundle {
 }
 
 /// Adds every tree and blob reachable from `root` (a tree id) to `out`.
+/// Only trees are fetched: a blob's id comes from its entry's mode.
 fn collect_tree_closure(
     repo: &Repository,
     root: ObjectId,
@@ -1177,10 +1179,13 @@ fn collect_tree_closure(
         if !out.insert(id) {
             continue;
         }
-        let obj = repo.odb().get(id)?;
-        if let gitlite::Object::Tree(t) = &*obj {
-            for (_, e) in t.iter() {
-                stack.push(e.id);
+        let tree = repo.odb().tree_ref(id)?;
+        for (_, e) in tree.as_tree().expect("checked kind").iter() {
+            match e.mode {
+                gitlite::EntryMode::Dir => stack.push(e.id),
+                gitlite::EntryMode::File => {
+                    out.insert(e.id);
+                }
             }
         }
     }

@@ -9,7 +9,7 @@
 //! directories and `swh:1:rev:<sha1>` for revisions.
 
 use crate::error::{HubError, Result};
-use gitlite::{Object, ObjectId, Repository};
+use gitlite::{ObjectId, Repository};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The kind of archived object an SWHID names.
@@ -82,28 +82,19 @@ impl Heritage {
                 "repository has no commits to archive".into(),
             ));
         }
-        let closure = repo.odb().reachable_closure(&tips).map_err(HubError::Git)?;
+        // One raw walk: each object's kind is its bytes' prefix.
         let mut new_objects = (0usize, 0usize, 0usize);
-        for id in closure {
-            let obj = repo.odb().get(id).map_err(HubError::Git)?;
-            match &*obj {
-                Object::Blob(_) => {
-                    if self.contents.insert(id) {
-                        new_objects.0 += 1;
-                    }
+        repo.odb()
+            .walk_raw(&tips, &mut |id, bytes| {
+                if bytes.starts_with(b"blob ") {
+                    new_objects.0 += usize::from(self.contents.insert(id));
+                } else if bytes.starts_with(b"tree ") {
+                    new_objects.1 += usize::from(self.directories.insert(id));
+                } else {
+                    new_objects.2 += usize::from(self.revisions.insert(id));
                 }
-                Object::Tree(_) => {
-                    if self.directories.insert(id) {
-                        new_objects.1 += 1;
-                    }
-                }
-                Object::Commit(_) => {
-                    if self.revisions.insert(id) {
-                        new_objects.2 += 1;
-                    }
-                }
-            }
-        }
+            })
+            .map_err(HubError::Git)?;
         let heads: Vec<String> = tips.iter().map(|t| swhid(SwhKind::Revision, *t)).collect();
         self.origins
             .entry(origin.to_owned())

@@ -1275,7 +1275,7 @@ mod tests {
         // ...and no commit happened.
         assert_eq!(hub.log(&repo_id, "main").unwrap(), before);
         // The failure is audited.
-        let audit = hub.audit_log();
+        let audit = hub.audit_log().unwrap();
         let last = audit.last().unwrap();
         assert_eq!(last.action, "add_cite");
         assert!(!last.ok);
@@ -1506,7 +1506,7 @@ mod tests {
         c.note = Some("x".into());
         hub.modify_cite(&token, &repo_id, "main", &RepoPath::root(), c)
             .unwrap();
-        let log = hub.audit_log();
+        let log = hub.audit_log().unwrap();
         let actions: Vec<&str> = log.iter().map(|e| e.action.as_str()).collect();
         assert!(actions.contains(&"register_user"));
         assert!(actions.contains(&"create_repo"));

@@ -40,10 +40,9 @@ wrappers! {
 }
 
 impl Hub {
-    /// A snapshot of the audit log, walked page by page (empty when it
-    /// cannot be read).
-    pub fn audit_log(&self) -> Vec<AuditEvent> {
-        walk_pages(|cursor, limit| self.audit_log_page(cursor, limit)).unwrap_or_default()
+    /// A snapshot of the audit log, walked page by page.
+    pub fn audit_log(&self) -> Result<Vec<AuditEvent>> {
+        walk_pages(|cursor, limit| self.audit_log_page(cursor, limit))
     }
 
     /// Grants `username` the operator capability: `server_metrics` over

@@ -146,10 +146,11 @@ impl Hub {
         }
     }
 
-    /// All repository ids, walked page by page (empty when the listing
-    /// cannot be read, e.g. on a follower past its staleness bound).
-    pub fn list_repos(&self) -> Vec<String> {
-        walk_pages(|cursor, limit| self.list_repos_page(cursor, limit)).unwrap_or_default()
+    /// All repository ids, walked page by page (an error when the
+    /// listing cannot be read, e.g. on a follower past its staleness
+    /// bound).
+    pub fn list_repos(&self) -> Result<Vec<String>> {
+        walk_pages(|cursor, limit| self.list_repos_page(cursor, limit))
     }
 
     /// Commit log of a branch, newest first, walked page by page.

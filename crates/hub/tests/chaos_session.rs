@@ -154,7 +154,7 @@ fn chaotic_session_completes_with_zero_corruption() {
     until_visible(
         &client,
         |t| client.create_repo(t, "p").map(|_| ()),
-        || hub.list_repos().contains(&"ann/p".to_owned()),
+        || hub.list_repos().unwrap().contains(&"ann/p".to_owned()),
     );
     let repo_id = "ann/p".to_owned();
 

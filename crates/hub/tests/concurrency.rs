@@ -118,7 +118,7 @@ fn concurrent_readers_and_writers() {
         assert!(!c.repo_name.is_empty());
     }
     // Audit log is dense and includes the denials.
-    let audit = hub.audit_log();
+    let audit = hub.audit_log().unwrap();
     for (i, e) in audit.iter().enumerate() {
         assert_eq!(e.seq, i as u64);
     }

@@ -166,7 +166,7 @@ fn per_user_rate_limit_charges_token_bearing_requests() {
         Err(HubError::RateLimited { retry_after: 1 })
     ));
     // Anonymous reads carry no token, so they are never charged here.
-    assert!(hub.list_repos().is_empty());
+    assert!(hub.list_repos().unwrap().is_empty());
     // One clock tick refills one request.
     hub.advance_clock_to(hub_clock(&hub) + 1);
     hub.whoami(&token).unwrap();
@@ -196,7 +196,7 @@ fn per_repo_rate_limit_charges_requests_naming_the_repo() {
         Err(HubError::RateLimited { retry_after: 1 })
     ));
     // Requests that name no repository stay unthrottled.
-    assert_eq!(hub.list_repos(), vec![repo_id]);
+    assert_eq!(hub.list_repos().unwrap(), vec![repo_id]);
 }
 
 #[test]
@@ -214,7 +214,7 @@ fn bundle_quota_rejects_oversized_push_and_import() {
         hub.import_repo(&token, "big", big),
         Err(HubError::QuotaExceeded(_))
     ));
-    assert!(hub.list_repos().is_empty());
+    assert!(hub.list_repos().unwrap().is_empty());
 
     // Push: the bundle is checked before any object lands.
     hub.set_limits(LimitsConfig::default());
@@ -312,7 +312,7 @@ fn denials_are_audited_and_counted() {
     hub.whoami(&token).unwrap(); // drains the burst capacity...
     assert!(hub.whoami(&token).is_err()); // ...and reads never refill it
 
-    let log = hub.audit_log();
+    let log = hub.audit_log().unwrap();
     let find = |action: &str| {
         log.iter()
             .find(|e| e.action == action && !e.ok)
@@ -358,5 +358,5 @@ fn new_error_codes_round_trip_the_wire() {
 /// Reads the hub clock without assuming a starting value: audit entries
 /// carry the logical timestamp the clock had reached.
 fn hub_clock(hub: &Hub) -> i64 {
-    hub.audit_log().last().map_or(0, |e| e.timestamp)
+    hub.audit_log().unwrap().last().map_or(0, |e| e.timestamp)
 }

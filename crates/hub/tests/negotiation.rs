@@ -117,7 +117,7 @@ fn sync_skips_the_push_when_server_is_current() {
     let (hub, token, repo_id, mut local) = seeded(5);
     let client = HubClient::in_process(&hub);
     let tip = local.branch_tip("main").unwrap();
-    let before = hub.audit_log().len();
+    let before = hub.audit_log().unwrap().len();
     // Server already has the tip: no push request is issued at all.
     assert_eq!(
         client
@@ -125,7 +125,7 @@ fn sync_skips_the_push_when_server_is_current() {
             .unwrap(),
         tip
     );
-    let after = hub.audit_log();
+    let after = hub.audit_log().unwrap();
     assert!(
         !after[before..].iter().any(|e| e.action == "push"),
         "sync pushed despite an up-to-date server"
@@ -322,7 +322,7 @@ fn holed_full_bundles_are_refused_everywhere() {
         bundle: holed.clone(),
     });
     assert!(refused(import));
-    assert!(!hub.list_repos().contains(&"ann/holed".to_owned()));
+    assert!(!hub.list_repos().unwrap().contains(&"ann/holed".to_owned()));
 
     // A full push leaves the branch where it was.
     let push = hub.dispatch(hub::ApiRequest::Push {
@@ -486,10 +486,10 @@ fn audit_and_repo_listings_paginate() {
             None => break,
         }
     }
-    assert_eq!(names, hub.list_repos());
+    assert_eq!(names, hub.list_repos().unwrap());
 
     // Audit pages concatenate to the full log.
-    let full = hub.audit_log();
+    let full = hub.audit_log().unwrap();
     let mut events = Vec::new();
     let mut cursor = None;
     loop {

@@ -103,8 +103,8 @@ fn follower_converges_byte_identically_through_total_chaos() {
     // replicate: the bootstrap bundle fights its way through the chaos.
     let failed_bootstrap = replicate(&engine);
     assert_eq!(
-        primary.audit_log(),
-        follower_hub.audit_log(),
+        primary.audit_log().unwrap(),
+        follower_hub.audit_log().unwrap(),
         "audit logs differ after bootstrap"
     );
     assert_eq!(
@@ -136,7 +136,10 @@ fn follower_converges_byte_identically_through_total_chaos() {
         )
         .unwrap();
     let failed_catchup = replicate(&engine);
-    assert_eq!(primary.audit_log(), follower_hub.audit_log());
+    assert_eq!(
+        primary.audit_log().unwrap(),
+        follower_hub.audit_log().unwrap()
+    );
     assert_eq!(
         frontier(&primary, &repo_id),
         frontier(&follower_hub, &repo_id),

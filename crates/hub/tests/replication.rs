@@ -68,13 +68,13 @@ fn assert_converged(primary: &hub::Hub, follower: &hub::Hub) {
     // Audit first: the frontier clones below record fresh `clone` audit
     // events on the primary, which the *next* round will replicate.
     assert_eq!(
-        primary.audit_log(),
-        follower.audit_log(),
+        primary.audit_log().unwrap(),
+        follower.audit_log().unwrap(),
         "audit logs differ"
     );
-    let mut repos = primary.list_repos();
+    let mut repos = primary.list_repos().unwrap();
     repos.sort();
-    let mut replicated = follower.list_repos();
+    let mut replicated = follower.list_repos().unwrap();
     replicated.sort();
     assert_eq!(repos, replicated, "repo registries differ");
     for repo_id in &repos {

@@ -108,7 +108,7 @@ fn main() {
     render(&popup);
 
     println!("### The platform's audit log recorded everything:\n");
-    for e in hub.audit_log().iter().rev().take(6) {
+    for e in hub.audit_log().unwrap().iter().rev().take(6) {
         println!(
             "  #{:<3} {:<18} by {:<12} on {:<16} ok={}",
             e.seq,

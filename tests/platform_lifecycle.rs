@@ -103,7 +103,12 @@ fn full_release_and_fork_lifecycle() {
     );
 
     // The audit log saw the whole story.
-    let actions: Vec<String> = hub.audit_log().iter().map(|e| e.action.clone()).collect();
+    let actions: Vec<String> = hub
+        .audit_log()
+        .unwrap()
+        .iter()
+        .map(|e| e.action.clone())
+        .collect();
     for expected in [
         "create_repo",
         "push",
