@@ -1,7 +1,11 @@
 //! Local-tool persistence bench: `gitcite_cli::storage` on a 256-file
-//! checkout. Times `load` (HEAD checkout plus reading every worktree
-//! file), `save` when nothing changed, and `save` after one file changed.
-//! A save writes only the files whose bytes differ from the ones on disk,
+//! checkout. Times `load` (opening the object store, reading HEAD's
+//! commit and root tree, and reading every worktree file) on a
+//! loose-only store and, as `load_packed`, on a gc'd store holding a
+//! multi-commit history in one pack — the shape a long-lived checkout
+//! has, where opening the pack is part of every command. Also times
+//! `save` when nothing changed, and `save` after one file changed. A
+//! save writes only the files whose bytes differ from the ones on disk,
 //! so the two save cases should cost about the same and far less than
 //! rewriting the checkout.
 
@@ -12,6 +16,8 @@ use gitlite::Repository;
 use std::time::Duration;
 
 const FILES: usize = 256;
+/// Commits in the `load_packed` history, each editing one file.
+const COMMITS: usize = 200;
 
 fn bench(c: &mut Criterion) {
     let dir =
@@ -45,8 +51,30 @@ fn bench(c: &mut Criterion) {
             storage::save(&dir, &loaded).unwrap()
         })
     });
+
+    // A gc'd history: COMMITS commits, each rewriting one file, packed.
+    let packed = dir.with_extension("packed");
+    let _ = std::fs::remove_dir_all(&packed);
+    let mut history = repo;
+    for i in 0..COMMITS {
+        history
+            .worktree_mut()
+            .write(
+                &paths[i * 7 % FILES],
+                format!("revision {i}\n").into_bytes(),
+            )
+            .unwrap();
+        history.commit(sig("bench", 2 + i as i64), "edit").unwrap();
+    }
+    storage::save(&packed, &history).unwrap();
+    let roots: Vec<_> = history.branches().map(|(_, tip)| tip).collect();
+    storage::gc(&packed, &roots).unwrap();
+    g.bench_function("load_packed", |b| {
+        b.iter(|| storage::load(&packed).unwrap())
+    });
     g.finish();
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&packed);
 }
 
 fn config() -> Criterion {

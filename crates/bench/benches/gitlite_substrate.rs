@@ -1,11 +1,13 @@
 //! E11 bench — the VCS substrate itself: commit snapshotting, tree diff
-//! (with and without rename detection), three-way merge and diff3, and
-//! clone/push.
+//! (with and without rename detection), three-way merge and diff3,
+//! clone/push, and SHA-1 throughput (`sha1/1MiB`), which every object
+//! write, loose read and packed read pays.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gitcite_bench::{sig, synthetic_tree};
 use gitlite::{
-    clone_repository, diff3_merge, diff_trees, push, write_tree, MergeLabels, Odb, Repository,
+    clone_repository, diff3_merge, diff_trees, push, write_tree, MergeLabels, ObjectId, Odb,
+    Repository,
 };
 use std::time::Duration;
 
@@ -118,6 +120,17 @@ fn bench(c: &mut Criterion) {
         });
     }
 
+    g.finish();
+
+    // Hashing throughput over one mebibyte of varied bytes.
+    let data: Vec<u8> = (0u32..1 << 20)
+        .map(|i| (i.wrapping_mul(31) >> 3) as u8)
+        .collect();
+    let mut g = c.benchmark_group("sha1");
+    g.throughput(Throughput::Bytes(data.len() as u64));
+    g.bench_function("1MiB", |b| {
+        b.iter(|| ObjectId::hash_bytes(std::hint::black_box(&data)))
+    });
     g.finish();
 }
 

@@ -273,8 +273,9 @@ fn with_repo_mut(
     // Long edit sessions self-compact: once enough loose objects pile up,
     // the save path runs the same gc `gitcite gc` would.
     let roots = gc_roots(repo.repo());
+    let loose = storage::loose_count(cwd, repo.repo())?;
     drop(repo); // release the store handle before rewriting its files
-    if let Some(report) = storage::maybe_gc(cwd, &roots)? {
+    if let Some(report) = storage::maybe_gc(cwd, &roots, loose)? {
         out.push_str(&format!(
             "auto-gc: packed {} object(s), dropped {} unreachable\n",
             report.packed, report.dropped

@@ -48,7 +48,13 @@
 //! the graph simply do not exist until the first `gc`).
 //!
 //! Loading reads the worktree back from the real files, so edits made with
-//! any editor are picked up — exactly how Git behaves.
+//! any editor are picked up — exactly how Git behaves. HEAD's tree is
+//! therefore never checked out: [`load`] puts HEAD where the `HEAD` file
+//! says and reads only HEAD's commit and root tree, so a store that
+//! cannot serve HEAD still fails the load. Opening the store checks each
+//! pack's structure, not its bytes; every object is hashed against its
+//! id when a command reads it. A command thus pays for the objects it
+//! reads, not for the whole store.
 
 use gitlite::{
     CachedStore, GitError, Head, MaintenanceReport, ObjectId, ObjectStore, PackStore, RepoPath,
@@ -116,22 +122,42 @@ pub fn auto_gc_threshold() -> Option<usize> {
     }
 }
 
-/// Runs [`gc`] when the loose overflow has grown past
-/// [`auto_gc_threshold`]; returns `None` (cheaply — only the loose area
-/// is scanned, no pack is read) when below it or when auto-gc is
-/// disabled.
-pub fn maybe_gc(dir: &Path, roots: &[ObjectId]) -> Result<Option<MaintenanceReport>, GitError> {
-    let Some(threshold) = auto_gc_threshold() else {
-        return Ok(None);
-    };
-    // The loose overflow *is* a DiskStore over the same root, so its
-    // object count is exactly the loose count — no pack buffering needed
-    // for the common no-op case.
-    let loose = gitlite::DiskStore::open(objects_dir(dir))?.len();
-    if loose < threshold {
-        return Ok(None);
+/// Runs [`gc`] when `loose`, the store's loose-object count (see
+/// [`loose_count`]), has reached [`auto_gc_threshold`]; returns `None`
+/// without touching the store when below it or when auto-gc is disabled.
+pub fn maybe_gc(
+    dir: &Path,
+    roots: &[ObjectId],
+    loose: usize,
+) -> Result<Option<MaintenanceReport>, GitError> {
+    match auto_gc_threshold() {
+        Some(threshold) if loose >= threshold => gc(dir, roots).map(Some),
+        _ => Ok(None),
     }
-    gc(dir, roots).map(Some)
+}
+
+/// Loose objects in the store under `dir`. A repository [`load`]ed from
+/// `dir` answers from its own [`PackStore`] handle, which indexed the
+/// loose area at open and counted every write since, so no shard
+/// directory is scanned twice in one command; any other repository
+/// costs a scan of the loose area.
+pub fn loose_count(dir: &Path, repo: &Repository) -> Result<usize, GitError> {
+    match store_under(dir, repo) {
+        Some(store) => Ok(store.loose_len()),
+        // The loose overflow *is* a DiskStore over the same root.
+        None => Ok(gitlite::DiskStore::open(objects_dir(dir))?.len()),
+    }
+}
+
+/// `repo`'s own store when it is the [`PackStore`] under `dir` and
+/// every object it accepted has reached disk: a repository [`load`]ed
+/// from `dir`, whose writes went straight through to it.
+fn store_under<'a>(dir: &Path, repo: &'a Repository) -> Option<&'a PackStore> {
+    repo.odb()
+        .as_any()
+        .downcast_ref::<CachedStore<PackStore>>()
+        .map(CachedStore::inner)
+        .filter(|store| store.root() == objects_dir(dir) && store.is_durable())
 }
 
 /// Persists `repo` into `dir`: metadata under `.gitcite/`, worktree as
@@ -164,18 +190,12 @@ pub(crate) fn save_over(dir: &Path, repo: &Repository, on_disk: &WorkTree) -> io
 
     // Objects. Fast path: a repository loaded from this very directory
     // is already write-through onto its PackStore — re-opening the store
-    // (a shard scan plus pack verification) and re-checking every id
-    // would find nothing to do. Recognize that case and skip it.
-    let objects = objects_dir(dir);
-    let already_durable_here = repo
-        .odb()
-        .as_any()
-        .downcast_ref::<CachedStore<PackStore>>()
-        .is_some_and(|c| c.inner().root() == objects && c.inner().is_durable());
-    if !already_durable_here {
+    // (a shard scan plus pack parsing) and re-checking every id would
+    // find nothing to do. Recognize that case and skip it.
+    if store_under(dir, repo).is_none() {
         // Sync through the PackStore backend (skips ids already packed or
         // on disk — objects are immutable), batching the inserts.
-        let mut store = PackStore::open(&objects).map_err(io_err)?;
+        let mut store = PackStore::open(objects_dir(dir)).map_err(io_err)?;
         let mut missing = Vec::new();
         for id in repo.odb().ids() {
             if !store.contains(id) {
@@ -262,7 +282,8 @@ fn write_atomic(file: &Path, bytes: &[u8]) -> io::Result<()> {
 }
 
 /// Loads the repository persisted in `dir`, reading the worktree from the
-/// real files on disk.
+/// real files on disk. HEAD is set, not checked out; its commit and root
+/// tree are read so that a store unable to serve them fails here.
 ///
 /// The returned repository stays backed by the on-disk object store (via
 /// [`open_store`]): objects are fetched lazily and new commits write
@@ -285,21 +306,26 @@ pub fn load(dir: &Path) -> Result<Repository, GitError> {
         repo.set_branch(branch, id)?;
     }
 
-    // HEAD — set before loading the worktree so commit parents line up.
+    // HEAD, so commit parents line up. No checkout: the worktree comes
+    // from the real files below, so HEAD's tree is not materialized.
     let head_text = fs::read_to_string(meta_dir.join("HEAD"))
         .map_err(|e| GitError::Io(format!("read HEAD: {e}")))?;
     let head_text = head_text.trim();
     match head_text.split_once(' ') {
-        Some(("branch", b)) => {
-            repo.checkout_branch(b)?;
-        }
+        Some(("branch", b)) => repo.set_head(b)?,
         Some(("unborn", _)) => {}
         Some(("detached", hex)) => {
             let id = ObjectId::from_hex(hex)
                 .ok_or_else(|| GitError::Corrupt(format!("bad HEAD {head_text:?}")))?;
-            repo.checkout_commit(id)?;
+            repo.set_head_detached(id)?;
         }
         _ => return Err(GitError::Corrupt(format!("bad HEAD {head_text:?}"))),
+    }
+    // A store that cannot serve HEAD's commit and root tree fails here,
+    // not halfway through a command.
+    if let Ok(head) = repo.head_commit() {
+        let tree = repo.odb().commit(head)?.tree;
+        repo.odb().tree_ref(tree)?;
     }
 
     // Worktree from the real files (user edits included).

@@ -100,20 +100,21 @@ impl Sha1 {
             self.buf_len += take;
             data = &data[take..];
             if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
+                compress(&mut self.state, &self.buf);
                 self.buf_len = 0;
             }
         }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
+        let mut blocks = data.chunks_exact(64);
+        for block in &mut blocks {
+            compress(
+                &mut self.state,
+                block.try_into().expect("chunks_exact yields 64 bytes"),
+            );
         }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
+        let rest = blocks.remainder();
+        if !rest.is_empty() {
+            self.buf[..rest.len()].copy_from_slice(rest);
+            self.buf_len = rest.len();
         }
     }
 
@@ -142,13 +143,114 @@ impl Sha1 {
         self.buf[self.buf_len] = byte;
         self.buf_len += 1;
         if self.buf_len == 64 {
-            let block = self.buf;
-            self.compress(&block);
+            compress(&mut self.state, &self.buf);
             self.buf_len = 0;
         }
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
+/// One SHA-1 block, unrolled: the message schedule lives in a 16-word
+/// ring (word `i` overwrites word `i - 16`), and the 80 rounds are
+/// straight-line code with each round's function and constant fixed, so
+/// no round branches on its index. Instead of shifting `a..e` after every
+/// round, each round renames them, which returns them to their places
+/// every five rounds.
+// The last rounds store schedule words no later round reads.
+#[allow(unused_assignments)]
+fn compress(state: &mut [u32; 5], block: &[u8; 64]) {
+    let mut w = [0u32; 16];
+    for (word, chunk) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *word = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    }
+    let [mut a, mut b, mut c, mut d, mut e] = *state;
+
+    // Schedule word `i` for rounds 0..16 ...
+    macro_rules! load {
+        ($i:expr) => {
+            w[$i]
+        };
+    }
+    // ... and for rounds 16..80, computed into the slot of word `i - 16`.
+    macro_rules! next {
+        ($i:expr) => {{
+            let v = (w[($i + 13) & 15] ^ w[($i + 8) & 15] ^ w[($i + 2) & 15] ^ w[$i & 15])
+                .rotate_left(1);
+            w[$i & 15] = v;
+            v
+        }};
+    }
+    macro_rules! ch {
+        ($b:ident, $c:ident, $d:ident) => {
+            $d ^ ($b & ($c ^ $d))
+        };
+    }
+    macro_rules! parity {
+        ($b:ident, $c:ident, $d:ident) => {
+            $b ^ $c ^ $d
+        };
+    }
+    macro_rules! maj {
+        ($b:ident, $c:ident, $d:ident) => {
+            ($b & $c) | ($d & ($b | $c))
+        };
+    }
+    macro_rules! round {
+        ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $k:expr, $w:expr) => {
+            $e = $e
+                .wrapping_add($a.rotate_left(5))
+                .wrapping_add($f!($b, $c, $d))
+                .wrapping_add($k)
+                .wrapping_add($w);
+            $b = $b.rotate_left(30);
+        };
+    }
+    macro_rules! five {
+        ($i:expr, $f:ident, $k:expr, $w:ident) => {
+            round!(a, b, c, d, e, $f, $k, $w!($i));
+            round!(e, a, b, c, d, $f, $k, $w!($i + 1));
+            round!(d, e, a, b, c, $f, $k, $w!($i + 2));
+            round!(c, d, e, a, b, $f, $k, $w!($i + 3));
+            round!(b, c, d, e, a, $f, $k, $w!($i + 4));
+        };
+    }
+
+    five!(0, ch, 0x5A827999, load);
+    five!(5, ch, 0x5A827999, load);
+    five!(10, ch, 0x5A827999, load);
+    round!(a, b, c, d, e, ch, 0x5A827999, load!(15));
+    round!(e, a, b, c, d, ch, 0x5A827999, next!(16));
+    round!(d, e, a, b, c, ch, 0x5A827999, next!(17));
+    round!(c, d, e, a, b, ch, 0x5A827999, next!(18));
+    round!(b, c, d, e, a, ch, 0x5A827999, next!(19));
+    five!(20, parity, 0x6ED9EBA1, next);
+    five!(25, parity, 0x6ED9EBA1, next);
+    five!(30, parity, 0x6ED9EBA1, next);
+    five!(35, parity, 0x6ED9EBA1, next);
+    five!(40, maj, 0x8F1BBCDC, next);
+    five!(45, maj, 0x8F1BBCDC, next);
+    five!(50, maj, 0x8F1BBCDC, next);
+    five!(55, maj, 0x8F1BBCDC, next);
+    five!(60, parity, 0xCA62C1D6, next);
+    five!(65, parity, 0xCA62C1D6, next);
+    five!(70, parity, 0xCA62C1D6, next);
+    five!(75, parity, 0xCA62C1D6, next);
+
+    state[0] = state[0].wrapping_add(a);
+    state[1] = state[1].wrapping_add(b);
+    state[2] = state[2].wrapping_add(c);
+    state[3] = state[3].wrapping_add(d);
+    state[4] = state[4].wrapping_add(e);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The textbook FIPS 180-1 block function: an 80-word schedule and a
+    /// round loop choosing its function and constant by index. The
+    /// unrolled [`compress`] must agree with it on every input.
+    fn reference_compress(state: &mut [u32; 5], block: &[u8; 64]) {
         let mut w = [0u32; 80];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -156,7 +258,7 @@ impl Sha1 {
         for i in 16..80 {
             w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
         }
-        let [mut a, mut b, mut c, mut d, mut e] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e] = *state;
         for (i, &wi) in w.iter().enumerate() {
             let (f, k) = match i {
                 0..=19 => ((b & c) | (!b & d), 0x5A827999),
@@ -176,17 +278,63 @@ impl Sha1 {
             b = a;
             a = tmp;
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e]) {
+            *s = s.wrapping_add(v);
+        }
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    /// SHA-1 of `data` padded by hand and run through
+    /// [`reference_compress`], sharing no code with [`Sha1`].
+    fn reference_digest(data: &[u8]) -> [u8; 20] {
+        let mut msg = data.to_vec();
+        msg.push(0x80);
+        while msg.len() % 64 != 56 {
+            msg.push(0);
+        }
+        msg.extend_from_slice(&((data.len() as u64) * 8).to_be_bytes());
+        let mut state = Sha1::new().state;
+        for block in msg.chunks_exact(64) {
+            reference_compress(&mut state, block.try_into().unwrap());
+        }
+        let mut out = [0u8; 20];
+        for (i, word) in state.iter().enumerate() {
+            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    proptest! {
+        #[test]
+        fn unrolled_compress_matches_the_reference(
+            block in prop::collection::vec(any::<u8>(), 64..65),
+            state in prop::collection::vec(any::<u64>().prop_map(|x| x as u32), 5..6),
+        ) {
+            let block: [u8; 64] = block.try_into().unwrap();
+            let mut fast: [u32; 5] = state.clone().try_into().unwrap();
+            let mut slow = fast;
+            compress(&mut fast, &block);
+            reference_compress(&mut slow, &block);
+            prop_assert_eq!(fast, slow);
+        }
+
+        #[test]
+        fn chunked_hashing_matches_the_reference(
+            data in prop::collection::vec(any::<u8>(), 0..600),
+            cuts in prop::collection::vec(any::<u8>().prop_map(|b| 1 + b as usize % 150), 1..8),
+        ) {
+            let mut h = Sha1::new();
+            let mut rest = &data[..];
+            for &cut in cuts.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (head, tail) = rest.split_at(cut.min(rest.len()));
+                h.update(head);
+                rest = tail;
+            }
+            prop_assert_eq!(h.finalize(), reference_digest(&data));
+        }
+    }
 
     fn hex(data: &[u8]) -> String {
         ObjectId::hash_bytes(data).to_hex()

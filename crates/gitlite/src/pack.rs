@@ -31,10 +31,14 @@
 //!   A delta's base must be another record *in the same pack*, chains are
 //!   capped at [`MAX_DELTA_DEPTH`], and both properties (plus acyclicity)
 //!   are validated at parse time, so a crafted file cannot loop or recurse
-//!   a reader. Resolution re-hashes the reconstructed bytes against the
-//!   record id before serving them — a damaged or malicious delta yields
-//!   "object missing", never a wrong answer. A pack with no delta records
-//!   encodes as version 1, byte-identical to the pre-delta format.
+//!   a reader. A pack with no delta records encodes as version 1,
+//!   byte-identical to the pre-delta format.
+//!
+//!   Records are verified as they are read, not when the pack opens: a
+//!   full record's bytes, and a delta's reconstructed bytes, are
+//!   re-hashed against the record id before they are served. A damaged
+//!   or malicious record reads as [`GitError::Corrupt`] naming its id,
+//!   never as a wrong answer, and a reader hashes only what it reads.
 //!
 //! * **`pack-<checksum>.idx`** — the lookup structure: a 256-entry fanout
 //!   table (cumulative counts by leading id byte) over the sorted id list,
@@ -57,10 +61,11 @@
 //!
 //! [`PackStore`] is the [`ObjectStore`] backend over this format: reads are
 //! served from buffered in-memory pack data (one sequential file read per
-//! pack at open, no per-object file opens), while new writes overflow into
-//! a loose [`DiskStore`] area sharing the same root directory (packs live
-//! under `<root>/pack/`, loose objects under `<root>/ab/...`, so a
-//! `PackStore` opens any existing loose-object directory unchanged).
+//! pack at open, no per-object file opens, each record hashed as it is
+//! served), while new writes overflow into a loose [`DiskStore`] area
+//! sharing the same root directory (packs live under `<root>/pack/`,
+//! loose objects under `<root>/ab/...`, so a `PackStore` opens any
+//! existing loose-object directory unchanged).
 //! [`PackStore::repack`] and [`PackStore::gc`] consolidate the overflow
 //! back into a single fresh pack — `gc` additionally drops objects not
 //! reachable from the given roots. Both also write the third sidecar
@@ -564,6 +569,11 @@ impl PackIndex {
     /// Byte offset of `id`'s record within the pack, if present: fanout
     /// bucket, then binary search inside it.
     pub fn offset_of(&self, id: ObjectId) -> Option<u64> {
+        self.position_of(id).map(|pos| self.offsets[pos])
+    }
+
+    /// Position of `id` in [`PackIndex::ids`], if present.
+    fn position_of(&self, id: ObjectId) -> Option<usize> {
         let bucket = id.0[0] as usize;
         let lo = if bucket == 0 {
             0
@@ -572,16 +582,15 @@ impl PackIndex {
         };
         let hi = self.fanout[bucket] as usize;
         let i = self.ids[lo..hi].binary_search(&id).ok()?;
-        Some(self.offsets[lo + i])
+        Some(lo + i)
     }
 }
 
-/// Validates a pack's framing — magic, version, and the SHA-1 trailer
-/// over the whole body — returning the record count, the trailer
-/// checksum, and the format version. Because the trailer covers every
-/// byte, a pack that passes this check (and is then held immutable in
-/// memory) needs no further per-object hashing on full-record reads.
-fn validate_pack_framing(data: &[u8]) -> Result<(usize, ObjectId, u32)> {
+/// Checks a pack's framing — length, magic and version — returning the
+/// record count, the stored trailer checksum, and the format version.
+/// The trailer is read, not recomputed: records are verified one by one
+/// as they are served ([`Pack::read`]).
+fn pack_header(data: &[u8]) -> Result<(usize, ObjectId, u32)> {
     let corrupt = |msg: String| GitError::Corrupt(format!("pack file: {msg}"));
     if data.len() < HEADER_LEN + TRAILER_LEN {
         return Err(corrupt("truncated".into()));
@@ -593,22 +602,22 @@ fn validate_pack_framing(data: &[u8]) -> Result<(usize, ObjectId, u32)> {
     if version != PACK_VERSION && version != PACK_VERSION_DELTA {
         return Err(corrupt(format!("unsupported version {version}")));
     }
-    let body = &data[..data.len() - TRAILER_LEN];
-    let trailer = &data[data.len() - TRAILER_LEN..];
-    let checksum = ObjectId::hash_bytes(body);
-    if checksum.0 != trailer {
-        return Err(corrupt("trailer checksum mismatch".into()));
-    }
+    let mut trailer = [0u8; 20];
+    trailer.copy_from_slice(&data[data.len() - TRAILER_LEN..]);
     let count = u32::from_be_bytes(data[8..12].try_into().unwrap()) as usize;
-    Ok((count, checksum, version))
+    Ok((count, ObjectId(trailer), version))
 }
 
-/// Validates `.pack` bytes (magic, version, trailer) and rebuilds a
-/// [`PackIndex`] by scanning its records — the recovery path for a pack
-/// whose `.idx` file is missing or damaged.
+/// Validates `.pack` bytes (magic, version, and the SHA-1 trailer over
+/// the whole body) and rebuilds a [`PackIndex`] by scanning its records
+/// — the recovery path for a pack whose `.idx` file is missing or
+/// damaged, where the scan has nothing else to trust.
 pub fn index_pack(data: &[u8]) -> Result<PackIndex> {
     let corrupt = |msg: String| GitError::Corrupt(format!("pack file: {msg}"));
-    let (count, checksum, version) = validate_pack_framing(data)?;
+    let (count, checksum, version) = pack_header(data)?;
+    if ObjectId::hash_bytes(&data[..data.len() - TRAILER_LEN]) != checksum {
+        return Err(corrupt("trailer checksum mismatch".into()));
+    }
     let body = &data[..data.len() - TRAILER_LEN];
     let mut entries = Vec::with_capacity(count);
     let mut at = HEADER_LEN;
@@ -692,22 +701,27 @@ impl fmt::Debug for Pack {
 
 impl Pack {
     /// Opens pack bytes with an optional pre-built index. With `idx`
-    /// bytes, the pack's trailer is verified and checked against the
-    /// index's recorded checksum, and every indexed offset is cheaply
-    /// bounds- and identity-checked (the id at the offset must match the
-    /// indexed id) — no record walk or re-sort, which is what the `.idx`
-    /// file buys over rescanning. Without `idx`, the index is rebuilt by
-    /// scanning the records ([`index_pack`]). Either way, delta records
-    /// are then structurally validated: every base must be a record of
-    /// this pack, chains must be acyclic and no deeper than
-    /// [`MAX_DELTA_DEPTH`] — a crafted file fails here instead of
-    /// looping a reader.
+    /// bytes, the pack's header is checked, its stored trailer must equal
+    /// the checksum the index recorded (so an index is never paired with
+    /// another pack), and every indexed offset is cheaply bounds- and
+    /// identity-checked (the id at the offset must match the indexed id)
+    /// — no record walk, re-sort or hash over the body, which is what the
+    /// `.idx` file buys over rescanning. Without `idx`, the trailer is
+    /// verified over the whole body and the index is rebuilt by scanning
+    /// the records ([`index_pack`]). Either way, delta records are then
+    /// structurally validated: every base must be a record of this pack,
+    /// chains must be acyclic and no deeper than [`MAX_DELTA_DEPTH`] — a
+    /// crafted file fails here instead of looping a reader.
+    ///
+    /// Record bytes themselves are verified as they are read
+    /// ([`Pack::read`]), so opening costs the same whether a command
+    /// then reads one object or all of them.
     pub fn parse(data: Vec<u8>, idx: Option<&[u8]>, path: PathBuf) -> Result<Pack> {
         let index = match idx {
             None => index_pack(&data)?,
             Some(bytes) => {
                 let index = PackIndex::parse(bytes)?;
-                let (count, checksum, version) = validate_pack_framing(&data)?;
+                let (count, checksum, version) = pack_header(&data)?;
                 if checksum != index.pack_checksum {
                     return Err(GitError::Corrupt(format!(
                         "index for pack {} paired with pack {}",
@@ -789,33 +803,63 @@ impl Pack {
         )
     }
 
-    /// The canonical bytes of `id`, if this pack holds it. Full records
-    /// are served straight from the buffer; delta records are resolved
-    /// by walking the base chain (cached), and the reconstructed bytes
-    /// are verified against `id` before being served — a damaged delta
-    /// reads as "missing", never as wrong bytes.
-    pub fn raw(&self, id: ObjectId) -> Option<Cow<'_, [u8]>> {
-        let off = self.index.offset_of(id)? as usize;
-        let (is_delta, payload) = self.record_at(off);
+    /// The canonical bytes of `id`, or `Ok(None)` when this pack does
+    /// not hold it. Full records are served straight from the buffer;
+    /// delta records are resolved by walking the base chain (cached).
+    /// Either way the bytes are re-hashed against their id before they
+    /// are served: a record whose bytes do not hash to its id — or a
+    /// delta that does not apply — is [`GitError::Corrupt`], never wrong
+    /// bytes.
+    pub fn read(&self, id: ObjectId) -> Result<Option<Cow<'_, [u8]>>> {
+        let Some(off) = self.index.offset_of(id) else {
+            return Ok(None);
+        };
+        let (is_delta, payload) = self.record_at(off as usize);
         if !is_delta {
-            return Some(Cow::Borrowed(payload));
+            self.verify(id, payload)?;
+            return Ok(Some(Cow::Borrowed(payload)));
         }
-        self.resolve(id).map(Cow::Owned)
+        self.resolve(id).map(|bytes| Some(Cow::Owned(bytes)))
     }
 
-    fn resolve(&self, id: ObjectId) -> Option<Vec<u8>> {
+    /// [`Pack::read`] without the reason: the canonical bytes of `id`,
+    /// or `None` when the pack does not hold it *or* its bytes fail
+    /// verification.
+    pub fn raw(&self, id: ObjectId) -> Option<Cow<'_, [u8]>> {
+        self.read(id).ok().flatten()
+    }
+
+    /// Checks that `bytes`, served as record `id`, hash to `id`.
+    fn verify(&self, id: ObjectId, bytes: &[u8]) -> Result<()> {
+        let actual = ObjectId::hash_bytes(bytes);
+        if actual != id {
+            return Err(GitError::Corrupt(format!(
+                "packed object {} holds bytes hashing to {}",
+                id.short(),
+                actual.short()
+            )));
+        }
+        Ok(())
+    }
+
+    fn resolve(&self, id: ObjectId) -> Result<Vec<u8>> {
         // Walk up the chain until a full record or a cached resolution,
         // then apply the collected deltas back down, caching each rung
         // (deep chains share prefixes, so the next read starts warm).
+        // Parsing checked that every base is a record of this pack.
         let mut chain: Vec<(ObjectId, &[u8])> = Vec::new();
         let mut cur = id;
         let mut base: Vec<u8> = loop {
             if let Some(hit) = self.cache.lock().unwrap().map.get(&cur) {
                 break hit.clone();
             }
-            let off = self.index.offset_of(cur)? as usize;
+            let off = self
+                .index
+                .offset_of(cur)
+                .expect("delta bases are validated at parse") as usize;
             let (is_delta, payload) = self.record_at(off);
             if !is_delta {
+                self.verify(cur, payload)?;
                 break payload.to_vec();
             }
             let mut base_id = [0u8; 20];
@@ -825,14 +869,17 @@ impl Pack {
         };
         for (link_id, delta) in chain.into_iter().rev() {
             crate::metrics::DELTA_RESOLUTIONS.inc();
-            let out = apply_delta(&base, delta).ok()?;
-            if ObjectId::hash_bytes(&out) != link_id {
-                return None;
-            }
+            let out = apply_delta(&base, delta).map_err(|e| match e {
+                GitError::Corrupt(msg) => {
+                    GitError::Corrupt(format!("packed object {}: {msg}", link_id.short()))
+                }
+                other => other,
+            })?;
+            self.verify(link_id, &out)?;
             self.cache_put(link_id, out.clone());
             base = out;
         }
-        Some(base)
+        Ok(base)
     }
 
     fn cache_put(&self, id: ObjectId, bytes: Vec<u8>) {
@@ -854,33 +901,36 @@ impl Pack {
 /// bounds-checked by the caller.
 fn validate_delta_chains(data: &[u8], index: &PackIndex) -> Result<usize> {
     let corrupt = |msg: String| GitError::Corrupt(format!("pack file: {msg}"));
-    let record = |id: ObjectId| -> Option<(bool, &[u8])> {
-        let off = index.offset_of(id)? as usize;
+    // The record at index position `pos`: whether it is a delta, and its
+    // payload.
+    let record = |pos: usize| -> (bool, &[u8]) {
+        let off = index.offsets[pos] as usize;
         let word = u32::from_be_bytes(data[off + 20..off + 24].try_into().unwrap());
         let len = (word & LEN_MASK) as usize;
-        Some((
+        (
             word & DELTA_FLAG != 0,
             &data[off + RECORD_PREFIX..off + RECORD_PREFIX + len],
-        ))
+        )
     };
     let mut deltas = 0;
-    let mut depth: HashMap<ObjectId, u32> = HashMap::new();
-    for &id in index.ids() {
-        let mut chain: Vec<ObjectId> = Vec::new();
-        let mut cur = id;
+    // Chain depth by index position, once known; full records are 0.
+    let mut depth: Vec<Option<u32>> = vec![None; index.len()];
+    for (start, id) in index.ids().iter().enumerate() {
+        let mut chain: Vec<usize> = Vec::new();
+        let mut cur = start;
         let base_depth = loop {
-            if let Some(&d) = depth.get(&cur) {
+            if let Some(d) = depth[cur] {
                 break d;
             }
-            let (is_delta, payload) = record(cur)
-                .ok_or_else(|| corrupt(format!("delta base {} is not in the pack", cur.short())))?;
+            let (is_delta, payload) = record(cur);
             if !is_delta {
+                depth[cur] = Some(0);
                 break 0;
             }
             if payload.len() < DELTA_PREFIX {
                 return Err(corrupt(format!(
                     "delta record for {} is too short",
-                    cur.short()
+                    index.ids[cur].short()
                 )));
             }
             if chain.contains(&cur) {
@@ -892,10 +942,13 @@ fn validate_delta_chains(data: &[u8], index: &PackIndex) -> Result<usize> {
             chain.push(cur);
             let mut base_id = [0u8; 20];
             base_id.copy_from_slice(&payload[..20]);
-            cur = ObjectId(base_id);
+            let base = ObjectId(base_id);
+            cur = index.position_of(base).ok_or_else(|| {
+                corrupt(format!("delta base {} is not in the pack", base.short()))
+            })?;
         };
         deltas += chain.len();
-        for (i, link) in chain.iter().rev().enumerate() {
+        for (i, &link) in chain.iter().rev().enumerate() {
             let d = base_depth + i as u32 + 1;
             if d > MAX_DELTA_DEPTH {
                 return Err(corrupt(format!(
@@ -903,7 +956,7 @@ fn validate_delta_chains(data: &[u8], index: &PackIndex) -> Result<usize> {
                     id.short()
                 )));
             }
-            depth.insert(*link, d);
+            depth[link] = Some(d);
         }
     }
     Ok(deltas)
@@ -942,6 +995,12 @@ pub struct MaintenanceReport {
 /// An [`ObjectStore`] serving reads from buffered packs, with a loose
 /// [`DiskStore`] overflow area for new writes.
 ///
+/// Opening checks each pack's structure, not its bytes: every record is
+/// hashed against its id when it is read ([`Pack::read`]), so a read
+/// never serves wrong bytes, a damaged record reads as
+/// [`GitError::Corrupt`], and a command that reads a handful of objects
+/// hashes only those.
+///
 /// Layout under the root directory:
 ///
 /// ```text
@@ -971,13 +1030,15 @@ pub struct PackStore {
 }
 
 impl PackStore {
-    /// Opens (creating if needed) the store rooted at `root`: loads and
-    /// verifies every pack under `<root>/pack/` (rebuilding any missing
-    /// or damaged `.idx` from its pack), indexes the loose overflow, and
-    /// loads the commit-graph sidecar. A present-but-corrupt or stale
-    /// (referencing ids the store no longer holds) graph is rebuilt from
-    /// a full scan of the store's commit objects and rewritten — the same
-    /// recovery policy as a damaged `.idx`. A missing graph costs nothing
+    /// Opens (creating if needed) the store rooted at `root`: loads every
+    /// pack under `<root>/pack/` and checks its structure against its
+    /// `.idx` (rebuilding any missing or damaged `.idx` from its pack;
+    /// record bytes are verified later, as they are read), indexes the
+    /// loose overflow, and loads the commit-graph sidecar. A
+    /// present-but-corrupt or stale (referencing ids the store no longer
+    /// holds) graph is rebuilt from a full scan of the store's commit
+    /// objects and rewritten — the same recovery policy as a damaged
+    /// `.idx`. A missing graph costs nothing
     /// here; the next [`PackStore::repack`]/[`PackStore::gc`] writes one.
     pub fn open(root: impl Into<PathBuf>) -> Result<PackStore> {
         let root = root.into();
@@ -1026,8 +1087,11 @@ impl PackStore {
     ///   rebuilt from a full scan of the store's commit objects;
     /// * **stale-subset** (commits landed in the loose overflow since the
     ///   graph was written) → incrementally extended
-    ///   ([`CommitGraph::extend`]): only the new loose commits are
-    ///   decoded, the packed history's records are reused;
+    ///   ([`CommitGraph::extend`]): loose objects are picked out as
+    ///   commits by their stored `commit ` prefix, without a hash or a
+    ///   decode, and only the commits the graph is extended with are read
+    ///   (hash-checked) and decoded; the packed history's records are
+    ///   reused;
     /// * absent → stays absent (`None`, zero cost) until the next
     ///   `repack`/`gc` writes one.
     ///
@@ -1045,10 +1109,11 @@ impl PackStore {
                     .loose
                     .ids()
                     .into_iter()
-                    .filter(|id| !self.packed.contains(id) && !graph.contains(*id))
-                    .filter(
-                        |id| matches!(self.loose.get(*id), Ok(obj) if obj.as_commit().is_some()),
-                    )
+                    .filter(|id| {
+                        !self.packed.contains(id)
+                            && !graph.contains(*id)
+                            && self.loose.stored_as_commit(*id)
+                    })
                     .collect();
                 if new_commits.is_empty() {
                     return Some(Arc::new(graph));
@@ -1073,17 +1138,14 @@ impl PackStore {
     }
 
     /// Builds a commit-graph over **every** commit object in the store
-    /// (both layers) — the full-scan rebuild path. Packed records are
-    /// sniffed by their canonical-bytes prefix so non-commit objects cost
-    /// nothing; loose objects must be decoded to know their kind. Returns
-    /// `Ok(None)` when the store holds no commits.
+    /// (both layers) — the full-scan rebuild path. Objects are sniffed by
+    /// their canonical-bytes prefix (`commit `) so non-commit objects are
+    /// never decoded. Returns `Ok(None)` when the store holds no commits.
     fn scan_graph(&self) -> Result<Option<CommitGraph>> {
         let mut entries = Vec::new();
         for pack in &self.packs {
             for &id in pack.index().ids() {
-                let bytes = pack.raw(id).ok_or_else(|| {
-                    GitError::Corrupt(format!("packed object {} failed to resolve", id.short()))
-                })?;
+                let bytes = pack.read(id)?.expect("indexed ids are in the pack");
                 if !bytes.starts_with(b"commit ") {
                     continue;
                 }
@@ -1098,7 +1160,7 @@ impl PackStore {
             }
         }
         for id in self.loose.ids() {
-            if self.packed.contains(&id) {
+            if self.packed.contains(&id) || !self.loose.stored_as_commit(id) {
                 continue;
             }
             let obj = self.loose.get(id)?;
@@ -1341,12 +1403,13 @@ fn write_atomic(file: &Path, bytes: &[u8]) -> Result<()> {
 }
 
 impl ObjectStore for PackStore {
+    /// Packed bytes through [`Pack::read`], which hashes each record
+    /// against its id as it serves it — a damaged record is `Corrupt`,
+    /// not a fall-through to the loose area — else the loose file under
+    /// its own per-read hash check.
     fn get(&self, id: ObjectId) -> Result<Arc<Object>> {
-        // No per-read hash check (unlike DiskStore, whose files can change
-        // between reads): the pack's SHA-1 trailer was verified over every
-        // byte at open, and the buffer is immutable from then on.
         for pack in &self.packs {
-            if let Some(bytes) = pack.raw(id) {
+            if let Some(bytes) = pack.read(id)? {
                 crate::metrics::PACK_READS.inc();
                 return Ok(Arc::new(decode_object(&bytes)?));
             }
@@ -1355,12 +1418,10 @@ impl ObjectStore for PackStore {
         self.loose.get(id)
     }
 
-    /// Packed bytes through [`Pack::raw`] (the trailer was checked at
-    /// open, resolved deltas are re-hashed), else the loose file's bytes
-    /// under its per-read hash check.
+    /// [`PackStore::get`]'s verified bytes, without the decode.
     fn get_raw(&self, id: ObjectId) -> Result<Vec<u8>> {
         for pack in &self.packs {
-            if let Some(bytes) = pack.raw(id) {
+            if let Some(bytes) = pack.read(id)? {
                 crate::metrics::PACK_READS.inc();
                 return Ok(bytes.into_owned());
             }
@@ -1694,22 +1755,47 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Asserts `result` is `Corrupt` with a message naming `id`.
+    fn assert_corrupt_naming<T: fmt::Debug>(result: Result<T>, id: ObjectId) {
+        match result {
+            Err(GitError::Corrupt(msg)) => assert!(msg.contains(&id.short()), "{msg}"),
+            other => panic!("expected Corrupt naming {}, got {other:?}", id.short()),
+        }
+    }
+
     #[test]
     fn packed_reads_detect_tampering() {
         let dir = temp_dir("tamper");
         let mut store = PackStore::open(&dir).unwrap();
-        store.put_blob("pristine");
+        let c = sample_commit(&mut store, "one", vec![]);
+        let blob = Blob::new(b"content of one".to_vec()).id();
         store.repack().unwrap();
-        // Tampering invalidates the trailer, which open() rejects.
-        let pack_file = fs::read_dir(dir.join(PACK_DIR))
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .find(|p| p.extension().map(|e| e == "pack").unwrap_or(false))
-            .unwrap();
+        let late = store.put_blob("loose after the repack");
+        let pack_file = store.packs[0].path().to_path_buf();
+        let off = store.packs[0].index().offset_of(blob).unwrap() as usize;
         let mut bytes = fs::read(&pack_file).unwrap();
-        bytes[HEADER_LEN + 25] ^= 0xff;
+        bytes[off + RECORD_PREFIX + 10] ^= 0xff; // inside the blob's payload
         fs::write(&pack_file, bytes).unwrap();
-        assert!(matches!(PackStore::open(&dir), Err(GitError::Corrupt(_))));
+
+        // Open checks structure, not record bytes: it succeeds, and
+        // records other than the tampered one read as before.
+        let mut store = PackStore::open(&dir).unwrap();
+        assert!(store.contains(blob));
+        assert_eq!(store.commit(c).unwrap().message, "one");
+        // The tampered record is Corrupt when read, never a fall-through
+        // to the loose area or wrong bytes.
+        assert_corrupt_naming(store.get(blob), blob);
+        assert_corrupt_naming(store.get_raw(blob), blob);
+        // A gc that cannot read its closure stops before it writes or
+        // deletes anything.
+        assert_corrupt_naming(store.gc(&[c]), blob);
+        assert!(pack_file.exists(), "the old pack survives");
+        let hex = late.to_hex();
+        assert!(
+            dir.join(&hex[..2]).join(&hex[2..]).exists(),
+            "loose files survive"
+        );
+        assert_eq!(store.pack_count(), 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1963,6 +2049,66 @@ mod tests {
         let pack = Pack::parse(craft_pack(&records), None, PathBuf::new()).unwrap();
         assert_eq!(pack.raw(base_id).unwrap(), &base_bytes[..]);
         assert_eq!(pack.raw(liar_id), None, "wrong answers are never returned");
+    }
+
+    #[test]
+    fn corrupt_deltas_read_as_corrupt_naming_the_record() {
+        // A delta that applies but reproduces other bytes than its id.
+        let base_bytes = b"the quick brown fox jumps over the lazy dog".to_vec();
+        let base_id = ObjectId::hash_bytes(&base_bytes);
+        let liar_id = ObjectId::hash_bytes(b"not what the delta produces");
+        // A delta whose copy op overruns its base.
+        let broken_id = ObjectId::hash_bytes(b"overrun");
+        let mut records = vec![
+            (base_id, false, base_bytes),
+            (
+                liar_id,
+                true,
+                delta_payload(base_id, 3, &[OP_COPY, 0, 0, 0, 0, 0, 0, 0, 3]),
+            ),
+            (
+                broken_id,
+                true,
+                delta_payload(base_id, 99, &[OP_COPY, 0, 0, 0, 0, 0, 0, 0, 99]),
+            ),
+        ];
+        records.sort_by_key(|r| r.0);
+        let pack = Pack::parse(craft_pack(&records), None, PathBuf::new()).unwrap();
+        assert!(pack.read(base_id).unwrap().is_some());
+        assert_corrupt_naming(pack.read(liar_id), liar_id);
+        assert_corrupt_naming(pack.read(broken_id), broken_id);
+        assert!(pack
+            .read(ObjectId::hash_bytes(b"absent"))
+            .unwrap()
+            .is_none());
+
+        // The same through a store: a flipped byte at the end of a
+        // stored delta record reads as Corrupt, not as missing.
+        let dir = temp_dir("corrupt-delta");
+        let mut store = PackStore::open(&dir).unwrap();
+        for (id, bytes) in blob_versions(20) {
+            store.put_raw(id, &bytes).unwrap();
+        }
+        store.repack().unwrap();
+        let pack = &store.packs[0];
+        let (delta_id, end) = pack
+            .index()
+            .ids()
+            .iter()
+            .find_map(|&id| {
+                let off = pack.index().offset_of(id).unwrap() as usize;
+                let (is_delta, payload) = pack.record_at(off);
+                is_delta.then(|| (id, off + RECORD_PREFIX + payload.len()))
+            })
+            .expect("versioned blobs deltify");
+        let pack_file = pack.path().to_path_buf();
+        let mut bytes = fs::read(&pack_file).unwrap();
+        bytes[end - 1] ^= 0xff;
+        fs::write(&pack_file, bytes).unwrap();
+        let store = PackStore::open(&dir).unwrap();
+        assert_corrupt_naming(store.get(delta_id), delta_id);
+        assert_corrupt_naming(store.get_raw(delta_id), delta_id);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

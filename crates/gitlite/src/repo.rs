@@ -321,6 +321,16 @@ impl Repository {
         Ok(())
     }
 
+    /// Detaches HEAD at the stored commit `id` without loading its tree:
+    /// the detached counterpart of [`Repository::set_head`].
+    pub fn set_head_detached(&mut self, id: ObjectId) -> Result<()> {
+        if !self.odb.contains(id) {
+            return Err(GitError::ObjectNotFound(id));
+        }
+        self.head = Head::Detached(id);
+        Ok(())
+    }
+
     /// Detaches HEAD at a commit and loads its tree into the worktree.
     pub fn checkout_commit(&mut self, id: ObjectId) -> Result<()> {
         let tree = self.tree_of(id)?;

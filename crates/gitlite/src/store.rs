@@ -42,6 +42,7 @@ use crate::object::{Blob, Object};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::fs;
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -59,8 +60,8 @@ use std::sync::{Arc, Mutex};
 /// clone's bundle, a gc's pack, an archive visit — so nothing is decoded
 /// and re-encoded on the way through. Each backend keeps its own
 /// integrity rule on the raw path: [`DiskStore`] re-hashes every file it
-/// reads, [`crate::PackStore`] serves bytes its open-time trailer check
-/// covered (re-hashing resolved deltas), and [`CachedStore`] answers from
+/// reads, [`crate::PackStore`] re-hashes every record it serves (a full
+/// record's bytes or a delta's resolution), and [`CachedStore`] answers from
 /// memory when it holds the object but never fills its LRU from a raw
 /// read, so a bulk walk does not evict the hot set. The one reachability
 /// walk, [`ObjectStore::walk_raw`], is built on that read.
@@ -599,6 +600,21 @@ impl DiskStore {
             )));
         }
         Ok(bytes)
+    }
+
+    /// True when `id`'s stored bytes open with the `commit ` header: a
+    /// kind test that reads seven bytes and neither hashes nor decodes.
+    /// Callers that go on to use the commit read it through `get`, which
+    /// makes the hash check.
+    pub(crate) fn stored_as_commit(&self, id: ObjectId) -> bool {
+        const PREFIX: &[u8; 7] = b"commit ";
+        if let Some(obj) = self.staged.get(&id) {
+            return obj.as_commit().is_some();
+        }
+        let mut head = [0u8; PREFIX.len()];
+        fs::File::open(self.object_file(id))
+            .and_then(|mut file| file.read_exact(&mut head))
+            .is_ok_and(|()| head == *PREFIX)
     }
 
     fn write_object(&self, id: ObjectId, bytes: &[u8]) -> std::io::Result<()> {

@@ -162,6 +162,48 @@ fn corrupted_object_store_fails_loudly() {
 }
 
 #[test]
+fn a_tampered_old_blob_spares_reads_but_fails_gc() {
+    let workdir = temp_dir("tampered-pack");
+    cli(
+        &workdir,
+        &["init", "P", "--owner", "O", "--url", "https://x/P"],
+    );
+    std::fs::write(workdir.join("f.txt"), b"first version\n").unwrap();
+    cli(&workdir, &["commit", "-m", "v1", "--author", "O"]);
+    std::fs::write(workdir.join("f.txt"), b"second version\n").unwrap();
+    cli(&workdir, &["commit", "-m", "v2", "--author", "O"]);
+    cli(&workdir, &["gc"]);
+    // Flip one byte of the first version's blob, which HEAD no longer
+    // holds, inside the pack.
+    let pack_dir = workdir.join(".gitcite/objects/pack");
+    let pack = std::fs::read_dir(&pack_dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.extension().is_some_and(|e| e == "pack"))
+        .unwrap();
+    let mut bytes = std::fs::read(&pack).unwrap();
+    let stored = b"blob 14\0first version\n";
+    let at = bytes
+        .windows(stored.len())
+        .position(|w| w == stored)
+        .expect("the old blob is stored full");
+    bytes[at + stored.len() - 2] ^= 0x01;
+    std::fs::write(&pack, bytes).unwrap();
+
+    // Commands that never read the old blob still answer...
+    let shown = cli(&workdir, &["cite", "show", "f.txt"]);
+    assert!(shown.contains("https://x/P"), "{shown}");
+    cli(&workdir, &["log"]);
+    // ...but gc, which must read every reachable object, fails loudly
+    // and leaves the pack in place.
+    let args: Vec<String> = ["gc"].iter().map(|s| s.to_string()).collect();
+    let err = run(&args, &workdir).unwrap_err().to_string();
+    assert!(err.contains("corrupt"), "{err}");
+    assert!(pack.exists());
+    let _ = std::fs::remove_dir_all(&workdir);
+}
+
+#[test]
 fn two_members_working_copies_converge_via_hub() {
     let hub = Hub::new("https://hub.example");
     hub.register_user("alice", "Alice").unwrap();
