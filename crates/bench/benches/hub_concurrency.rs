@@ -21,13 +21,22 @@
 //!
 //! Besides the criterion timings, the throughput experiment prints
 //! reads/second for the two locking shapes side by side, and the latency
-//! experiment the sharded reader's mean and max. A last group,
-//! `hub_modify_cite`, times one hosted `modify_cite` on repositories of
-//! 8, 600 and 2,400 files: a citation commit edits the `citation.cite`
-//! blob and the root tree in place, so its cost should not grow with the
-//! file count.
+//! experiment the sharded reader's mean and max. Three last groups time
+//! one hosted write on repositories of 8, 600 and 2,400 files:
+//!
+//! * `hub_modify_cite` — a citation commit edits the `citation.cite`
+//!   blob and the root tree in place, so its cost should not grow with
+//!   the file count.
+//! * `hub_merge` — a three-way `merge_branches` of two branches that
+//!   each moved since their base. The merge works on the three tree
+//!   listings in the store, so it grows with the listings, not with the
+//!   repository's whole object set.
+//! * `hub_fork` — `fork` copies the source's reachable objects into the
+//!   new store and commits the restamped root as a tree edit, with no
+//!   checkout.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use citekit::MergeStrategy;
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use gitlite::{path, RepoPath, Signature};
 use hub::{Hub, Token};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -41,8 +50,9 @@ const FILES_PER_REPO: usize = 8;
 /// A citation commit edits one blob and the root tree, so its cost does
 /// not grow with this (see the `hub_modify_cite` group).
 const BIG_REPO_FILES: usize = 600;
-/// Repository sizes the `hub_modify_cite` group times one edit at.
-const MODIFY_CITE_FILES: [usize; 3] = [8, 600, 2_400];
+/// Repository sizes the `hub_modify_cite`, `hub_merge` and `hub_fork`
+/// groups time one write at.
+const WRITE_FILES: [usize; 3] = [8, 600, 2_400];
 
 /// The pre-redesign locking shape: the same hub, but every call funneled
 /// through one global mutex — exactly what `Mutex<HubState>` used to do
@@ -268,14 +278,14 @@ fn bench(c: &mut Criterion) {
 }
 
 /// One hosted `modify_cite` of the root citation, on a repository of
-/// each size in [`MODIFY_CITE_FILES`]; each iteration changes the note, so
+/// each size in [`WRITE_FILES`]; each iteration changes the note, so
 /// each one commits.
 fn modify_cite_by_size(c: &mut Criterion) {
     let mut g = c.benchmark_group("hub_modify_cite");
     let hub = Hub::new("https://bench.example");
     hub.register_user("owner", "The Owner").unwrap();
     let token = hub.login("owner").unwrap();
-    for files in MODIFY_CITE_FILES {
+    for files in WRITE_FILES {
         let repo_id = hub.create_repo(&token, &format!("f{files}")).unwrap();
         seed_files(&hub, &token, &repo_id, files);
         let root = RepoPath::root();
@@ -295,6 +305,72 @@ fn modify_cite_by_size(c: &mut Criterion) {
     g.finish();
 }
 
+/// One hosted `merge_branches` of `dev` into `main`, on a repository of
+/// each size in [`WRITE_FILES`] whose two branches each moved once since
+/// their base, so every merge is a true three-way merge with the root as
+/// a citation conflict kept as ours. Each iteration merges in a fresh
+/// fork of one template, made in the untimed setup, so the history a
+/// merge base is looked up in stays four commits deep.
+fn merge_by_size(c: &mut Criterion) {
+    let mut g = c.benchmark_group("hub_merge");
+    let hub = Hub::new("https://bench.example");
+    hub.register_user("owner", "The Owner").unwrap();
+    let token = hub.login("owner").unwrap();
+    let root = RepoPath::root();
+    for files in WRITE_FILES {
+        let template = hub.create_repo(&token, &format!("m{files}")).unwrap();
+        seed_files(&hub, &token, &template, files);
+        let local = hub.clone_repo(&template).unwrap();
+        hub.push(&token, &template, "dev", &local, "main", false)
+            .unwrap();
+        let stored = hub.citation_entry(&template, "dev", &root).unwrap();
+        let mut stored = stored.expect("the root is always cited");
+        stored.note = Some("dev".into());
+        let mut n = 0u64;
+        g.bench_with_input(BenchmarkId::new("files", files), &files, |b, _| {
+            b.iter_batched(
+                || {
+                    n += 1;
+                    let repo_id = hub
+                        .fork(&token, &template, &format!("m{files}-{n}"))
+                        .unwrap();
+                    hub.modify_cite(&token, &repo_id, "dev", &root, stored.clone())
+                        .unwrap();
+                    repo_id
+                },
+                |repo_id| {
+                    hub.merge_branches(&token, &repo_id, "main", "dev", MergeStrategy::Union)
+                        .unwrap()
+                },
+                BatchSize::SmallInput,
+            )
+        });
+    }
+    g.finish();
+}
+
+/// One hosted `fork` of a repository of each size in [`WRITE_FILES`],
+/// restamped under a new name each iteration. Each size gets its own
+/// hub, dropped with its forks once the size is timed.
+fn fork_by_size(c: &mut Criterion) {
+    let mut g = c.benchmark_group("hub_fork");
+    for files in WRITE_FILES {
+        let hub = Hub::new("https://bench.example");
+        hub.register_user("owner", "The Owner").unwrap();
+        let token = hub.login("owner").unwrap();
+        let repo_id = hub.create_repo(&token, "src").unwrap();
+        seed_files(&hub, &token, &repo_id, files);
+        let mut n = 0u64;
+        g.bench_with_input(BenchmarkId::new("files", files), &files, |b, _| {
+            b.iter(|| {
+                n += 1;
+                hub.fork(&token, &repo_id, &format!("fork{n}")).unwrap()
+            })
+        });
+    }
+    g.finish();
+}
+
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -302,5 +378,14 @@ fn config() -> Criterion {
         .measurement_time(Duration::from_millis(900))
 }
 
+/// A shorter window for the groups whose every iteration adds a
+/// repository to the hub.
+fn growing_config() -> Criterion {
+    config()
+        .warm_up_time(Duration::from_millis(100))
+        .measurement_time(Duration::from_millis(400))
+}
+
 criterion_group! { name = benches; config = config(); targets = bench, modify_cite_by_size }
-criterion_main!(benches);
+criterion_group! { name = growing; config = growing_config(); targets = merge_by_size, fork_by_size }
+criterion_main!(benches, growing);

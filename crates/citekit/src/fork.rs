@@ -5,14 +5,24 @@
 //! creates a new repository. The citations in citation.cite are also
 //! copied. Our way of storing citations will naturally enable ForkCite
 //! through GitHub's Fork." Because the citation file lives in the tree,
-//! the clone alone is a correct ForkCite; [`ForkOptions::restamp_root`]
-//! additionally gives the fork its own root identity while preserving the
-//! origin's citation as `forkedFrom` provenance.
+//! copying the objects and refs alone is a correct ForkCite;
+//! [`ForkOptions::restamp_root`] additionally gives the fork its own root
+//! identity while preserving the origin's citation as `forkedFrom`
+//! provenance.
+//!
+//! [`fork_op`] makes the fork in the store: it copies the source's
+//! reachable objects, sets refs and HEAD, and commits the restamped root
+//! as a tree edit ([`crate::version::commit_op`]), so the fork holds no
+//! worktree. [`fork_cite`] is that plus a checkout.
 
 use crate::citation::Citation;
 use crate::error::{CiteError, Result};
-use crate::ops::CitedRepo;
-use gitlite::{clone_repository_into, MemStore, ObjectId, ObjectStore, Repository, Signature};
+use crate::ops::{CiteOp, CitedRepo};
+use crate::version;
+use gitlite::{
+    clone_bare_into, Head, MemStore, ObjectId, ObjectStore, RepoPath, Repository, Signature,
+};
+use std::sync::Arc;
 
 /// How a fork is created.
 #[derive(Debug, Clone)]
@@ -43,50 +53,74 @@ impl ForkOptions {
     }
 }
 
-/// Result of a fork.
+/// Result of a fork: the new repository as a [`CitedRepo`] from
+/// [`fork_cite`], as a bare [`Repository`] from [`fork_op`].
 #[derive(Debug)]
-pub struct ForkOutcome {
+pub struct ForkOutcome<R = CitedRepo> {
     /// The new repository.
-    pub fork: CitedRepo,
+    pub fork: R,
     /// The commit of the source the fork points at.
     pub fork_point: ObjectId,
     /// The restamp commit, when `restamp_root` was set.
     pub restamp_commit: Option<ObjectId>,
 }
 
-/// `ForkCite(P1) → P3`: forks `src` (all branches, full history).
+/// `ForkCite(P1) → P3`: forks `src` (all branches, full history) into
+/// an in-memory repository: [`fork_op`], then a checkout of the fork's
+/// HEAD branch.
 pub fn fork_cite(src: &Repository, opts: &ForkOptions, author: Signature) -> Result<ForkOutcome> {
-    fork_cite_into(src, opts, author, Box::new(MemStore::new()))
+    let out = fork_op(src, opts, author, Box::new(MemStore::new()))?;
+    let mut repo = out.fork;
+    if let Head::Branch(branch) = repo.head().clone() {
+        repo.checkout_branch(&branch)?;
+    }
+    Ok(ForkOutcome {
+        fork: CitedRepo::open(repo)?,
+        fork_point: out.fork_point,
+        restamp_commit: out.restamp_commit,
+    })
 }
 
-/// [`fork_cite`] with the fork created on a caller-supplied object-store
-/// backend (e.g. the hosting platform's configured store).
-pub fn fork_cite_into(
+/// `ForkCite` in the store: copies every branch of `src` with its
+/// history into a new repository on `store` (e.g. the hosting
+/// platform's configured backend), puts HEAD on `src`'s branch (else the
+/// first), and, under `restamp_root`, commits the new root citation
+/// there as a `ModifyCite` of the root through [`version::commit_op`].
+/// The fork's worktree stays empty. The branch's tip must carry a
+/// `citation.cite`.
+pub fn fork_op(
     src: &Repository,
     opts: &ForkOptions,
     author: Signature,
     store: Box<dyn ObjectStore>,
-) -> Result<ForkOutcome> {
+) -> Result<ForkOutcome<Repository>> {
     let fork_point = src.head_commit().map_err(CiteError::Git)?;
-    let clone = clone_repository_into(src, opts.new_name.clone(), store).map_err(CiteError::Git)?;
-    let mut fork = CitedRepo::open(clone)?;
-
+    let mut fork = clone_bare_into(src, opts.new_name.clone(), store).map_err(CiteError::Git)?;
+    let func = version::function_at(&fork, fork.head_commit()?)?;
     let restamp_commit = if opts.restamp_root {
-        let old_root = fork.function().root().clone();
+        let branch = fork
+            .current_branch()
+            .expect("a clone whose HEAD has a commit is on a branch")
+            .to_owned();
+        let old_root = func.root();
         let new_root = Citation::builder(&opts.new_name, &opts.new_owner)
             .url(&opts.new_url)
-            .authors(preserve_authors(&old_root, &opts.new_owner))
+            .authors(preserve_authors(old_root, &opts.new_owner))
             .extra("forkedFrom", old_root.to_value())
             .build();
-        let mut func = fork.function().clone();
-        func.set_root(new_root);
-        fork.install_function(func)?;
-        let outcome = fork.commit(author, format!("fork from {}", src.name()))?;
-        Some(outcome.commit)
+        let edit = version::commit_op(
+            &mut fork,
+            &branch,
+            &RepoPath::root(),
+            CiteOp::Modify(new_root),
+            |_, _| Ok(Arc::new(func)),
+            author,
+            format!("fork from {}", src.name()),
+        )?;
+        Some(edit.commit)
     } else {
         None
     };
-
     Ok(ForkOutcome {
         fork,
         fork_point,

@@ -26,12 +26,13 @@
 //!   commit time).
 //! * [`CitedRepo::merge_cite`] — `MergeCite`: files merge by Git rules,
 //!   citation files by union (or the future-work three-way strategy) with
-//!   pluggable conflict resolution ([`merge`]).
+//!   pluggable conflict resolution ([`merge`]); [`version::merge_op`]
+//!   makes the same merge in the store, with no worktree.
 //! * [`CitedRepo::copy_cite`] — `CopyCite`: subtree copy across
 //!   repositories with key migration and effective-citation
 //!   materialization ([`copy`]).
 //! * [`fork_cite`] — `ForkCite`: repository fork with history and
-//!   citations ([`fork`]).
+//!   citations ([`fork`]); [`fork_op`] makes it in the store.
 //! * [`retro`] — retroactive citations for legacy repositories
 //!   (future work #2).
 //!
@@ -75,7 +76,7 @@ pub use citation::{Citation, CitationBuilder};
 pub use copy::CopyReport;
 pub use error::{CiteError, Result};
 pub use file::{citation_path, CITATION_FILE};
-pub use fork::{fork_cite, fork_cite_into, ForkOptions, ForkOutcome};
+pub use fork::{fork_cite, fork_op, ForkOptions, ForkOutcome};
 pub use function::{CitationFunction, CiteEntry, ResolvePolicy};
 pub use history::{diff_functions, CitationEvent, CiteChange};
 pub use index::CiteIndex;

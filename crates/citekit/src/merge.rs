@@ -10,18 +10,21 @@
 //! the user" (§3). The paper's future work asks for strategies "that
 //! mirror the three-way merge method used in Git" — implemented here as
 //! [`MergeStrategy::ThreeWay`].
+//!
+//! This module holds the rules: the strategies, the resolvers and
+//! [`merge_functions`]. [`version::merge_op`] applies them once, in the
+//! store, and [`CitedRepo::merge_cite`] checks out what it made.
 
 use crate::citation::Citation;
 use crate::error::{CiteError, Result};
 use crate::file::{self, citation_path};
 use crate::function::CitationFunction;
 use crate::ops::CitedRepo;
-use gitlite::merge::{merge_listings, Conflict, MergeOptions};
+use crate::version;
+use gitlite::merge::Conflict;
 use gitlite::{
-    merge_base, read_tree, write_tree_from_listing, MergeLabels, ObjectId, ObjectStoreExt,
-    RepoPath, Signature,
+    read_tree, write_tree_from_listing, GitError, ObjectId, ObjectStoreExt, RepoPath, Signature,
 };
-use std::collections::BTreeMap;
 
 /// How same-key/different-value citation conflicts are handled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -352,7 +355,10 @@ fn apply_resolution(
 impl CitedRepo {
     /// `MergeCite`: merges `other` into the current branch, merging
     /// regular files by Git rules and the citation files by the selected
-    /// strategy.
+    /// strategy. This is [`version::merge_op`] followed by a checkout of
+    /// what it made: the fast-forwarded tip, the merge commit, or the
+    /// conflicted tree with the merged `citation.cite`. HEAD must be on a
+    /// branch.
     pub fn merge_cite(
         &mut self,
         other: &str,
@@ -361,132 +367,32 @@ impl CitedRepo {
         strategy: MergeStrategy,
         resolver: &mut dyn ConflictResolver,
     ) -> Result<MergeCiteReport> {
-        let message = message.into();
-        let ours_tip = self.repo().head_commit().map_err(CiteError::Git)?;
-        let theirs_tip = self.repo().branch_tip(other).map_err(CiteError::Git)?;
-        let base = merge_base(self.repo().odb(), ours_tip, theirs_tip).map_err(CiteError::Git)?;
-
-        if base == Some(theirs_tip) {
-            return Ok(MergeCiteReport {
-                outcome: MergeCiteOutcome::AlreadyUpToDate,
-                citation_conflicts: Vec::new(),
-                dropped: Vec::new(),
-            });
-        }
-        if base == Some(ours_tip) {
-            let branch = self
-                .repo()
-                .current_branch()
-                .ok_or_else(|| {
-                    CiteError::Git(gitlite::GitError::BadBranchName("detached HEAD".into()))
-                })?
-                .to_owned();
-            self.repo_mut()
-                .set_branch(&branch, theirs_tip)
-                .map_err(CiteError::Git)?;
-            self.checkout_branch(&branch)?;
-            return Ok(MergeCiteReport {
-                outcome: MergeCiteOutcome::FastForwarded(theirs_tip),
-                citation_conflicts: Vec::new(),
-                dropped: Vec::new(),
-            });
-        }
-
-        // Load the three citation functions.
-        let ours_func = self.function_at(ours_tip)?;
-        let theirs_func = self.function_at(theirs_tip)?;
-        let base_func = match base {
-            Some(b) => self.function_at(b).ok(),
-            None => None,
-        };
-
-        // Tree-level merge with citation.cite excluded.
-        let cite = citation_path();
-        let strip = |mut l: BTreeMap<RepoPath, ObjectId>| {
-            l.remove(&cite);
-            l
-        };
-        let base_listing = match base {
-            Some(b) => strip(self.repo().snapshot(b).map_err(CiteError::Git)?),
-            None => BTreeMap::new(),
-        };
-        let ours_listing = strip(self.repo().snapshot(ours_tip).map_err(CiteError::Git)?);
-        let theirs_listing = strip(self.repo().snapshot(theirs_tip).map_err(CiteError::Git)?);
-        let branch_name = self.repo().current_branch().unwrap_or("HEAD").to_owned();
-        let labels = MergeLabels {
-            ours: &branch_name,
-            base: "base",
-            theirs: other,
-        };
-        let opts = MergeOptions {
-            exclude: vec![cite.clone()],
-        };
-        let tree_merge = merge_listings(
-            self.repo_mut().odb_mut(),
-            &base_listing,
-            &ours_listing,
-            &theirs_listing,
-            labels,
-            &opts,
-        );
-
-        // Merge the citation functions against the merged tree.
-        let merged_listing = tree_merge.listing.clone();
-        let exists = |p: &RepoPath, is_dir: bool| -> bool {
-            if p.is_root() {
-                return true;
-            }
-            if is_dir {
-                merged_listing.keys().any(|f| f.starts_with(p) && f != p)
-            } else {
-                merged_listing.contains_key(p)
-            }
-        };
-        let (merged_func, citation_conflicts, dropped) = merge_functions(
-            &ours_func,
-            &theirs_func,
-            base_func.as_ref(),
+        self.repo().head_commit()?;
+        let branch = self
+            .repo()
+            .current_branch()
+            .ok_or_else(|| GitError::BadBranchName("detached HEAD".into()))?
+            .to_owned();
+        let merge = version::merge_op(
+            self.repo_mut(),
+            &branch,
+            other,
+            author,
+            message,
             strategy,
             resolver,
-            exists,
         )?;
-
-        // Write the merged citation file into the final listing.
-        let mut final_listing = tree_merge.listing;
-        let cite_blob = self
-            .repo_mut()
-            .odb_mut()
-            .put_blob(file::to_text(&merged_func).into_bytes());
-        final_listing.insert(cite.clone(), cite_blob);
-        let tree = write_tree_from_listing(self.repo_mut().odb_mut(), &final_listing);
-        let parents = vec![ours_tip, theirs_tip];
-
-        if tree_merge.conflicts.is_empty() {
-            let commit = self
-                .repo_mut()
-                .commit_merge(tree, parents, author, message)
-                .map_err(CiteError::Git)?;
-            self.install_function(merged_func)?;
-            Ok(MergeCiteReport {
-                outcome: MergeCiteOutcome::Merged(commit),
-                citation_conflicts,
-                dropped,
-            })
-        } else {
-            // Load the conflicted tree (including the merged citation
-            // file) into the worktree for manual resolution.
-            let wt = read_tree(self.repo().odb(), tree).map_err(CiteError::Git)?;
-            *self.repo_mut().worktree_mut() = wt;
-            self.install_function(merged_func)?;
-            Ok(MergeCiteReport {
-                outcome: MergeCiteOutcome::FileConflicts {
-                    conflicts: tree_merge.conflicts,
-                    parents,
-                },
-                citation_conflicts,
-                dropped,
-            })
+        match merge.merged {
+            Some((tree, func)) => {
+                *self.repo_mut().worktree_mut() = read_tree(self.repo().odb(), tree)?;
+                self.install_function(func)?;
+            }
+            None if matches!(merge.report.outcome, MergeCiteOutcome::FastForwarded(_)) => {
+                self.checkout_branch(&branch)?;
+            }
+            None => {}
         }
+        Ok(merge.report)
     }
 
     /// Completes a conflicted `MergeCite` after the user fixed the marked
@@ -511,8 +417,7 @@ impl CitedRepo {
 
     /// Reads the citation function stored in a committed version.
     pub fn function_at(&self, version: ObjectId) -> Result<CitationFunction> {
-        let blob = crate::version::function_blob(self.repo(), version)?;
-        crate::version::read_function(self.repo(), blob)
+        version::function_at(self.repo(), version)
     }
 }
 

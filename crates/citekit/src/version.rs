@@ -1,26 +1,38 @@
-//! Citations of committed versions, read and edited in place in a
-//! [`Repository`]'s store — no worktree, no clone.
+//! Versions read and written in place in a [`Repository`]'s store — no
+//! worktree, no clone, no checkout.
 //!
 //! A version keeps its citation function in the `citation.cite` blob of
 //! its tree. That blob's id is a content address: two versions whose blob
 //! ids agree carry the same function, so [`function_blob`] keys a cache of
 //! parsed functions that no write can make stale. [`cite_at`] is `GenCite`
 //! for a committed version, with the function supplied by the caller from
-//! such a cache (or read afresh with [`read_function`]). [`commit_op`] is
-//! the write side: one citation edit on a branch tip, committed as a new
-//! `citation.cite` blob in the tip's root tree.
+//! such a cache (or read afresh with [`read_function`]).
+//!
+//! The write side states each version function's rules once, as a store
+//! edit: [`commit_op`] commits one citation edit on a branch tip as a new
+//! `citation.cite` blob in the tip's root tree, and [`merge_op`] is
+//! `MergeCite` from three tree listings. [`crate::CitedRepo`]'s
+//! `merge_cite` is `merge_op` plus a checkout of the result, and
+//! [`crate::fork_op`] restamps a fork's root through `commit_op`. A
+//! hosting platform, which reads versions only by commit, calls them on
+//! repositories that hold no worktree at all.
 
 use crate::carry::fit_to_tree;
 use crate::citation::Citation;
 use crate::error::{CiteError, Result};
 use crate::file::{self, citation_path, CITATION_FILE};
 use crate::function::CitationFunction;
+use crate::merge::{
+    merge_functions, ConflictResolver, MergeCiteOutcome, MergeCiteReport, MergeStrategy,
+};
 use crate::ops::CiteOp;
 use crate::time::format_iso8601;
+use gitlite::merge::{merge_listings, MergeOptions};
 use gitlite::{
-    resolve_path, Blob, EntryMode, GitError, Object, ObjectId, RepoPath, Repository, Signature,
-    TreeEntry,
+    merge_base, resolve_path, write_tree_from_listing, Blob, EntryMode, GitError, MergeLabels,
+    Object, ObjectId, ObjectStoreExt, RepoPath, Repository, Signature, TreeEntry,
 };
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The id of `version`'s `citation.cite` blob. Fails with
@@ -35,6 +47,11 @@ pub fn function_blob(repo: &Repository, version: ObjectId) -> Result<ObjectId> {
 pub fn read_function(repo: &Repository, blob: ObjectId) -> Result<CitationFunction> {
     let text = repo.odb().blob_data(blob).map_err(CiteError::Git)?;
     file::parse(&String::from_utf8_lossy(&text))
+}
+
+/// The citation function of the committed version `version`.
+pub fn function_at(repo: &Repository, version: ObjectId) -> Result<CitationFunction> {
+    read_function(repo, function_blob(repo, version)?)
 }
 
 /// `Cite(V,P)(n)` for the committed version `version`. `function` maps
@@ -131,6 +148,137 @@ pub fn commit_op(
         commit,
         blob: blob_id,
         function: Arc::new(func),
+    })
+}
+
+/// What [`merge_op`] did.
+#[derive(Debug, Clone)]
+pub struct Merge {
+    /// The outcome, the citation-key conflicts and the dropped keys.
+    pub report: MergeCiteReport,
+    /// A three-way merge's tree and citation function: the merge
+    /// commit's, or the conflicted tree a checkout resolves. `None` when
+    /// the branch was up to date or fast-forwarded.
+    pub merged: Option<(ObjectId, CitationFunction)>,
+}
+
+/// `MergeCite` of `other` into `branch`, made in the store (paper §3;
+/// the rules are [`crate::merge`]'s). Both tips must carry a
+/// `citation.cite`, except an `other` that `branch` already contains.
+///
+/// * Up to date: nothing is written.
+/// * Fast-forward: `branch` moves to `other`'s tip.
+/// * Otherwise regular files merge by Git's rules from the three
+///   listings with `citation.cite` set aside, and the citation functions
+///   by `strategy` and `resolver` against the merged listing; the merged
+///   `citation.cite` joins the listing, which is written as a tree. A
+///   clean merge commits it onto `branch` with `other`'s tip as second
+///   parent. File conflicts commit nothing: the conflicted tree comes
+///   back in [`Merge::merged`], for a checkout to resolve.
+///
+/// HEAD ends on `branch` in every outcome but file conflicts, which move
+/// neither a ref nor HEAD; nor does an error. The worktree is untouched.
+pub fn merge_op(
+    repo: &mut Repository,
+    branch: &str,
+    other: &str,
+    author: Signature,
+    message: impl Into<String>,
+    strategy: MergeStrategy,
+    resolver: &mut dyn ConflictResolver,
+) -> Result<Merge> {
+    let ours = repo.branch_tip(branch)?;
+    let ours_func = function_at(repo, ours)?;
+    let theirs = repo.branch_tip(other)?;
+    let base = merge_base(repo.odb(), ours, theirs)?;
+    let moved = |repo: &mut Repository, outcome| -> Result<Merge> {
+        repo.set_head(branch)?;
+        let report = MergeCiteReport {
+            outcome,
+            citation_conflicts: Vec::new(),
+            dropped: Vec::new(),
+        };
+        Ok(Merge {
+            report,
+            merged: None,
+        })
+    };
+    if base == Some(theirs) {
+        return moved(repo, MergeCiteOutcome::AlreadyUpToDate);
+    }
+    let theirs_func = function_at(repo, theirs)?;
+    if base == Some(ours) {
+        repo.set_branch(branch, theirs)?;
+        return moved(repo, MergeCiteOutcome::FastForwarded(theirs));
+    }
+    let base_func = base.and_then(|b| function_at(repo, b).ok());
+
+    let cite = citation_path();
+    let listing = |at: ObjectId| -> Result<BTreeMap<RepoPath, ObjectId>> {
+        let mut listing = repo.snapshot(at)?;
+        listing.remove(&cite);
+        Ok(listing)
+    };
+    let base_listing = match base {
+        Some(b) => listing(b)?,
+        None => BTreeMap::new(),
+    };
+    let (ours_listing, theirs_listing) = (listing(ours)?, listing(theirs)?);
+    let labels = MergeLabels {
+        ours: branch,
+        base: "base",
+        theirs: other,
+    };
+    let opts = MergeOptions {
+        exclude: vec![cite.clone()],
+    };
+    let tree_merge = merge_listings(
+        repo.odb_mut(),
+        &base_listing,
+        &ours_listing,
+        &theirs_listing,
+        labels,
+        &opts,
+    );
+
+    // Keys whose nodes the file merge deleted are dropped (§3).
+    let merged = &tree_merge.listing;
+    let exists = |p: &RepoPath, is_dir: bool| {
+        p.is_root()
+            || if is_dir {
+                merged.keys().any(|f| f.starts_with(p) && f != p)
+            } else {
+                merged.contains_key(p)
+            }
+    };
+    let (func, citation_conflicts, dropped) = merge_functions(
+        &ours_func,
+        &theirs_func,
+        base_func.as_ref(),
+        strategy,
+        resolver,
+        exists,
+    )?;
+    let mut listing = tree_merge.listing;
+    let blob = repo.odb_mut().put_blob(file::to_text(&func).into_bytes());
+    listing.insert(cite, blob);
+    let tree = write_tree_from_listing(repo.odb_mut(), &listing);
+    let outcome = if tree_merge.conflicts.is_empty() {
+        let commit = repo.merge_onto(branch, tree, theirs, author, message)?;
+        MergeCiteOutcome::Merged(commit)
+    } else {
+        MergeCiteOutcome::FileConflicts {
+            conflicts: tree_merge.conflicts,
+            parents: vec![ours, theirs],
+        }
+    };
+    Ok(Merge {
+        report: MergeCiteReport {
+            outcome,
+            citation_conflicts,
+            dropped,
+        },
+        merged: Some((tree, func)),
     })
 }
 

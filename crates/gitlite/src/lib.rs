@@ -70,7 +70,9 @@ pub use pack::{
     MaintenanceReport, Pack, PackIndex, PackStore, MAX_DELTA_DEPTH, PACK_DIR,
 };
 pub use path::{path, PathError, RepoPath};
-pub use remote::{clone_repository, clone_repository_into, push, transfer_objects};
+pub use remote::{
+    clone_bare_into, clone_repository, clone_repository_into, push, transfer_objects,
+};
 pub use repo::{Head, LogPage, Repository, DEFAULT_BRANCH};
 pub use snapshot::{
     flatten_tree, read_tree, resolve_path, tree_directories, write_tree, write_tree_from_listing,

@@ -7,7 +7,7 @@
 
 use crate::error::{GitError, Result};
 use crate::hash::ObjectId;
-use crate::repo::Repository;
+use crate::repo::{Head, Repository};
 use crate::store::ObjectStore;
 use std::collections::HashSet;
 
@@ -67,6 +67,21 @@ pub fn clone_repository_into(
     name: impl Into<String>,
     store: Box<dyn ObjectStore>,
 ) -> Result<Repository> {
+    let mut dst = clone_bare_into(src, name, store)?;
+    if let Head::Branch(b) = dst.head().clone() {
+        dst.checkout_branch(&b)?;
+    }
+    Ok(dst)
+}
+
+/// [`clone_repository_into`] without the checkout: the clone gets every
+/// branch with its history and puts HEAD on the source's branch when it
+/// has one, else on its first, but its worktree stays empty.
+pub fn clone_bare_into(
+    src: &Repository,
+    name: impl Into<String>,
+    store: Box<dyn ObjectStore>,
+) -> Result<Repository> {
     let mut dst = Repository::init_with(name, store);
     let roots: Vec<ObjectId> = src.branches().map(|(_, tip)| tip).collect();
     transfer_objects(src.odb(), dst.odb_mut(), &roots)?;
@@ -79,7 +94,7 @@ pub fn clone_repository_into(
         .map(str::to_owned)
         .or_else(|| dst.branches().next().map(|(b, _)| b.to_owned()));
     if let Some(b) = branch {
-        dst.checkout_branch(&b)?;
+        dst.set_head(&b)?;
     }
     Ok(dst)
 }

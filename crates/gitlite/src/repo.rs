@@ -264,9 +264,34 @@ impl Repository {
         author: Signature,
         message: impl Into<String>,
     ) -> Result<ObjectId> {
-        let tip = self.branch_tip(branch)?;
+        self.commit_on_tip(branch, tree, None, author, message.into())
+    }
+
+    /// The two-parent form of [`Repository::commit_onto`]: commits the
+    /// merged `tree` onto `branch` with `theirs` as second parent.
+    pub fn merge_onto(
+        &mut self,
+        branch: &str,
+        tree: ObjectId,
+        theirs: ObjectId,
+        author: Signature,
+        message: impl Into<String>,
+    ) -> Result<ObjectId> {
+        self.commit_on_tip(branch, tree, Some(theirs), author, message.into())
+    }
+
+    fn commit_on_tip(
+        &mut self,
+        branch: &str,
+        tree: ObjectId,
+        theirs: Option<ObjectId>,
+        author: Signature,
+        message: String,
+    ) -> Result<ObjectId> {
+        let parents = std::iter::once(self.branch_tip(branch)?).chain(theirs);
+        let parents = parents.collect();
         self.head = Head::Branch(branch.to_owned());
-        self.finish_commit(tree, vec![tip], author, message.into())
+        self.finish_commit(tree, parents, author, message)
     }
 
     fn finish_commit(

@@ -215,6 +215,7 @@ error_codes! {
     NothingToCommit = "nothing_to_commit",
     MergeConflicts = "merge_conflicts",
     EmptyRepository = "empty_repository",
+    CorruptObject = "corrupt_object",
     Git = "git",
     AlreadyCited = "already_cited",
     NotCited = "not_cited",
@@ -405,6 +406,7 @@ impl WireError {
                 )),
             },
             ErrorCode::EmptyRepository => HubError::Git(gitlite::GitError::EmptyRepository),
+            ErrorCode::CorruptObject => HubError::Git(gitlite::GitError::Corrupt(payload(detail))),
             ErrorCode::Git => HubError::Git(gitlite::GitError::Io(message)),
             ErrorCode::AlreadyCited => cite(path(detail), citekit::CiteError::AlreadyCited),
             ErrorCode::NotCited => cite(path(detail), citekit::CiteError::NotCited),
@@ -448,6 +450,7 @@ fn classify_git(g: &gitlite::GitError) -> (ErrorCode, Option<String>) {
         gitlite::GitError::NothingToCommit => (ErrorCode::NothingToCommit, None),
         gitlite::GitError::MergeConflicts(n) => (ErrorCode::MergeConflicts, Some(n.to_string())),
         gitlite::GitError::EmptyRepository => (ErrorCode::EmptyRepository, None),
+        gitlite::GitError::Corrupt(m) => (ErrorCode::CorruptObject, Some(m.clone())),
         _ => (ErrorCode::Git, None),
     }
 }
@@ -1601,21 +1604,6 @@ pub struct ReplStatus {
     pub deposits: Vec<Deposit>,
 }
 
-/// The fleet's placement map as served over the wire (`placement`): the
-/// participating hub addresses, plus — when the request named a
-/// repository — the hub that homes it per rendezvous hashing
-/// ([`crate::placement`]). An unconfigured follower answers with an
-/// empty hub list and its primary's address, so clients can always
-/// discover where writes go.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct PlacementInfo {
-    /// The fleet's hub addresses (empty when placement is unconfigured).
-    pub hubs: Vec<String>,
-    /// The home hub for the queried repository, when one was named and
-    /// a home is known.
-    pub primary: Option<String>,
-}
-
 /// The full answer to [`ApiRequest::ServerMetrics`]: one point-in-time
 /// view of the hub's health, from the dispatch layer down to storage.
 /// Optional sections omit their wire key entirely when absent, per the
@@ -1822,7 +1810,6 @@ wire_structs! {
     }
     ReplRepoStatus { repo_id, #[sparse] head, refs }
     ReplStatus { epoch, audit_seq, repos, deposits }
-    PlacementInfo { hubs, #[sparse] primary }
     MetricsSnapshot {
         methods,
         #[sparse] transport,
@@ -2189,10 +2176,6 @@ methods! {
     /// nothing is shared).
     ReplFetch = "repl_fetch" { repo_id: String, haves: Vec<ObjectId> }
     => auth() session(Keep) idempotent(true) follower(Local) limit(repo_id) socket(Open);
-    /// The fleet's placement map ([`ApiResponse::Placement`]); `repo_id`
-    /// additionally asks which hub homes that repository.
-    Placement = "placement" { #[sparse] repo_id: Option<String> }
-    => auth() session(Keep) idempotent(true) follower(Local) limit() socket(Open);
 }
 
 /// A batch item: an envelope of its own, objects inline, never a batch.
@@ -2374,8 +2357,6 @@ results! {
     Batch = "batch" (responses: Vec<ApiResponse>);
     /// The primary's replication frontier ([`ApiRequest::ReplStatus`]).
     ReplStatus = "repl_status" (status: ReplStatus);
-    /// The fleet placement map ([`ApiRequest::Placement`]).
-    Placement = "placement" (placement: PlacementInfo);
 }
 
 /// A batch item: an envelope of its own, objects inline, never a batch.

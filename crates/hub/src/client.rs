@@ -22,15 +22,13 @@
 //!   value;
 //! - `revoke`, `list_repos` and `audit_log` return a `Result`, where
 //!   `Hub`'s forms do not;
-//! - `batch`, `repl_status`, `repl_fetch` and `placement` are client-only.
+//! - `batch`, `repl_status` and `repl_fetch` are client-only.
 //!
 //! `log` (a page walk), `clone_repo` (a bundle load) and `resolve_swhid`
 //! (a two-field shape) do more than a row can, so both types write them
 //! by hand, with the same signature.
 
-use crate::api::{
-    walk_pages, ApiRequest, ApiResponse, ErrorCode, PlacementInfo, ReplStatus, RepoBundle,
-};
+use crate::api::{walk_pages, ApiRequest, ApiResponse, ErrorCode, ReplStatus, RepoBundle};
 use crate::audit::AuditEvent;
 use crate::error::{HubError, Result};
 use crate::heritage::SwhKind;
@@ -389,7 +387,7 @@ impl<T: Transport> HubClient<T> {
         walk_pages(|cursor, limit| self.audit_log_page(cursor, limit))
     }
 
-    // ----- replication & placement ---------------------------------------------
+    // ----- replication ---------------------------------------------------------
 
     /// The hub's replication status: logical epoch, audit length, every
     /// repository's `(head, refs)` frontier, and the deposit registry.
@@ -410,17 +408,6 @@ impl<T: Transport> HubClient<T> {
             haves: haves.to_vec(),
         })? {
             ApiResponse::Bundle(bundle) => Ok(bundle),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Queries the fleet placement map, resolving the home hub for
-    /// `repo_id` when one is named (see [`crate::placement`]).
-    pub fn placement(&self, repo_id: Option<&str>) -> Result<PlacementInfo> {
-        match self.call(ApiRequest::Placement {
-            repo_id: repo_id.map(str::to_owned),
-        })? {
-            ApiResponse::Placement(p) => Ok(p),
             other => Err(unexpected(&other)),
         }
     }

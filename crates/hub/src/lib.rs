@@ -27,12 +27,11 @@
 //!   in a table that generates its codec and classifiers; the protocol
 //!   carries have/want push negotiation (delta [`RepoBundle`]s),
 //!   paginated reads, batch envelopes and a binary object side channel.
-//! * **Multi-hub replication** ([`repl`], [`placement`]) — a follower
+//! * **Multi-hub replication** ([`repl`]) — a follower
 //!   hub continuously pulls per-repo deltas from a primary over the
 //!   same wire protocol (the push path, inverted), serves all read
 //!   traffic locally within an explicit staleness bound, and refuses
-//!   writes with a typed `not_primary` redirect; rendezvous-hashed
-//!   placement ([`Placement`]) tells clients which hub homes a repo.
+//!   writes with a typed `not_primary` redirect.
 //! * **Socket transport** ([`transport`]) — an event-driven TCP server
 //!   ([`SocketServer`]: readiness reactor + worker pool, thousands of
 //!   connections without thousands of threads) and client transport
@@ -54,7 +53,6 @@ pub mod client;
 pub mod error;
 pub mod heritage;
 pub mod perm;
-pub mod placement;
 pub mod repl;
 pub mod server;
 pub mod transport;
@@ -62,9 +60,9 @@ pub mod zenodo;
 
 pub use api::{
     ApiRequest, ApiResponse, ErrorCode, LimitsMetrics, MergeOutcome, MergeSummary, MethodMetrics,
-    MetricsSnapshot, Negotiation, Page, PlacementInfo, ReplMetrics, ReplRepoStatus, ReplStatus,
-    RepoBundle, RepoMaintenance, StoreMetrics, StoreStats, TransportMetrics, WireError,
-    WireHistogram, DEFAULT_PAGE_SIZE, MAX_PAGE_SIZE, PROTOCOL_VERSION,
+    MetricsSnapshot, Negotiation, Page, ReplMetrics, ReplRepoStatus, ReplStatus, RepoBundle,
+    RepoMaintenance, StoreMetrics, StoreStats, TransportMetrics, WireError, WireHistogram,
+    DEFAULT_PAGE_SIZE, MAX_PAGE_SIZE, PROTOCOL_VERSION,
 };
 pub use audit::{AuditEvent, AuditLog};
 pub use chaos::{ChaosProxy, ChaosSchedule, ChaosTransport, ProxyConfig};
@@ -72,7 +70,6 @@ pub use client::{FleetTransport, HubClient, InProcess, RetryPolicy, Transport};
 pub use error::{HubError, Result};
 pub use heritage::{parse_swhid, swhid, ArchiveReport, Heritage, SwhKind};
 pub use perm::{Action, Role};
-pub use placement::Placement;
 pub use repl::{Follower, FollowerHandle, ReplState, SyncReport};
 pub use server::{
     Hub, LimitsConfig, LogEntry, RateLimit, StoreFactory, Token, User, FAILURE_DECAY_TICKS,

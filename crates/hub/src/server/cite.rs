@@ -8,7 +8,7 @@ use crate::error::{HubError, Result};
 use crate::heritage::{ArchiveReport, SwhKind};
 use crate::perm::Action;
 use crate::zenodo::Deposit;
-use citekit::{Citation, CiteOp, CitedRepo, MergeStrategy, Resolution};
+use citekit::{Citation, CiteOp, MergeCiteOutcome, MergeStrategy, Resolution};
 use gitlite::{ObjectId, RepoPath, Signature};
 
 wrappers! {
@@ -36,8 +36,10 @@ wrappers! {
         } => CitationOpt;
 
     /// Server-side `MergeCite` of `other_branch` into `branch` using the
-    /// given strategy; conflicts default to keeping ours (the interactive
-    /// path lives in the local tool).
+    /// given strategy; citation conflicts default to keeping ours (the
+    /// interactive path lives in the local tool). A merge whose regular
+    /// files conflict is refused with `merge_conflicts` and the count,
+    /// moving nothing: resolve it locally and push.
     fn merge_branches(
         token: &Token,
         repo_id: &str,
@@ -182,9 +184,7 @@ impl Hub {
     ) -> Result<MergeSummary> {
         let user = self.auth(token)?;
         self.write_repo(&user, repo_id, "merge", Action::Write, |hosted, ts, ok| {
-            let mut work = hosted.repo.clone();
-            work.checkout_branch(branch).map_err(HubError::Git)?;
-            let mut cited = CitedRepo::open(work).map_err(HubError::Cite)?;
+            let before = frontier(&hosted.repo);
             let mut resolver = citekit::FnResolver(
                 |_: &RepoPath, o: Option<&Citation>, _: Option<&Citation>, _: Option<&Citation>| {
                     if o.is_some() {
@@ -194,26 +194,27 @@ impl Hub {
                     }
                 },
             );
-            let report = cited
-                .merge_cite(
-                    other_branch,
-                    Signature::new(&user.display_name, &user.email, ts),
-                    format!("Merge branch '{other_branch}' into {branch}"),
-                    strategy,
-                    &mut resolver,
-                )
-                .map_err(HubError::Cite)?;
+            let report = citekit::version::merge_op(
+                &mut hosted.repo,
+                branch,
+                other_branch,
+                Signature::new(&user.display_name, &user.email, ts),
+                format!("Merge branch '{other_branch}' into {branch}"),
+                strategy,
+                &mut resolver,
+            )
+            .map_err(HubError::Cite)?
+            .report;
             let outcome = match report.outcome {
-                citekit::MergeCiteOutcome::AlreadyUpToDate => MergeOutcome::AlreadyUpToDate,
-                citekit::MergeCiteOutcome::FastForwarded(id) => MergeOutcome::FastForwarded(id),
-                citekit::MergeCiteOutcome::Merged(id) => MergeOutcome::Merged(id),
-                citekit::MergeCiteOutcome::FileConflicts { .. } => {
-                    return Err(HubError::BadRequest(
-                        "merge has file conflicts; resolve locally and push".into(),
-                    ));
+                MergeCiteOutcome::AlreadyUpToDate => MergeOutcome::AlreadyUpToDate,
+                MergeCiteOutcome::FastForwarded(id) => MergeOutcome::FastForwarded(id),
+                MergeCiteOutcome::Merged(id) => MergeOutcome::Merged(id),
+                MergeCiteOutcome::FileConflicts { conflicts, .. } => {
+                    let conflicts = gitlite::GitError::MergeConflicts(conflicts.len());
+                    return Err(HubError::Git(conflicts));
                 }
             };
-            self.swap_in(hosted, cited, repo_id, ok)?;
+            self.apply(ok, ref_moves(repo_id, &before, &hosted.repo), Held::None)?;
             Ok(MergeSummary {
                 outcome,
                 citation_conflicts: report
@@ -224,15 +225,6 @@ impl Hub {
                 dropped: report.dropped,
             })
         })
-    }
-
-    /// Swaps a merge's worked-on clone in for the hosted repository and
-    /// applies the entry of the moves that made.
-    fn swap_in(&self, into: &mut HostedRepo, cited: CitedRepo, id: &str, ok: Header) -> Result<()> {
-        let before = frontier(&into.repo);
-        into.repo = cited.into_repository();
-        let records = ref_moves(id, &before, &into.repo);
-        self.apply(ok, records, Held::None).map(drop)
     }
 
     pub(super) fn op_deposit(

@@ -29,8 +29,8 @@
 //! builds its records and hands them to `Hub::apply`, the only code that
 //! changes users, credentials, the repository map, roles, deposits, the
 //! archive and the log. Refs and HEAD move inside gitlite and citekit
-//! (a cite op's tree-edit commit, push, a merge's clone and swap); their
-//! records state the move made. So a log and the repositories' object stores
+//! (a cite op's or merge's store edit, a push); their records state the
+//! move made. So a log and the repositories' object stores
 //! are enough to rebuild the hub (`Hub::replay`).
 //!
 //! Some state is deliberately not logged, because it belongs to a
@@ -54,10 +54,10 @@
 //!   repository's write lock, tick under it, check the role, and apply
 //!   their entry before the lock is released — so the log order of a
 //!   repository's `RefUpdated` records is the order its refs moved.
-//!   Merges work on a clone and swap it in on success; fork copies the
-//!   repository out so the guard is not held across its walk.
-//!   Archive walks under the repository's read guard, which it holds
-//!   until its entry is in the log.
+//!   A merge edits the store under the write lock like a cite op; a
+//!   fork copies the source's objects under its read guard. Archive
+//!   walks under the repository's read guard, which it holds until its
+//!   entry is in the log.
 //! * each repository's roles and citation memo — leaf locks inside the
 //!   repository. The memo slot holds the last parsed `citation.cite`
 //!   keyed by its blob id, taken only to look and to store, never across
@@ -152,7 +152,6 @@ use crate::audit::{AuditLog, Header, Record};
 use crate::error::{HubError, Result};
 use crate::heritage::{ArchiveReport, Heritage};
 use crate::perm::{Action, Role};
-use crate::placement::Placement;
 use crate::repl::ReplState;
 use crate::zenodo::Zenodo;
 use auth::{LoginState, TokenBucket, TokenEntry};
@@ -192,10 +191,10 @@ pub struct User {
     pub email: String,
 }
 
-/// A hosted repository. Nothing reads `repo`'s worktree, since reads go
-/// by commit, and imports, pushes, replica rounds and cite ops never fill
-/// it. Create, fork and merge leave one: each installs a repository
-/// citekit built with its worktree checked out.
+/// A hosted repository. `repo` holds no worktree: reads go by commit,
+/// every later write — import, push, replica round, cite op, merge and
+/// fork — edits the store and moves refs without a checkout, and create
+/// drops the worktree its first commit was made from.
 #[derive(Debug)]
 pub(crate) struct HostedRepo {
     repo: Repository,
@@ -339,9 +338,6 @@ pub struct Hub {
     /// through the follower gate (see [`Hub::set_follower`] and
     /// [`crate::repl`]); `None` is an ordinary primary hub.
     repl: RwLock<Option<Arc<ReplState>>>,
-    /// Fleet placement map served by the `placement` endpoint; `None`
-    /// until an operator installs one via [`Hub::set_placement`].
-    placement: RwLock<Option<Placement>>,
 }
 
 impl Default for Hub {
@@ -392,7 +388,6 @@ impl Hub {
             metrics_enabled: AtomicBool::new(true),
             operators: RwLock::new(HashSet::new()),
             repl: RwLock::new(None),
-            placement: RwLock::new(None),
         }
     }
 
@@ -763,7 +758,6 @@ impl Hub {
             }
             Q::ReplStatus => R::ReplStatus(self.op_repl_status()),
             Q::ReplFetch { repo_id, haves } => R::Bundle(self.op_repl_fetch(&repo_id, &haves)?),
-            Q::Placement { repo_id } => R::Placement(self.op_placement(repo_id.as_deref())),
         })
     }
 
@@ -1588,7 +1582,7 @@ mod tests {
     }
 
     /// Imports, pushes, replica rounds and cite ops leave the hosted
-    /// worktree empty: only create, fork and merge install one. A full
+    /// worktree empty. A full
     /// push is the delta with an empty basis, so it leaves the state a
     /// negotiated push of the same commits leaves, and it fails the way
     /// a delta does: after the role check, logged as one `ok=false`
@@ -1680,6 +1674,57 @@ mod tests {
         let new: Vec<_> = log.events()[logged..].iter().collect();
         assert_eq!(new.len(), 1);
         assert_eq!((new[0].action.as_str(), new[0].ok), ("push", false));
+    }
+
+    /// No hosted repository holds a worktree, whatever wrote it: create,
+    /// import, fork, a merge of each outcome, a cite op and a push.
+    #[test]
+    fn no_hosted_repository_holds_a_worktree() {
+        let hub = Hub::new("https://hub.example");
+        hub.register_user("ann", "Ann").unwrap();
+        hub.register_user("bob", "Bob").unwrap();
+        let ann = hub.login("ann").unwrap();
+        let bob = hub.login("bob").unwrap();
+        let bare = |step: &str| {
+            for (id, cell) in hub.cells() {
+                let hosted = cell.read();
+                assert!(hosted.repo.worktree().is_empty(), "{id} after {step}");
+            }
+        };
+        let created = hub.create_repo(&ann, "made").unwrap();
+        bare("create");
+        let mut local = citekit::CitedRepo::open(hub.clone_repo(&created).unwrap()).unwrap();
+        local.write_file(&path("a.txt"), &b"a\n"[..]).unwrap();
+        local.commit(Signature::new("Ann", "a@x", 10), "a").unwrap();
+        local.create_branch("dev").unwrap();
+        local.checkout_branch("dev").unwrap();
+        local.write_file(&path("d.txt"), &b"d\n"[..]).unwrap();
+        local.commit(Signature::new("Ann", "a@x", 20), "d").unwrap();
+        let client = crate::client::HubClient::in_process(&hub);
+        let id = client.import_repo(&ann, "P", local.repo()).unwrap();
+        bare("import");
+        let fork = hub.fork(&bob, &id, "F").unwrap();
+        bare("fork");
+        for branch in ["main", "dev"] {
+            hub.push(&ann, &created, branch, local.repo(), branch, false)
+                .unwrap();
+        }
+        bare("push");
+        hub.add_cite(&ann, &created, "main", &path("a.txt"), cite("A"))
+            .unwrap();
+        bare("cite op");
+        let merge = |id: &str, token: &Token| {
+            let summary = hub.merge_branches(token, id, "main", "dev", MergeStrategy::Union);
+            bare("merge");
+            summary.unwrap().outcome
+        };
+        assert!(matches!(merge(&created, &ann), MergeOutcome::Merged(_)));
+        assert!(matches!(
+            merge(&created, &ann),
+            MergeOutcome::AlreadyUpToDate
+        ));
+        assert!(matches!(merge(&fork, &bob), MergeOutcome::FastForwarded(_)));
+        assert!(matches!(merge(&id, &ann), MergeOutcome::FastForwarded(_)));
     }
 
     #[test]

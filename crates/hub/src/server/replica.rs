@@ -1,15 +1,14 @@
 //! The follower side of [`crate::repl`]: the dispatch gate, the derived
 //! cursors, bundle application, and the primary's `repl_status` /
-//! `repl_fetch` / `placement` answers. A follower's repositories mirror
+//! `repl_fetch` answers. A follower's repositories mirror
 //! its primary's through bundles, with no roles (every write redirects
 //! to the primary); only its log and deposits go through `Hub::apply`.
 
 use super::{frontier, Frontier, HostedRepo, Hub};
 use crate::api::{
-    mirror_bundle, ApiRequest, FollowerClass, PlacementInfo, ReplRepoStatus, ReplStatus, RepoBundle,
+    mirror_bundle, ApiRequest, FollowerClass, ReplRepoStatus, ReplStatus, RepoBundle,
 };
 use crate::error::{HubError, Result};
-use crate::placement::Placement;
 use crate::repl::ReplState;
 use gitlite::{ObjectId, Repository};
 use parking_lot::RwLock;
@@ -71,13 +70,6 @@ impl Hub {
     /// primary.
     pub fn replication(&self) -> Option<Arc<ReplState>> {
         self.repl.read().clone()
-    }
-
-    /// Installs the fleet placement map the `placement` endpoint serves
-    /// (see [`Placement`]); clients query it to route writes to a
-    /// repository's home hub.
-    pub fn set_placement(&self, placement: Placement) {
-        *self.placement.write() = Some(placement);
     }
 
     /// The follower's local frontier for one repository: `(head, branch
@@ -174,21 +166,5 @@ impl Hub {
         let cell = self.repo(repo_id)?;
         let hosted = cell.read();
         RepoBundle::delta_from_refs(&hosted.repo, &common).map_err(HubError::Git)
-    }
-
-    /// The placement map, plus the resolved home hub when the caller
-    /// named a repository. A follower without a configured map still
-    /// advertises its primary so clients can route writes.
-    pub(super) fn op_placement(&self, repo_id: Option<&str>) -> PlacementInfo {
-        match self.placement.read().clone() {
-            Some(p) => PlacementInfo {
-                primary: repo_id.and_then(|r| p.primary_for(r).map(str::to_owned)),
-                hubs: p.hubs().to_vec(),
-            },
-            None => PlacementInfo {
-                hubs: Vec::new(),
-                primary: self.repl.read().as_ref().map(|s| s.primary().to_owned()),
-            },
-        }
     }
 }

@@ -194,7 +194,10 @@ impl Hub {
                 "initialize repository",
             )
             .map_err(HubError::Cite)?;
-        self.host(ts, &user, "create_repo", &repo_id, cited.into_repository())?;
+        // Hosted repositories are read by commit only: keep no checkout.
+        let mut repo = cited.into_repository();
+        *repo.worktree_mut() = gitlite::WorkTree::new();
+        self.host(ts, &user, "create_repo", &repo_id, repo)?;
         Ok(repo_id)
     }
 
@@ -411,21 +414,21 @@ impl Hub {
         if self.repos.read().contains_key(&new_repo_id) {
             return Err(HubError::RepoExists(new_repo_id));
         }
-        let src_repo = self.repo(src_repo_id)?.read().repo.clone();
+        let src = self.repo(src_repo_id)?;
         let ts = self.tick();
         let opts = ForkOptions::new(
             new_name,
             &user.display_name,
             format!("{}/{}", self.base_url, new_repo_id),
         );
-        let outcome = citekit::fork_cite_into(
-            &src_repo,
+        let fork = citekit::fork_op(
+            &src.read().repo,
             &opts,
             Signature::new(&user.display_name, &user.email, ts),
             (self.store_factory)(),
         )
-        .map_err(HubError::Cite)?;
-        let fork = outcome.fork.into_repository();
+        .map_err(HubError::Cite)?
+        .fork;
         self.host(ts, &user, "fork", &new_repo_id, fork)?;
         Ok(new_repo_id)
     }

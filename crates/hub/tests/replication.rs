@@ -6,15 +6,13 @@
 //! deposits), catch-up is incremental (deltas after the bootstrap, and
 //! across an engine restart — the cursor is derived from local state,
 //! not stored), writes during catch-up are picked up by the next round,
-//! staleness is enforced, operator seams stay refused on follower
-//! sockets, and the placement endpoint routes writes to a repository's
-//! home hub.
+//! staleness is enforced, and operator seams stay refused on follower
+//! sockets.
 
 use citekit::Citation;
 use gitlite::{path, Signature};
 use hub::{
-    ApiRequest, Follower, HubClient, HubError, InProcess, Placement, RepoBundle, SocketServer,
-    TcpTransport,
+    ApiRequest, Follower, HubClient, HubError, InProcess, RepoBundle, SocketServer, TcpTransport,
 };
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -494,39 +492,4 @@ fn operator_seams_stay_refused_on_follower_sockets() {
     let status = client.repl_status().unwrap();
     assert_eq!(status.repos.len(), 1);
     server.shutdown();
-}
-
-#[test]
-fn placement_is_queryable_over_the_wire_and_routes_writes_home() {
-    let (primary, _token, ids) = seeded_primary(1);
-    let hubs = ["hub-a:7070", "hub-b:7070", "hub-c:7070"];
-    primary.set_placement(Placement::new(hubs));
-    let client = HubClient::in_process(&primary);
-
-    // The fleet listing and a per-repo primary, straight off the map.
-    let info = client.placement(None).unwrap();
-    assert_eq!(info.hubs, hubs.map(str::to_owned).to_vec());
-    assert_eq!(info.primary, None, "no repo asked about, no primary named");
-    let routed = client.placement(Some(&ids[0])).unwrap();
-    let expected = Placement::new(hubs)
-        .primary_for(&ids[0])
-        .unwrap()
-        .to_owned();
-    assert_eq!(routed.primary.as_deref(), Some(&*expected));
-    assert!(hubs.contains(&&*expected));
-
-    // A follower with no placement map of its own still advertises its
-    // replication primary, so a lost client can always route writes.
-    let follower_hub = Arc::new(hub::Hub::new("https://follower.local"));
-    let engine = Follower::new(
-        Arc::clone(&follower_hub),
-        InProcess::new(&primary),
-        "primary.local:7070",
-        30,
-    );
-    engine.sync_once().unwrap();
-    let follower_client = HubClient::in_process(&follower_hub);
-    let fallback = follower_client.placement(Some(&ids[0])).unwrap();
-    assert!(fallback.hubs.is_empty());
-    assert_eq!(fallback.primary.as_deref(), Some("primary.local:7070"));
 }

@@ -687,7 +687,6 @@ fn every_method_sample_round_trips_both_codecs() {
             repo_id: r(),
             haves: vec![id],
         },
-        ApiRequest::Placement { repo_id: Some(r()) },
     ];
     let mut covered: Vec<&str> = samples.iter().map(ApiRequest::method).collect();
     covered.sort_unstable();
@@ -844,6 +843,24 @@ fn golden_responses() {
         err.encode(),
         r#"{"v":3,"error":{"code":"repo_not_found","message":"no such repository: ann/p","detail":"ann/p"}}"#
     );
+}
+
+/// Store corruption keeps its type across the wire: `corrupt_object`
+/// carries the store's own message as its detail and decodes back to
+/// `GitError::Corrupt`, not to the generic `git` code's `Io`.
+#[test]
+fn golden_corrupt_object_error() {
+    let corrupt = hub::HubError::Git(gitlite::GitError::Corrupt(
+        "object file 0123abcd holds bytes hashing to 4567ef01".into(),
+    ));
+    let err = ApiResponse::Error(WireError::from_hub(&corrupt));
+    let wire = r#"{"v":3,"error":{"code":"corrupt_object","message":"corrupt object store: object file 0123abcd holds bytes hashing to 4567ef01","detail":"object file 0123abcd holds bytes hashing to 4567ef01"}}"#;
+    assert_eq!(err.encode(), wire);
+    let ApiResponse::Error(parsed) = ApiResponse::parse(wire).unwrap() else {
+        panic!("expected an error response");
+    };
+    assert_eq!(parsed.code, ErrorCode::CorruptObject);
+    assert_eq!(parsed.into_hub(), corrupt);
 }
 
 #[test]
