@@ -1,13 +1,13 @@
 //! E11 bench — the VCS substrate itself: commit snapshotting, tree diff
-//! (with and without rename detection), three-way merge and diff3,
+//! (with and without rename detection), three-way tree merge and diff3,
 //! clone/push, and SHA-1 throughput (`sha1/1MiB`), which every object
 //! write, loose read and packed read pays.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gitcite_bench::{sig, synthetic_tree};
 use gitlite::{
-    clone_repository, diff3_merge, diff_trees, push, write_tree, MergeLabels, ObjectId, Odb,
-    Repository,
+    clone_repository, diff3_merge, diff_trees, merge_base, merge_trees, push, write_tree,
+    MergeLabels, ObjectId, Odb, Repository,
 };
 use std::time::Duration;
 
@@ -87,17 +87,16 @@ fn bench(c: &mut Criterion) {
             .write(&paths[499], b"main change\n".to_vec())
             .unwrap();
         repo.commit(sig("a", 3), "main").unwrap();
-        g.bench_function("merge_branch_500_files", |b| {
+        let (ours, theirs) = (repo.head_commit().unwrap(), repo.branch_tip("dev").unwrap());
+        let base = merge_base(repo.odb(), ours, theirs).unwrap().unwrap();
+        let [base, ours, theirs] =
+            [base, ours, theirs].map(|c| repo.odb().tree(repo.tree_of(c).unwrap()).unwrap());
+        g.bench_function("merge_trees_500_files", |b| {
             b.iter_batched(
                 || repo.clone(),
                 |mut r| {
-                    r.merge_branch(
-                        "dev",
-                        sig("a", 4),
-                        "merge",
-                        &gitlite::MergeOptions::default(),
-                    )
-                    .unwrap()
+                    let labels = MergeLabels::default();
+                    merge_trees(r.odb_mut(), &base, &ours, &theirs, labels).unwrap()
                 },
                 criterion::BatchSize::LargeInput,
             )

@@ -28,9 +28,10 @@
 //!   blob and the root tree in place, so its cost should not grow with
 //!   the file count.
 //! * `hub_merge` — a three-way `merge_branches` of two branches that
-//!   each moved since their base. The merge works on the three tree
-//!   listings in the store, so it grows with the listings, not with the
-//!   repository's whole object set.
+//!   each moved since their base, here only in `citation.cite`. The
+//!   merge takes every subtree at most one side changed by id and
+//!   rewrites only the root, so its cost should not grow with the file
+//!   count either.
 //! * `hub_fork` — `fork` copies the source's reachable objects into the
 //!   new store and commits the restamped root as a tree edit, with no
 //!   checkout.

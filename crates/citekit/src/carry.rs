@@ -62,8 +62,18 @@ pub fn reconcile<S: ObjectStore + ?Sized>(
     wt: &WorkTree,
     odb: &mut S,
 ) -> CarryReport {
-    let new_listing = worktree_listing(odb, wt);
-    let diff = diff_listings(old_listing, &new_listing, &*odb, true);
+    reconcile_listing(func, old_listing, &worktree_listing(odb, wt), wt, odb)
+}
+
+/// [`reconcile`] given the worktree's listing, whose blobs are stored.
+pub(crate) fn reconcile_listing<S: ObjectStore + ?Sized>(
+    func: &mut CitationFunction,
+    old_listing: &BTreeMap<RepoPath, ObjectId>,
+    new_listing: &BTreeMap<RepoPath, ObjectId>,
+    wt: &WorkTree,
+    odb: &S,
+) -> CarryReport {
+    let diff = diff_listings(old_listing, new_listing, odb, true);
 
     let mut report = CarryReport::default();
 
@@ -71,7 +81,7 @@ pub fn reconcile<S: ObjectStore + ?Sized>(
     //    keys of files the per-file pass would also move (rekeying is
     //    idempotent, but doing directories first attributes moves to the
     //    directory in the report).
-    for (from, to) in diff.directory_renames(&new_listing) {
+    for (from, to) in diff.directory_renames(new_listing) {
         if func.paths().any(|p| p.starts_with(&from)) {
             func.rebase_subtree(&from, &to);
             report.dir_renamed.push((from, to));

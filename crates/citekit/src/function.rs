@@ -260,11 +260,6 @@ impl CitationFunction {
             })
             .collect()
     }
-
-    /// Consumes the function into its raw entries.
-    pub fn into_entries(self) -> BTreeMap<RepoPath, CiteEntry> {
-        self.entries
-    }
 }
 
 #[cfg(test)]

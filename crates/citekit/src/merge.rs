@@ -17,14 +17,11 @@
 
 use crate::citation::Citation;
 use crate::error::{CiteError, Result};
-use crate::file::{self, citation_path};
 use crate::function::CitationFunction;
 use crate::ops::CitedRepo;
 use crate::version;
 use gitlite::merge::Conflict;
-use gitlite::{
-    read_tree, write_tree_from_listing, GitError, ObjectId, ObjectStoreExt, RepoPath, Signature,
-};
+use gitlite::{read_tree, GitError, ObjectId, RepoPath, Signature};
 
 /// How same-key/different-value citation conflicts are handled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -396,20 +393,15 @@ impl CitedRepo {
     }
 
     /// Completes a conflicted `MergeCite` after the user fixed the marked
-    /// files in the worktree.
+    /// files in the worktree. The working function is reconciled with
+    /// the fixed worktree as [`CitedRepo::commit`] reconciles it.
     pub fn commit_resolved_merge(
         &mut self,
         parents: Vec<ObjectId>,
         author: Signature,
         message: impl Into<String>,
     ) -> Result<ObjectId> {
-        // Snapshot the resolved worktree (citation file included — it was
-        // kept in sync by install_function).
-        let mut listing = self.listing_sans_cite();
-        let cite_text = file::to_text(self.function());
-        let cite_blob = self.repo_mut().odb_mut().put_blob(cite_text.into_bytes());
-        listing.insert(citation_path(), cite_blob);
-        let tree = write_tree_from_listing(self.repo_mut().odb_mut(), &listing);
+        let (tree, _) = self.reconciled_tree()?;
         self.repo_mut()
             .commit_merge(tree, parents, author, message)
             .map_err(CiteError::Git)

@@ -8,15 +8,14 @@
 //! carried eagerly; edits made behind its back are reconciled at commit
 //! time by [`crate::carry::reconcile`].
 
-use crate::carry::{reconcile, worktree_listing, worktree_node, CarryReport};
+use crate::carry::{reconcile_listing, worktree_listing, worktree_node, CarryReport};
 use crate::citation::Citation;
 use crate::error::{CiteError, Result};
 use crate::file::{self, citation_path};
 use crate::function::{CitationFunction, ResolvePolicy};
 use crate::time::format_iso8601;
 use crate::version;
-use gitlite::{ObjectId, RepoPath, Repository, Signature};
-use std::collections::BTreeMap;
+use gitlite::{write_tree_from_listing, ObjectId, ObjectStoreExt, RepoPath, Repository, Signature};
 use std::sync::Arc;
 
 /// What to do when, at commit time, citation entries point at paths that
@@ -360,23 +359,30 @@ impl CitedRepo {
     /// citation function is reconciled with any tree edits made since the
     /// previous version (renames carried, stale entries pruned per the
     /// [`PrunePolicy`]), and the refreshed `citation.cite` is written into
-    /// the snapshot.
+    /// the snapshot. Each file is hashed once: the listing reconciled is
+    /// the listing committed.
     pub fn commit(
         &mut self,
         author: Signature,
         message: impl Into<String>,
     ) -> Result<CommitOutcome> {
+        let (tree, carry) = self.reconciled_tree()?;
+        let commit = self.repo.commit_tree(tree, author, message, false)?;
+        Ok(CommitOutcome { commit, carry })
+    }
+
+    /// [`CitedRepo::commit`] short of the commit: the stored tree of the
+    /// next version, and what reconciling with HEAD changed.
+    pub(crate) fn reconciled_tree(&mut self) -> Result<(ObjectId, CarryReport)> {
+        let wt = std::mem::take(self.repo.worktree_mut());
+        let mut listing = worktree_listing(self.repo.odb_mut(), &wt);
+        *self.repo.worktree_mut() = wt;
         let carry = match self.repo.head_commit() {
             Ok(head) => {
-                let mut old_listing = self.repo.snapshot(head).map_err(CiteError::Git)?;
+                let mut old_listing = self.repo.snapshot(head)?;
                 old_listing.remove(&citation_path());
-                let (wt, odb) = {
-                    // Split borrows: reconcile needs the worktree read-only
-                    // and the odb mutably.
-                    let repo = &mut self.repo;
-                    (repo.worktree().clone(), repo.odb_mut())
-                };
-                reconcile(&mut self.func, &old_listing, &wt, odb)
+                let (repo, func) = (&self.repo, &mut self.func);
+                reconcile_listing(func, &old_listing, &listing, repo.worktree(), repo.odb())
             }
             Err(_) => CarryReport::default(),
         };
@@ -386,8 +392,12 @@ impl CitedRepo {
             }
         }
         self.sync_file()?;
-        let commit = self.repo.commit(author, message).map_err(CiteError::Git)?;
-        Ok(CommitOutcome { commit, carry })
+        let cite = self.repo.worktree().read(&citation_path())?.clone();
+        listing.insert(citation_path(), self.repo.odb_mut().put_blob(cite));
+        Ok((
+            write_tree_from_listing(self.repo.odb_mut(), &listing),
+            carry,
+        ))
     }
 
     /// Checks out a branch and reloads the citation function from it.
@@ -423,12 +433,6 @@ impl CitedRepo {
         self.sync_file()
     }
 
-    /// The worktree listing without the citation file, storing blobs.
-    pub(crate) fn listing_sans_cite(&mut self) -> BTreeMap<RepoPath, ObjectId> {
-        let wt = self.repo.worktree().clone();
-        worktree_listing(self.repo.odb_mut(), &wt)
-    }
-
     fn sync_file(&mut self) -> Result<()> {
         // The citation file may not exist yet or may be stale; remove and
         // rewrite to keep the worktree invariant.
@@ -443,7 +447,9 @@ impl CitedRepo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gitlite::path;
+    use gitlite::{path, Object, ObjectStore};
+    use std::collections::BTreeMap;
+    use std::sync::Mutex;
 
     fn sig(n: &str, t: i64) -> Signature {
         Signature::new(n, format!("{n}@x"), t)
@@ -462,6 +468,79 @@ mod tests {
             .unwrap();
         r.commit(sig("Leshang", 100), "V1").unwrap();
         r
+    }
+
+    /// A `MemStore` that counts the blobs handed to it, by id.
+    #[derive(Debug, Clone, Default)]
+    struct CountingStore {
+        inner: gitlite::MemStore,
+        blob_puts: Arc<Mutex<BTreeMap<ObjectId, usize>>>,
+    }
+
+    impl CountingStore {
+        fn count(&self, object: &Object, id: ObjectId) {
+            if let Object::Blob(_) = object {
+                *self.blob_puts.lock().unwrap().entry(id).or_default() += 1;
+            }
+        }
+    }
+
+    impl ObjectStore for CountingStore {
+        fn get(&self, id: ObjectId) -> gitlite::Result<Arc<Object>> {
+            self.inner.get(id)
+        }
+        fn put(&mut self, object: Object) -> ObjectId {
+            self.count(&object, object.id());
+            self.inner.put(object)
+        }
+        fn put_with_id(&mut self, id: ObjectId, object: Arc<Object>) {
+            self.count(&object, id);
+            self.inner.put_with_id(id, object)
+        }
+        fn contains(&self, id: ObjectId) -> bool {
+            self.inner.contains(id)
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn ids(&self) -> Vec<ObjectId> {
+            self.inner.ids()
+        }
+        fn clone_box(&self) -> Box<dyn ObjectStore> {
+            Box::new(self.clone())
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+    }
+
+    #[test]
+    fn a_commit_hands_each_blob_to_the_store_once() {
+        let store = CountingStore::default();
+        let puts = Arc::clone(&store.blob_puts);
+        let mut r = CitedRepo::init_with_store("P1", "L", "u", Box::new(store));
+        let commit = |r: &mut CitedRepo, t| {
+            puts.lock().unwrap().clear();
+            r.commit(sig("L", t), "v").unwrap();
+            let puts = puts.lock().unwrap();
+            assert!(puts.values().all(|&n| n == 1), "{puts:?}");
+            puts.len()
+        };
+        for i in 0..6 {
+            let body = format!("file {i}\n").into_bytes();
+            r.write_file(&path(&format!("d/f{i}.txt")), body).unwrap();
+        }
+        r.add_cite(&path("d/f1.txt"), cite("f1")).unwrap();
+        // The six files and citation.cite.
+        assert_eq!(commit(&mut r, 1), 7);
+
+        // An edit, a carried rename and one made behind the wrapper's back.
+        r.write_file(&path("d/f0.txt"), &b"edited\n"[..]).unwrap();
+        r.rename(&path("d/f1.txt"), &path("e/f1.txt")).unwrap();
+        let wt = r.repo_mut().worktree_mut();
+        wt.rename(&path("d/f2.txt"), &path("e/f2.txt")).unwrap();
+        assert_eq!(commit(&mut r, 2), 7);
+        assert!(r.function().contains(&path("e/f1.txt")));
     }
 
     #[test]

@@ -11,11 +11,12 @@
 //! The write side states each version function's rules once, as a store
 //! edit: [`commit_op`] commits one citation edit on a branch tip as a new
 //! `citation.cite` blob in the tip's root tree, and [`merge_op`] is
-//! `MergeCite` from three tree listings. [`crate::CitedRepo`]'s
-//! `merge_cite` is `merge_op` plus a checkout of the result, and
-//! [`crate::fork_op`] restamps a fork's root through `commit_op`. A
-//! hosting platform, which reads versions only by commit, calls them on
-//! repositories that hold no worktree at all.
+//! `MergeCite` as a [`gitlite::merge_trees`] of the three root trees,
+//! which reads and rewrites only the subtrees both sides changed.
+//! [`crate::CitedRepo`]'s `merge_cite` is `merge_op` plus a checkout of
+//! the result, and [`crate::fork_op`] restamps a fork's root through
+//! `commit_op`. A hosting platform, which reads versions only by commit,
+//! calls them on repositories that hold no worktree at all.
 
 use crate::carry::fit_to_tree;
 use crate::citation::Citation;
@@ -27,12 +28,11 @@ use crate::merge::{
 };
 use crate::ops::CiteOp;
 use crate::time::format_iso8601;
-use gitlite::merge::{merge_listings, MergeOptions};
 use gitlite::{
-    merge_base, resolve_path, write_tree_from_listing, Blob, EntryMode, GitError, MergeLabels,
-    Object, ObjectId, ObjectStoreExt, RepoPath, Repository, Signature, TreeEntry,
+    merge_base, merge_trees, resolve_path, snapshot, Blob, EntryMode, GitError, MergeLabels,
+    Object, ObjectId, RepoPath, Repository, Signature, Tree, TreeEntry,
 };
-use std::collections::BTreeMap;
+use std::cell::Cell;
 use std::sync::Arc;
 
 /// The id of `version`'s `citation.cite` blob. Fails with
@@ -129,26 +129,28 @@ pub fn commit_op(
     if blob_id == old_blob {
         return Err(CiteError::Git(GitError::NothingToCommit));
     }
-    let mut root = repo
-        .odb()
-        .tree_ref(tree)?
-        .as_tree()
-        .expect("checked kind")
-        .clone();
-    let entry = TreeEntry {
-        mode: EntryMode::File,
-        id: blob_id,
-    };
-    root.insert(CITATION_FILE, entry);
-    let odb = repo.odb_mut();
-    odb.put_with_id(blob_id, Arc::new(Object::Blob(blob)));
-    let tree = odb.put(Object::Tree(root));
+    let tree = put_root(repo, repo.odb().tree(tree)?, blob);
     let commit = repo.commit_onto(branch, tree, author, message)?;
     Ok(Edit {
         commit,
         blob: blob_id,
         function: Arc::new(func),
     })
+}
+
+/// Stores `blob` as `root`'s `citation.cite`, then `root`; returns the
+/// root's id.
+fn put_root(repo: &mut Repository, mut root: Tree, blob: Blob) -> ObjectId {
+    let id = blob.id();
+    root.insert(
+        CITATION_FILE,
+        TreeEntry {
+            mode: EntryMode::File,
+            id,
+        },
+    );
+    repo.odb_mut().put_with_id(id, Arc::new(Object::Blob(blob)));
+    repo.odb_mut().put(Object::Tree(root))
 }
 
 /// What [`merge_op`] did.
@@ -168,13 +170,14 @@ pub struct Merge {
 ///
 /// * Up to date: nothing is written.
 /// * Fast-forward: `branch` moves to `other`'s tip.
-/// * Otherwise regular files merge by Git's rules from the three
-///   listings with `citation.cite` set aside, and the citation functions
-///   by `strategy` and `resolver` against the merged listing; the merged
-///   `citation.cite` joins the listing, which is written as a tree. A
-///   clean merge commits it onto `branch` with `other`'s tip as second
-///   parent. File conflicts commit nothing: the conflicted tree comes
-///   back in [`Merge::merged`], for a checkout to resolve.
+/// * Otherwise regular files merge by Git's rules ([`merge_trees`] of
+///   the three root trees with `citation.cite` left out), and the
+///   citation functions by `strategy` and `resolver`, dropping each key
+///   whose node the merged tree does not hold as the key's kind; the
+///   merged `citation.cite` joins the merged root. A clean merge commits
+///   it onto `branch` with `other`'s tip as second parent. File
+///   conflicts commit nothing: the conflicted tree comes back in
+///   [`Merge::merged`], for a checkout to resolve.
 ///
 /// HEAD ends on `branch` in every outcome but file conflicts, which move
 /// neither a ref nor HEAD; nor does an error. The worktree is untouched.
@@ -213,62 +216,54 @@ pub fn merge_op(
     }
     let base_func = base.and_then(|b| function_at(repo, b).ok());
 
-    let cite = citation_path();
-    let listing = |at: ObjectId| -> Result<BTreeMap<RepoPath, ObjectId>> {
-        let mut listing = repo.snapshot(at)?;
-        listing.remove(&cite);
-        Ok(listing)
+    // The three root trees, with `citation.cite` left out of the file
+    // merge; unrelated histories merge against an empty tree.
+    let root = |at: Option<ObjectId>| -> Result<Tree> {
+        let tree = at.map(|at| repo.tree_of(at).and_then(|id| repo.odb().tree(id)));
+        let mut tree = tree.transpose()?.unwrap_or_default();
+        tree.remove(CITATION_FILE);
+        Ok(tree)
     };
-    let base_listing = match base {
-        Some(b) => listing(b)?,
-        None => BTreeMap::new(),
-    };
-    let (ours_listing, theirs_listing) = (listing(ours)?, listing(theirs)?);
+    let (base_root, ours_root, theirs_root) = (root(base)?, root(Some(ours))?, root(Some(theirs))?);
     let labels = MergeLabels {
         ours: branch,
         base: "base",
         theirs: other,
     };
-    let opts = MergeOptions {
-        exclude: vec![cite.clone()],
-    };
-    let tree_merge = merge_listings(
-        repo.odb_mut(),
-        &base_listing,
-        &ours_listing,
-        &theirs_listing,
-        labels,
-        &opts,
-    );
+    let (merged, conflicts) =
+        merge_trees(repo.odb_mut(), &base_root, &ours_root, &theirs_root, labels)?;
 
     // Keys whose nodes the file merge deleted are dropped (§3).
-    let merged = &tree_merge.listing;
+    let failed = Cell::new(None);
     let exists = |p: &RepoPath, is_dir: bool| {
         p.is_root()
-            || if is_dir {
-                merged.keys().any(|f| f.starts_with(p) && f != p)
-            } else {
-                merged.contains_key(p)
+            || match snapshot::resolve_in(repo.odb(), &merged, p.components()) {
+                Ok(found) => found.is_some_and(|(mode, _)| (mode == EntryMode::Dir) == is_dir),
+                Err(e) => {
+                    failed.set(Some(e));
+                    false
+                }
             }
     };
-    let (func, citation_conflicts, dropped) = merge_functions(
+    let merged_functions = merge_functions(
         &ours_func,
         &theirs_func,
         base_func.as_ref(),
         strategy,
         resolver,
         exists,
-    )?;
-    let mut listing = tree_merge.listing;
-    let blob = repo.odb_mut().put_blob(file::to_text(&func).into_bytes());
-    listing.insert(cite, blob);
-    let tree = write_tree_from_listing(repo.odb_mut(), &listing);
-    let outcome = if tree_merge.conflicts.is_empty() {
+    );
+    if let Some(e) = failed.take() {
+        return Err(CiteError::Git(e));
+    }
+    let (func, citation_conflicts, dropped) = merged_functions?;
+    let tree = put_root(repo, merged, Blob::new(file::to_text(&func)));
+    let outcome = if conflicts.is_empty() {
         let commit = repo.merge_onto(branch, tree, theirs, author, message)?;
         MergeCiteOutcome::Merged(commit)
     } else {
         MergeCiteOutcome::FileConflicts {
-            conflicts: tree_merge.conflicts,
+            conflicts,
             parents: vec![ours, theirs],
         }
     };
@@ -285,8 +280,81 @@ pub fn merge_op(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::merge::FailOnConflict;
     use crate::ops::CitedRepo;
-    use gitlite::{path, Signature};
+    use gitlite::{flatten_tree, path, Conflict, ConflictKind, Signature};
+
+    fn sig(t: i64) -> Signature {
+        Signature::new("L", "l@x", t)
+    }
+
+    /// The file/directory clash: the base holds `b.txt`, `main` adds and
+    /// cites a file `x`, `dev` adds `x/y`. The merge in the store and the
+    /// merge through a checkout both report the clash at `x` and move no
+    /// ref. The directory keeps `x`, the file is kept at `x~main`, and
+    /// the citation of `x` as a file is dropped.
+    #[test]
+    fn a_file_meeting_a_directory_conflicts_and_is_kept_beside_it() {
+        let mut r = CitedRepo::init("P1", "L", "u");
+        r.write_file(&path("b.txt"), &b"b\n"[..]).unwrap();
+        r.commit(sig(1), "base").unwrap();
+        r.create_branch("dev").unwrap();
+        r.checkout_branch("dev").unwrap();
+        r.write_file(&path("x/y"), &b"y\n"[..]).unwrap();
+        r.commit(sig(2), "dev").unwrap();
+        r.checkout_branch("main").unwrap();
+        r.write_file(&path("x"), &b"file\n"[..]).unwrap();
+        r.add_cite(&path("x"), Citation::builder("x", "o").build())
+            .unwrap();
+        r.commit(sig(3), "main").unwrap();
+        let refs = |repo: &Repository| {
+            let refs: Vec<(String, ObjectId)> =
+                repo.branches().map(|(b, id)| (b.to_owned(), id)).collect();
+            (refs, repo.head().clone())
+        };
+        let before = refs(r.repo());
+        let expected = vec![Conflict {
+            path: path("x"),
+            kind: ConflictKind::FileDirectory { file_by_ours: true },
+        }];
+        let conflicts_of = |outcome: &MergeCiteOutcome| match outcome {
+            MergeCiteOutcome::FileConflicts { conflicts, .. } => conflicts.clone(),
+            other => panic!("expected file conflicts, got {other:?}"),
+        };
+
+        let mut repo = r.repo().clone();
+        let strategy = MergeStrategy::Union;
+        let merge = merge_op(
+            &mut repo,
+            "main",
+            "dev",
+            sig(4),
+            "m",
+            strategy,
+            &mut FailOnConflict,
+        )
+        .unwrap();
+        assert_eq!(conflicts_of(&merge.report.outcome), expected);
+        assert_eq!(merge.report.dropped, vec![path("x")]);
+        assert_eq!(refs(&repo), before);
+        let (tree, func) = merge.merged.unwrap();
+        assert!(!func.contains(&path("x")));
+        let files: Vec<String> = flatten_tree(repo.odb(), tree)
+            .unwrap()
+            .keys()
+            .map(|p| p.to_string())
+            .collect();
+        assert_eq!(files, ["b.txt", "citation.cite", "x/y", "x~main"]);
+
+        let report = r
+            .merge_cite("dev", sig(4), "m", strategy, &mut FailOnConflict)
+            .unwrap();
+        assert_eq!(conflicts_of(&report.outcome), expected);
+        assert_eq!(refs(r.repo()), before);
+        assert_eq!(r.read_text(&path("x~main")).unwrap(), "file\n");
+        assert_eq!(r.read_text(&path("x/y")).unwrap(), "y\n");
+        assert!(!r.function().contains(&path("x")));
+    }
 
     #[test]
     fn cite_at_reads_the_supplied_function_only_for_existing_paths() {

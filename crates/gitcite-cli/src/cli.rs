@@ -196,12 +196,18 @@ pub fn run(args: &[String], cwd: &Path) -> Result<String> {
         "init" => cmd_init(rest, cwd),
         "status" => with_repo(cwd, |repo, _| cmd_status(repo)),
         "log" => with_repo(cwd, |repo, _| cmd_log(repo)),
-        "commit" => with_repo_mut(cwd, rest, cmd_commit),
+        "commit" => {
+            let out = with_repo_mut(cwd, rest, |repo, p| cmd_commit(repo, p, cwd))?;
+            // Saved: a merge this commit resolved is concluded.
+            storage::set_merge_head(cwd, None)?;
+            Ok(out)
+        }
         "branch" => with_repo_mut(cwd, rest, |repo, p| {
             repo.create_branch(p.pos(0, "name")?)?;
             Ok(format!("created branch {}\n", p.pos(0, "name")?))
         }),
         "checkout" => with_repo_mut(cwd, rest, |repo, p| {
+            no_merge_in_progress(cwd)?;
             let b = p.pos(0, "branch")?;
             repo.checkout_branch(b)?;
             Ok(format!("switched to {b}\n"))
@@ -230,7 +236,7 @@ pub fn run(args: &[String], cwd: &Path) -> Result<String> {
         }),
         "validate" => with_repo(cwd, |repo, _| cmd_validate(repo)),
         "publish" => with_repo_mut(cwd, rest, cmd_publish),
-        "merge" => with_repo_mut(cwd, rest, cmd_merge),
+        "merge" => with_repo_mut(cwd, rest, |repo, p| cmd_merge(repo, p, cwd)),
         "copy" => with_repo_mut(cwd, rest, cmd_copy),
         "fork" => cmd_fork(rest, cwd),
         "retro" => cmd_retro(rest, cwd),
@@ -272,7 +278,7 @@ fn with_repo_mut(
     storage::save_over(cwd, repo.repo(), &on_disk)?;
     // Long edit sessions self-compact: once enough loose objects pile up,
     // the save path runs the same gc `gitcite gc` would.
-    let roots = gc_roots(repo.repo());
+    let roots = gc_roots(repo.repo(), cwd)?;
     let loose = storage::loose_count(cwd, repo.repo())?;
     drop(repo); // release the store handle before rewriting its files
     if let Some(report) = storage::maybe_gc(cwd, &roots, loose)? {
@@ -284,13 +290,26 @@ fn with_repo_mut(
     Ok(out)
 }
 
-/// Everything a gc must keep: every branch tip, plus HEAD when detached.
-fn gc_roots(repo: &gitlite::Repository) -> Vec<gitlite::ObjectId> {
+/// Refuses a command that would strand a conflicted merge's recorded
+/// second parent (see [`storage::set_merge_head`]).
+fn no_merge_in_progress(cwd: &Path) -> Result<()> {
+    match storage::merge_head(cwd)? {
+        Some(_) => Err(CliError::Op(
+            "a merge is in progress: fix the marked files, then commit".into(),
+        )),
+        None => Ok(()),
+    }
+}
+
+/// Everything a gc must keep: every branch tip, plus HEAD when detached
+/// and the tip an unfinished merge brought in.
+fn gc_roots(repo: &gitlite::Repository, cwd: &Path) -> Result<Vec<gitlite::ObjectId>> {
     let mut roots: Vec<gitlite::ObjectId> = repo.branches().map(|(_, tip)| tip).collect();
     if let gitlite::Head::Detached(id) = repo.head() {
         roots.push(*id);
     }
-    roots
+    roots.extend(storage::merge_head(cwd)?);
+    Ok(roots)
 }
 
 fn signature(p: &Parsed, repo: &CitedRepo) -> Result<Signature> {
@@ -421,12 +440,21 @@ fn cmd_log(repo: &CitedRepo) -> Result<String> {
     Ok(out)
 }
 
-fn cmd_commit(repo: &mut CitedRepo, p: &Parsed) -> Result<String> {
+fn cmd_commit(repo: &mut CitedRepo, p: &Parsed, cwd: &Path) -> Result<String> {
     let message = p
         .flag("message")
         .ok_or_else(|| CliError::Usage("missing -m <message>".into()))?
         .to_owned();
     let sig = signature(p, repo)?;
+    if let Some(theirs) = storage::merge_head(cwd)? {
+        let parents = vec![repo.repo().head_commit()?, theirs];
+        let commit = repo.commit_resolved_merge(parents, sig, message)?;
+        return Ok(format!(
+            "committed merge {} (second parent {})\n",
+            commit.short(),
+            theirs.short()
+        ));
+    }
     let outcome = repo.commit(sig, message)?;
     let mut out = format!("committed {}\n", outcome.commit.short());
     for (from, to) in &outcome.carry.renamed {
@@ -448,10 +476,10 @@ fn cmd_gc(cwd: &Path) -> Result<String> {
             cwd.display()
         )));
     }
-    // Roots: every branch tip, plus HEAD when detached. Everything else
-    // is unreachable and gets dropped.
+    // Roots: every branch tip, HEAD when detached and an unfinished
+    // merge's other tip. Everything else is unreachable and gets dropped.
     let repo = storage::load(cwd)?;
-    let roots = gc_roots(&repo);
+    let roots = gc_roots(&repo, cwd)?;
     drop(repo); // release the store handle before rewriting its files
     let report = storage::gc(cwd, &roots)?;
     let mut out = match &report.pack_path {
@@ -630,7 +658,8 @@ fn cmd_publish(repo: &mut CitedRepo, p: &Parsed) -> Result<String> {
     ))
 }
 
-fn cmd_merge(repo: &mut CitedRepo, p: &Parsed) -> Result<String> {
+fn cmd_merge(repo: &mut CitedRepo, p: &Parsed, cwd: &Path) -> Result<String> {
+    no_merge_in_progress(cwd)?;
     let branch = p.pos(0, "branch")?.to_owned();
     let sig = signature(p, repo)?;
     let message = p
@@ -657,7 +686,8 @@ fn cmd_merge(repo: &mut CitedRepo, p: &Parsed) -> Result<String> {
             out.push_str(&format!("fast-forwarded to {}\n", id.short()));
         }
         MergeCiteOutcome::Merged(id) => out.push_str(&format!("merged as {}\n", id.short())),
-        MergeCiteOutcome::FileConflicts { conflicts, .. } => {
+        MergeCiteOutcome::FileConflicts { conflicts, parents } => {
+            storage::set_merge_head(cwd, Some(parents[1]))?;
             out.push_str(&format!(
                 "merge stopped: {} file conflict(s); fix the marked files, then commit\n",
                 conflicts.len()

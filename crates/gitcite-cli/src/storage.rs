@@ -15,6 +15,7 @@
 //!     refs                 # "<branch> <hex>" per line
 //!     HEAD                 # "branch <name>" | "detached <hex>" | "unborn <name>"
 //!     name                 # repository name
+//!     MERGE_HEAD           # "<hex>" while a conflicted merge awaits its commit
 //!   src/main.rs ...        # the worktree, as real files
 //!   citation.cite
 //! ```
@@ -32,6 +33,9 @@
 //! files (refs/HEAD/name) are written atomically (temp file + rename),
 //! after the worktree, so a crash mid-save can never leave a truncated
 //! ref file behind, nor refs naming a worktree that was not written.
+//! `MERGE_HEAD` ([`set_merge_head`]) is git's file of the same name: the
+//! tip a conflicted merge brought in, which the commit that resolves the
+//! merge takes as its second parent.
 //!
 //! `save` does work in proportion to what a command changed: it writes
 //! only the worktree files whose bytes differ from the ones on disk and
@@ -67,6 +71,8 @@ use std::path::{Path, PathBuf};
 
 /// Name of the metadata directory.
 pub const META_DIR: &str = ".gitcite";
+
+const MERGE_HEAD: &str = "MERGE_HEAD";
 
 fn meta(dir: &Path) -> PathBuf {
     dir.join(META_DIR)
@@ -260,6 +266,32 @@ fn write_worktree(dir: &Path, old: &WorkTree, new: &WorkTree) -> io::Result<()> 
 
 fn io_err(e: GitError) -> io::Error {
     io::Error::other(e.to_string())
+}
+
+/// Records `theirs` as the second parent of the commit that resolves a
+/// conflicted merge (`.gitcite/MERGE_HEAD`, temp file + rename); `None`
+/// removes the record.
+pub fn set_merge_head(dir: &Path, theirs: Option<ObjectId>) -> io::Result<()> {
+    let file = meta(dir).join(MERGE_HEAD);
+    match theirs {
+        Some(id) => write_atomic(&file, format!("{}\n", id.to_hex()).as_bytes()),
+        None => match fs::remove_file(&file) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
+            _ => Ok(()),
+        },
+    }
+}
+
+/// The second parent [`set_merge_head`] recorded, if a merge awaits its
+/// commit.
+pub fn merge_head(dir: &Path) -> Result<Option<ObjectId>, GitError> {
+    match fs::read_to_string(meta(dir).join(MERGE_HEAD)) {
+        Ok(text) => ObjectId::from_hex(text.trim())
+            .map(Some)
+            .ok_or_else(|| GitError::Corrupt(format!("bad MERGE_HEAD {text:?}"))),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(GitError::Io(format!("read MERGE_HEAD: {e}"))),
+    }
 }
 
 /// Writes `bytes` to `file` via a temp file in the same directory plus a

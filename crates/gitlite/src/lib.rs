@@ -20,9 +20,9 @@
 //! * **Diffs** — tree diffs with rename detection, including inferred
 //!   directory renames ([`diff`], [`textdiff`]); citation keys follow
 //!   renames through these.
-//! * **Merges** — merge-base selection and three-way merge with diff3
-//!   conflict markers ([`mergebase`], [`merge`]), with an exclusion hook so
-//!   `citation.cite` is never text-merged.
+//! * **Merges** — merge-base selection and a three-way tree merge that
+//!   descends only where both sides changed, with diff3 conflict markers
+//!   ([`mergebase`], [`merge`]).
 //! * **Remotes** — clone and push between repositories ([`remote`]).
 //!
 //! ```
@@ -61,7 +61,7 @@ pub use diff::{diff_listings, diff_trees, Rename, TreeDiff, RENAME_THRESHOLD};
 pub use error::{GitError, Result};
 pub use graph::{CommitGraph, GraphEntry, PathChange, GRAPH_FILE};
 pub use hash::{ObjectId, Sha1};
-pub use merge::{merge_listings, Conflict, ConflictKind, MergeOptions, MergeReport, TreeMerge};
+pub use merge::{merge_listings, merge_trees, Conflict, ConflictKind, MergeOptions, TreeMerge};
 pub use mergebase::{ancestor_set, merge_base};
 pub use metrics::StoreReadStats;
 pub use object::{Blob, Commit, EntryMode, Object, Signature, Tree, TreeEntry};

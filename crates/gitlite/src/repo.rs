@@ -80,11 +80,6 @@ impl Repository {
         &self.name
     }
 
-    /// Renames the repository (forks use this).
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
-    }
-
     /// Immutable access to the object database.
     pub fn odb(&self) -> &dyn ObjectStore {
         &*self.odb
@@ -225,6 +220,18 @@ impl Repository {
         allow_empty: bool,
     ) -> Result<ObjectId> {
         let tree = write_tree(&mut *self.odb, &self.worktree);
+        self.commit_tree(tree, author, message, allow_empty)
+    }
+
+    /// [`Repository::commit_with`] of an already-built `tree`, for callers
+    /// that wrote the worktree's tree themselves.
+    pub fn commit_tree(
+        &mut self,
+        tree: ObjectId,
+        author: Signature,
+        message: impl Into<String>,
+        allow_empty: bool,
+    ) -> Result<ObjectId> {
         let parents = match self.head_commit() {
             Ok(head) => {
                 let head_tree = self.tree_of(head)?;

@@ -18,61 +18,46 @@ use std::collections::BTreeMap;
 pub fn write_tree<S: ObjectStore + ?Sized>(odb: &mut S, worktree: &WorkTree) -> ObjectId {
     let mut listing = BTreeMap::new();
     for (path, data) in worktree.iter() {
-        let blob_id = odb.put_blob(data.clone());
-        listing.insert(path.clone(), blob_id);
+        listing.insert(path.clone(), odb.put_blob(data.clone()));
     }
     write_tree_from_listing(odb, &listing)
 }
 
 /// Builds tree objects from a flattened `path → blob id` listing (the blobs
 /// must already exist in `odb`) and returns the root tree id. This is the
-/// inverse of [`flatten_tree`] and is what the merge machinery uses to
-/// construct a merged tree without materializing file bytes.
+/// inverse of [`flatten_tree`]. Where a path names both a file and a
+/// directory, the directory wins.
 pub fn write_tree_from_listing<S: ObjectStore + ?Sized>(
     odb: &mut S,
     listing: &BTreeMap<RepoPath, ObjectId>,
 ) -> ObjectId {
-    let mut children: BTreeMap<RepoPath, Vec<(String, EntryMode, Option<ObjectId>)>> =
-        BTreeMap::new();
-    children.entry(RepoPath::root()).or_default();
-    for (path, blob_id) in listing {
-        let name = path
-            .file_name()
-            .expect("files are never the root")
-            .to_owned();
-        let parent = path.parent().expect("files are never the root");
-        children
-            .entry(parent.clone())
-            .or_default()
-            .push((name, EntryMode::File, Some(*blob_id)));
-        let mut dir = parent;
-        while !dir.is_root() {
-            let dir_parent = dir.parent().expect("non-root");
-            let dir_name = dir.file_name().expect("non-root").to_owned();
-            let siblings = children.entry(dir_parent.clone()).or_default();
-            if !siblings
+    let files = listing.iter().map(|(p, id)| (p.components(), *id));
+    write_level(odb, &files.collect::<Vec<_>>())
+}
+
+/// One directory of [`write_tree_from_listing`]: `files` holds the paths
+/// below it, in order, so each subdirectory's paths run together.
+fn write_level<S: ObjectStore + ?Sized>(
+    odb: &mut S,
+    mut files: &[(&[String], ObjectId)],
+) -> ObjectId {
+    let mut tree = Tree::new();
+    while let Some(&(path, id)) = files.first() {
+        let (name, inner) = path.split_first().expect("files are never the root");
+        let (mode, id, n) = if inner.is_empty() {
+            (EntryMode::File, id, 1)
+        } else {
+            let n = files
                 .iter()
-                .any(|(n, m, _)| *m == EntryMode::Dir && *n == dir_name)
-            {
-                siblings.push((dir_name, EntryMode::Dir, None));
-            }
-            children.entry(dir.clone()).or_default();
-            dir = dir_parent;
-        }
+                .take_while(|(p, _)| p[0] == *name && p.len() > 1)
+                .count();
+            let below: Vec<_> = files[..n].iter().map(|(p, id)| (&p[1..], *id)).collect();
+            (EntryMode::Dir, write_level(odb, &below), n)
+        };
+        tree.insert(name.clone(), TreeEntry { mode, id });
+        files = &files[n..];
     }
-    let mut tree_ids: BTreeMap<RepoPath, ObjectId> = BTreeMap::new();
-    for (dir, entries) in children.iter().rev() {
-        let mut tree = Tree::new();
-        for (name, mode, blob) in entries {
-            let id = match mode {
-                EntryMode::File => blob.expect("file entries carry blob ids"),
-                EntryMode::Dir => tree_ids[&dir.child(name)],
-            };
-            tree.insert(name.clone(), TreeEntry { mode: *mode, id });
-        }
-        tree_ids.insert(dir.clone(), odb.put(Object::Tree(tree)));
-    }
-    tree_ids[&RepoPath::root()]
+    odb.put(Object::Tree(tree))
 }
 
 /// Flattens a stored tree into `path → blob id` for every file beneath it.
@@ -140,25 +125,30 @@ pub fn resolve_path<S: ObjectStore + ?Sized>(
     if path.is_root() {
         return Ok(Some((EntryMode::Dir, root)));
     }
-    let mut current = root;
-    let comps = path.components();
-    for (i, name) in comps.iter().enumerate() {
-        let obj = odb.tree_ref(current)?;
-        let tree = obj.as_tree().expect("checked kind");
-        match tree.get(name) {
-            None => return Ok(None),
-            Some(entry) => {
-                if i + 1 == comps.len() {
-                    return Ok(Some((entry.mode, entry.id)));
-                }
-                if entry.mode != EntryMode::Dir {
-                    return Ok(None); // a file in the middle of the path
-                }
-                current = entry.id;
-            }
+    let root = odb.tree_ref(root)?;
+    resolve_in(
+        odb,
+        root.as_tree().expect("checked kind"),
+        path.components(),
+    )
+}
+
+/// [`resolve_path`] below a tree in hand, which need not be stored: the
+/// entry at the path `components` (at least one) under `tree`.
+pub fn resolve_in<S: ObjectStore + ?Sized>(
+    odb: &S,
+    tree: &Tree,
+    components: &[String],
+) -> Result<Option<(EntryMode, ObjectId)>> {
+    let (name, rest) = components.split_first().expect("a path below the tree");
+    match tree.get(name) {
+        Some(entry) if rest.is_empty() => Ok(Some((entry.mode, entry.id))),
+        Some(entry) if entry.mode == EntryMode::Dir => {
+            let subtree = odb.tree_ref(entry.id)?;
+            resolve_in(odb, subtree.as_tree().expect("checked kind"), rest)
         }
+        _ => Ok(None), // missing, or a file in the middle of the path
     }
-    unreachable!("loop returns");
 }
 
 #[cfg(test)]

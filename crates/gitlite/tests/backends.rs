@@ -4,8 +4,8 @@
 //! are content addresses and the repository only ever talks to the trait.
 
 use gitlite::{
-    clone_repository, path, push, CachedStore, DiskStore, MemStore, MergeOptions, MergeReport,
-    ObjectId, ObjectStore, PackStore, Repository, Signature,
+    clone_repository, merge_base, merge_trees, path, push, CachedStore, DiskStore, MemStore,
+    MergeLabels, Object, ObjectId, ObjectStore, PackStore, Repository, Signature,
 };
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -61,18 +61,23 @@ fn run_scenario(mut repo: Repository) -> (Repository, Vec<ObjectId>) {
         .unwrap();
     commits.push(repo.commit(sig("alice", 5), "main work").unwrap());
 
-    let report = repo
-        .merge_branch(
-            "gui",
-            sig("alice", 6),
-            "merge gui",
-            &MergeOptions::default(),
-        )
-        .unwrap();
-    match report {
-        MergeReport::Merged(commit) => commits.push(commit),
-        other => panic!("expected a merge commit, got {other:?}"),
-    }
+    let (ours, theirs) = (repo.head_commit().unwrap(), repo.branch_tip("gui").unwrap());
+    let base = merge_base(repo.odb(), ours, theirs).unwrap().unwrap();
+    let [b, o, t] =
+        [base, ours, theirs].map(|c| repo.odb().tree(repo.tree_of(c).unwrap()).unwrap());
+    let labels = MergeLabels {
+        ours: "main",
+        base: "base",
+        theirs: "gui",
+    };
+    let (tree, conflicts) = merge_trees(repo.odb_mut(), &b, &o, &t, labels).unwrap();
+    assert!(
+        conflicts.is_empty(),
+        "expected a clean merge, got {conflicts:?}"
+    );
+    let tree = repo.odb_mut().put(Object::Tree(tree));
+    let merged = repo.commit_merge(tree, vec![ours, theirs], sig("alice", 6), "merge gui");
+    commits.push(merged.unwrap());
     (repo, commits)
 }
 
