@@ -3,7 +3,7 @@
 //! reachable closure of a synthetic repository. This is the experiment
 //! behind choosing the local tool's default backend
 //! (`CachedStore<PackStore>`): loose disk pays a file open + decode per
-//! read, packs replace the per-object opens with one buffered file read,
+//! read, packs replace the per-object opens with one open file per pack,
 //! the cache amortizes decodes on hot paths, memory is the ceiling.
 //!
 //! Cache effectiveness (hits/misses/evictions, per the ROADMAP's
@@ -113,7 +113,8 @@ fn bench(c: &mut Criterion) {
 
         // Cold reads: a fresh handle per iteration (caches start empty;
         // the disk variants pay a file open + decode per object, the
-        // pack variant one buffered file read for the whole set).
+        // pack variant one sequential read of its file at open and a
+        // positioned read per object).
         g.bench_with_input(BenchmarkId::new("cold_disk", files), &files, |b, _| {
             b.iter_batched(
                 || DiskStore::open(&disk_dir).unwrap(),

@@ -9,9 +9,14 @@
 //!   common frontier, the delta bundle ships only the objects past it.
 //!
 //! * `clone_pack_storage` — a visitor's clone of the same 5k-commit
-//!   history hosted through `Hub::with_pack_storage`, its objects loose
-//!   as an import leaves them: the bundle walk reads each object once,
-//!   from disk, as its stored bytes.
+//!   history hosted through `Hub::with_pack_storage`, its objects in the
+//!   one pack an import writes: the bundle walk reads each object once,
+//!   in place from the pack file, as its stored bytes.
+//! * `walk_raw` — that walk alone (`ObjectStore::walk_raw` over the
+//!   hosted pack store, reopened), without building the bundle.
+//! * `frame_encode` — framing that clone's response for the socket
+//!   (`frame::encode_message`: the envelope plus the compressed object
+//!   side channel).
 //!
 //! Bytes on the wire are counted by a transport wrapper and printed as
 //! `transfer_bytes ...` / `transfer_objects ...` lines (stderr), which
@@ -21,7 +26,9 @@
 //! history depth.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use gitlite::{path, Repository, Signature};
+use gitlite::{path, ObjectStore, PackStore, Repository, Signature};
+use hub::api::ApiRequest;
+use hub::transport::frame;
 use hub::{Hub, HubClient, InProcess, Token, Transport};
 use std::cell::Cell;
 use std::time::Duration;
@@ -228,14 +235,33 @@ fn bench(c: &mut Criterion) {
                 .unwrap()
         })
     });
-    // A clone from pack storage: every object of the history is a loose
-    // file, bigger than the hub's object cache.
+    // A clone from pack storage: the history is the import's one pack,
+    // bigger than the hub's object cache.
     let dir = std::env::temp_dir().join(format!("gitcite-bench-clone-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let hub_packed = Hub::with_pack_storage("https://h", &dir).unwrap();
     let packed = setup(&hub_packed);
     g.bench_function("clone_pack_storage", |b| {
         b.iter(|| hub_packed.clone_repo(&packed.repo_id).unwrap())
+    });
+    let store = PackStore::open(dir.join("repo-0")).unwrap();
+    let tip = packed.base.head_commit().unwrap();
+    g.bench_function("walk_raw", |b| {
+        b.iter(|| {
+            let mut bytes = 0;
+            store
+                .walk_raw(&[tip], &mut |_, raw| bytes += raw.len())
+                .unwrap();
+            bytes
+        })
+    });
+    let request = ApiRequest::CloneRepo {
+        repo_id: packed.repo_id.clone(),
+    };
+    let (envelope, objects) = hub_packed.dispatch(request).into_ext();
+    assert!(!objects.is_empty(), "the clone carries its objects");
+    g.bench_function("frame_encode", |b| {
+        b.iter(|| frame::encode_message(&envelope, &objects).len())
     });
     g.finish();
     let _ = std::fs::remove_dir_all(&dir);

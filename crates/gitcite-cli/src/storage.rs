@@ -25,8 +25,8 @@
 //! [`gitlite::ObjectStore`] backend the substrate defines — so encoding,
 //! packing, sharding, integrity checking and durability live in one
 //! place. [`load`] hands the repository a `CachedStore<PackStore>`
-//! backend, which means objects are read lazily (buffered packs + loose
-//! files, with an LRU for hot trees/blobs) and every object written by a
+//! backend, which means objects are read lazily (packs read in place +
+//! loose files, with an LRU for hot trees/blobs) and every object written by a
 //! later commit is already durable by the time [`save`] runs; `save`
 //! only records refs, HEAD, the repository name and the worktree files,
 //! plus any objects a memory-backed repository brought along. Metadata
@@ -88,7 +88,7 @@ pub fn exists(dir: &Path) -> bool {
 }
 
 /// Opens the object-store backend persisted under `dir`: a
-/// [`PackStore`] over `.gitcite/objects` (buffered packs + loose
+/// [`PackStore`] over `.gitcite/objects` (packs read in place + loose
 /// overflow), wrapped in a read-through LRU for the hot resolution paths
 /// (snapshot, cite, diff/merge walks).
 pub fn open_store(dir: &Path) -> Result<CachedStore<PackStore>, GitError> {

@@ -11,6 +11,39 @@ use bytes::Bytes;
 
 /// Parses `"<kind> <len>\0<body>"` and decodes the body.
 pub fn decode_object(bytes: &[u8]) -> Result<Object> {
+    let (kind, body) = split_header(bytes)?;
+    match kind {
+        "blob" => Ok(Object::Blob(Blob::new(Bytes::copy_from_slice(body)))),
+        "tree" => decode_tree(body).map(Object::Tree),
+        "commit" => decode_commit(body).map(Object::Commit),
+        other => Err(GitError::Corrupt(format!("unknown object kind {other:?}"))),
+    }
+}
+
+/// The ids an object's bytes point at, in the order a reachability walk
+/// pushes them: a commit's tree then its parents, a tree's entries in
+/// name order, nothing for a blob. Accepts and rejects exactly what
+/// [`decode_object`] does, but a tree's entries are read straight from
+/// its body ([`tree_entry_ids`]) rather than built into a [`Tree`].
+pub fn object_links(bytes: &[u8]) -> Result<Vec<ObjectId>> {
+    let (kind, body) = split_header(bytes)?;
+    match kind {
+        "blob" => Ok(Vec::new()),
+        "tree" => tree_entry_ids(body),
+        "commit" => {
+            let c = decode_commit(body)?;
+            let mut links = Vec::with_capacity(1 + c.parents.len());
+            links.push(c.tree);
+            links.extend(c.parents);
+            Ok(links)
+        }
+        other => Err(GitError::Corrupt(format!("unknown object kind {other:?}"))),
+    }
+}
+
+/// Splits canonical bytes into their kind and a body whose length the
+/// header vouches for.
+fn split_header(bytes: &[u8]) -> Result<(&str, &[u8])> {
     let nul = bytes
         .iter()
         .position(|&b| b == 0)
@@ -30,53 +63,68 @@ pub fn decode_object(bytes: &[u8]) -> Result<Object> {
             body.len()
         )));
     }
-    match kind {
-        "blob" => Ok(Object::Blob(Blob::new(Bytes::copy_from_slice(body)))),
-        "tree" => decode_tree(body).map(Object::Tree),
-        "commit" => decode_commit(body).map(Object::Commit),
-        other => Err(GitError::Corrupt(format!("unknown object kind {other:?}"))),
+    Ok((kind, body))
+}
+
+/// The entry ids of a tree body, in the order the decoded [`Tree`] lists
+/// them, without building the tree: `Ok` and `Err` exactly when the tree
+/// decode gives them. A canonical body (names strictly ascending) is
+/// read in place; one with repeated or unordered names is decoded, so
+/// the map's order and its last-name-wins rule decide.
+pub fn tree_entry_ids(body: &[u8]) -> Result<Vec<ObjectId>> {
+    let mut ids = Vec::with_capacity(body.len() / 40);
+    let mut prev: Option<&str> = None;
+    let mut rest = body;
+    while !rest.is_empty() {
+        let (_, name, id) = next_tree_entry(&mut rest)?;
+        if prev.is_some_and(|p| p >= name) {
+            return Ok(decode_tree(body)?.iter().map(|(_, e)| e.id).collect());
+        }
+        prev = Some(name);
+        ids.push(id);
     }
+    Ok(ids)
+}
+
+/// Reads one `"<mode> <name>\0" + 20-byte id` entry off the front of a
+/// tree body.
+fn next_tree_entry<'a>(body: &mut &'a [u8]) -> Result<(EntryMode, &'a str, ObjectId)> {
+    let sp = body
+        .iter()
+        .position(|&b| b == b' ')
+        .ok_or_else(|| GitError::Corrupt("tree entry missing mode".into()))?;
+    let mode = match &body[..sp] {
+        b"100644" => EntryMode::File,
+        b"40000" => EntryMode::Dir,
+        m => {
+            return Err(GitError::Corrupt(format!(
+                "unknown tree entry mode {:?}",
+                String::from_utf8_lossy(m)
+            )))
+        }
+    };
+    let rest = &body[sp + 1..];
+    let nul = rest
+        .iter()
+        .position(|&b| b == 0)
+        .ok_or_else(|| GitError::Corrupt("tree entry missing name terminator".into()))?;
+    let name = std::str::from_utf8(&rest[..nul])
+        .map_err(|_| GitError::Corrupt("non-utf8 tree entry name".into()))?;
+    let rest = &rest[nul + 1..];
+    if rest.len() < 20 {
+        return Err(GitError::Corrupt("truncated tree entry id".into()));
+    }
+    let mut id = [0u8; 20];
+    id.copy_from_slice(&rest[..20]);
+    *body = &rest[20..];
+    Ok((mode, name, ObjectId(id)))
 }
 
 fn decode_tree(mut body: &[u8]) -> Result<Tree> {
     let mut tree = Tree::new();
     while !body.is_empty() {
-        let sp = body
-            .iter()
-            .position(|&b| b == b' ')
-            .ok_or_else(|| GitError::Corrupt("tree entry missing mode".into()))?;
-        let mode = match &body[..sp] {
-            b"100644" => EntryMode::File,
-            b"40000" => EntryMode::Dir,
-            m => {
-                return Err(GitError::Corrupt(format!(
-                    "unknown tree entry mode {:?}",
-                    String::from_utf8_lossy(m)
-                )))
-            }
-        };
-        body = &body[sp + 1..];
-        let nul = body
-            .iter()
-            .position(|&b| b == 0)
-            .ok_or_else(|| GitError::Corrupt("tree entry missing name terminator".into()))?;
-        let name = std::str::from_utf8(&body[..nul])
-            .map_err(|_| GitError::Corrupt("non-utf8 tree entry name".into()))?
-            .to_owned();
-        body = &body[nul + 1..];
-        if body.len() < 20 {
-            return Err(GitError::Corrupt("truncated tree entry id".into()));
-        }
-        let mut id = [0u8; 20];
-        id.copy_from_slice(&body[..20]);
-        body = &body[20..];
-        tree.insert(
-            name,
-            TreeEntry {
-                mode,
-                id: ObjectId(id),
-            },
-        );
+        let (mode, name, id) = next_tree_entry(&mut body)?;
+        tree.insert(name, TreeEntry { mode, id });
     }
     Ok(tree)
 }

@@ -1,8 +1,7 @@
 //! Process-wide store read metrics.
 //!
 //! Two questions an operator keeps asking about the storage layer:
-//! which tier serves object reads (buffered packs vs the loose
-//! overflow), and whether history walks ride the commit-graph index or
+//! which tier serves object reads (packs vs the loose overflow), and whether history walks ride the commit-graph index or
 //! fall back to decoding commits. These counters answer both without
 //! threading a handle through every store: they are process-wide
 //! statics (one hub process serves one metrics endpoint), incremented

@@ -59,21 +59,24 @@
 //! big-endian. `<checksum>` in the file names is the pack trailer in hex,
 //! so pack names are content addresses too.
 //!
-//! [`PackStore`] is the [`ObjectStore`] backend over this format: reads are
-//! served from buffered in-memory pack data (one sequential file read per
-//! pack at open, no per-object file opens, each record hashed as it is
-//! served), while new writes overflow into a loose [`DiskStore`] area
-//! sharing the same root directory (packs live under `<root>/pack/`,
-//! loose objects under `<root>/ab/...`, so a `PackStore` opens any
-//! existing loose-object directory unchanged).
+//! [`PackStore`] is the [`ObjectStore`] backend over this format: each
+//! pack is checked at open on one sequential read of its file, then read
+//! in place, one positioned read per record (no per-object file opens,
+//! no pack body kept in memory, each record hashed as it is served),
+//! while new writes overflow into a loose [`DiskStore`] area sharing the
+//! same root directory (packs live under `<root>/pack/`, loose objects
+//! under `<root>/ab/...`, so a `PackStore` opens any existing
+//! loose-object directory unchanged). An empty store handed a whole
+//! object set ([`ObjectStore::put_raw_all`], a new repository's import)
+//! streams it to disk as one delta-free pack plus a commit-graph.
 //! [`PackStore::repack`] and [`PackStore::gc`] consolidate the overflow
 //! back into a single fresh pack — `gc` additionally drops objects not
 //! reachable from the given roots. Both also write the third sidecar
 //! file, `pack/commit-graph.glcg` ([`crate::graph`]): a
 //! generation-numbered index of the surviving commit history that serves
 //! `log`/`merge_base`/reachability walks without decoding a single
-//! commit. After a `gc`, a store therefore holds exactly
-//! `pack + idx + graph`.
+//! commit, with changed-path Bloom filters. After a `gc`, a store
+//! therefore holds exactly `pack + idx + graph`.
 
 use crate::codec::decode_object;
 use crate::error::{GitError, Result};
@@ -85,6 +88,8 @@ use std::borrow::Cow;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::fs;
+use std::io::{Read, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -179,49 +184,113 @@ fn encode_with_plan(
     } else {
         PACK_VERSION_DELTA
     };
-    let mut pack = Vec::with_capacity(
-        HEADER_LEN
-            + TRAILER_LEN
-            + objects
-                .iter()
-                .map(|(_, b)| RECORD_PREFIX + b.len())
-                .sum::<usize>(),
-    );
-    pack.extend_from_slice(PACK_MAGIC);
-    pack.extend_from_slice(&version.to_be_bytes());
-    pack.extend_from_slice(&(objects.len() as u32).to_be_bytes());
-    let mut ids = Vec::with_capacity(objects.len());
-    let mut offsets = Vec::with_capacity(objects.len());
-    for (id, bytes) in &objects {
+    let capacity = HEADER_LEN
+        + TRAILER_LEN
+        + objects
+            .iter()
+            .map(|(_, b)| RECORD_PREFIX + b.len())
+            .sum::<usize>();
+    let write = || -> std::io::Result<(Vec<u8>, Written)> {
+        let mut pack = PackWriter::new(Vec::with_capacity(capacity), version, objects.len())?;
+        for (id, bytes) in &objects {
+            match plan.get(id) {
+                Some((base, delta)) => pack.delta(*id, *base, delta)?,
+                None => pack.full(*id, bytes)?,
+            }
+        }
+        pack.finish()
+    };
+    let (pack, written) = write().expect("writing to a Vec cannot fail");
+    let index = encode_index(&written.ids, &written.offsets, written.checksum);
+    EncodedPack {
+        pack,
+        index,
+        checksum: written.checksum,
+        delta_objects,
+    }
+}
+
+/// The one writer of the GLPK record format: the header, then records
+/// in the order given, each hashed into the trailer as it is written,
+/// then the trailer. Into a `Vec` for [`encode_pack`], through a
+/// buffered file for [`PackStore`]'s import pack.
+struct PackWriter<W: Write> {
+    out: W,
+    hasher: crate::hash::Sha1,
+    at: u64,
+    ids: Vec<ObjectId>,
+    offsets: Vec<u64>,
+    words: Vec<u32>,
+}
+
+/// What a [`PackWriter`] wrote: each record's id, offset and length
+/// word in write order, the trailer checksum and the pack's size.
+struct Written {
+    ids: Vec<ObjectId>,
+    offsets: Vec<u64>,
+    words: Vec<u32>,
+    checksum: ObjectId,
+    size: u64,
+}
+
+impl<W: Write> PackWriter<W> {
+    fn new(out: W, version: u32, count: usize) -> std::io::Result<Self> {
+        let mut writer = PackWriter {
+            out,
+            hasher: crate::hash::Sha1::new(),
+            at: 0,
+            ids: Vec::with_capacity(count),
+            offsets: Vec::with_capacity(count),
+            words: Vec::with_capacity(count),
+        };
+        writer.put(PACK_MAGIC)?;
+        writer.put(&version.to_be_bytes())?;
+        writer.put(&(count as u32).to_be_bytes())?;
+        Ok(writer)
+    }
+
+    fn put(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        self.hasher.update(bytes);
+        self.at += bytes.len() as u64;
+        self.out.write_all(bytes)
+    }
+
+    fn record(&mut self, id: ObjectId, word: u32, payload: &[&[u8]]) -> std::io::Result<()> {
+        self.ids.push(id);
+        self.offsets.push(self.at);
+        self.words.push(word);
+        self.put(&id.0)?;
+        self.put(&word.to_be_bytes())?;
+        payload.iter().try_for_each(|part| self.put(part))
+    }
+
+    /// A full record: the object's canonical bytes.
+    fn full(&mut self, id: ObjectId, bytes: &[u8]) -> std::io::Result<()> {
         debug_assert!(
             bytes.len() <= LEN_MASK as usize,
             "pack record lengths are 31 bits; callers must reject larger objects"
         );
-        ids.push(*id);
-        offsets.push(pack.len() as u64);
-        pack.extend_from_slice(&id.0);
-        match plan.get(id) {
-            Some((base, delta)) => {
-                let len = (delta.len() + 20) as u32;
-                pack.extend_from_slice(&(len | DELTA_FLAG).to_be_bytes());
-                pack.extend_from_slice(&base.0);
-                pack.extend_from_slice(delta);
-            }
-            None => {
-                pack.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
-                pack.extend_from_slice(bytes);
-            }
-        }
+        self.record(id, bytes.len() as u32, &[bytes])
     }
-    let checksum = ObjectId::hash_bytes(&pack);
-    pack.extend_from_slice(&checksum.0);
 
-    let index = encode_index(&ids, &offsets, checksum);
-    EncodedPack {
-        pack,
-        index,
-        checksum,
-        delta_objects,
+    /// A delta record against `base`, another record of the pack.
+    fn delta(&mut self, id: ObjectId, base: ObjectId, delta: &[u8]) -> std::io::Result<()> {
+        let len = (delta.len() + 20) as u32;
+        self.record(id, len | DELTA_FLAG, &[&base.0, delta])
+    }
+
+    /// Writes the trailer; returns the sink and what was written.
+    fn finish(mut self) -> std::io::Result<(W, Written)> {
+        let checksum = ObjectId(self.hasher.finalize());
+        self.out.write_all(&checksum.0)?;
+        let written = Written {
+            ids: self.ids,
+            offsets: self.offsets,
+            words: self.words,
+            checksum,
+            size: self.at + TRAILER_LEN as u64,
+        };
+        Ok((self.out, written))
     }
 }
 
@@ -671,15 +740,44 @@ fn fanout_of(sorted_ids: &[ObjectId]) -> [u32; 256] {
     fanout
 }
 
-/// One opened pack: buffered file bytes, the parsed index, and a
-/// bounded cache of resolved delta targets (chain walks hit the cache
-/// for shared prefixes instead of re-applying every link).
+/// One opened pack: where its bytes are read from, the parsed index with
+/// each record's length word, and a bounded cache of resolved delta
+/// targets (chain walks hit the cache for shared prefixes instead of
+/// re-applying every link).
 pub struct Pack {
-    data: Vec<u8>,
+    body: Body,
     index: PackIndex,
+    /// Each record's length word (delta flag and payload length), by
+    /// index position: what a positioned read needs besides the offset.
+    words: Vec<u32>,
+    /// Bytes in the whole pack, trailer included.
+    size: u64,
     path: PathBuf,
     delta_objects: usize,
     cache: Mutex<DeltaCache>,
+}
+
+/// Where a pack's bytes live. A pack a [`PackStore`] opens or writes is
+/// read in place, one positioned read per record, so a store's memory
+/// grows with its indexes and not with its history; a pack parsed from
+/// bytes ([`Pack::parse`]) keeps them.
+enum Body {
+    File(fs::File),
+    Bytes(Vec<u8>),
+}
+
+impl Body {
+    /// `len` bytes at `off`; parsing has bounds-checked every record.
+    fn read_at(&self, off: u64, len: usize) -> Result<Cow<'_, [u8]>> {
+        match self {
+            Body::Bytes(data) => Ok(Cow::Borrowed(&data[off as usize..off as usize + len])),
+            Body::File(file) => {
+                let mut buf = vec![0u8; len];
+                file.read_exact_at(&mut buf, off)?;
+                Ok(Cow::Owned(buf))
+            }
+        }
+    }
 }
 
 #[derive(Default)]
@@ -694,7 +792,7 @@ impl fmt::Debug for Pack {
             .field("path", &self.path)
             .field("objects", &self.index.len())
             .field("deltas", &self.delta_objects)
-            .field("bytes", &self.data.len())
+            .field("bytes", &self.size)
             .finish()
     }
 }
@@ -715,67 +813,52 @@ impl Pack {
     ///
     /// Record bytes themselves are verified as they are read
     /// ([`Pack::read`]), so opening costs the same whether a command
-    /// then reads one object or all of them.
+    /// then reads one object or all of them. The pack keeps `data`; a
+    /// [`PackStore`] opens its packs with [`Pack::open`] instead.
     pub fn parse(data: Vec<u8>, idx: Option<&[u8]>, path: PathBuf) -> Result<Pack> {
-        let index = match idx {
-            None => index_pack(&data)?,
-            Some(bytes) => {
-                let index = PackIndex::parse(bytes)?;
-                let (count, checksum, version) = pack_header(&data)?;
-                if checksum != index.pack_checksum {
-                    return Err(GitError::Corrupt(format!(
-                        "index for pack {} paired with pack {}",
-                        index.pack_checksum.short(),
-                        checksum.short()
-                    )));
-                }
-                if count != index.len() {
-                    return Err(GitError::Corrupt(format!(
-                        "pack holds {count} records, index lists {}",
-                        index.len()
-                    )));
-                }
-                let body_len = data.len() - TRAILER_LEN;
-                for (id, &off) in index.ids.iter().zip(&index.offsets) {
-                    let off = off as usize;
-                    if off + RECORD_PREFIX > body_len {
-                        return Err(GitError::Corrupt(format!(
-                            "indexed offset for {} is out of bounds",
-                            id.short()
-                        )));
-                    }
-                    if data[off..off + 20] != id.0 {
-                        return Err(GitError::Corrupt(format!(
-                            "indexed offset for {} points at another record",
-                            id.short()
-                        )));
-                    }
-                    let word = u32::from_be_bytes(data[off + 20..off + 24].try_into().unwrap());
-                    if word & DELTA_FLAG != 0 && version < PACK_VERSION_DELTA {
-                        return Err(GitError::Corrupt(format!(
-                            "record for {} is a delta in a version-1 pack",
-                            id.short()
-                        )));
-                    }
-                    let len = (word & LEN_MASK) as usize;
-                    if off + RECORD_PREFIX + len > body_len {
-                        return Err(GitError::Corrupt(format!(
-                            "indexed record for {} overruns the pack",
-                            id.short()
-                        )));
-                    }
-                }
-                index
-            }
-        };
-        let delta_objects = validate_delta_chains(&data, &index)?;
-        Ok(Pack {
-            data,
-            index,
+        let checked = check_pack(&data, idx)?;
+        Ok(Pack::new(Body::Bytes(data), checked, path))
+    }
+
+    /// [`Pack::parse`] over the file at `path`: the same checks, made on
+    /// one sequential read of the file, after which the bytes are dropped
+    /// and records are read in place.
+    pub fn open(path: &Path, idx: Option<&[u8]>) -> Result<Pack> {
+        let mut file = fs::File::open(path)?;
+        let mut data = Vec::new();
+        file.read_to_end(&mut data)?;
+        let checked = check_pack(&data, idx)?;
+        Ok(Pack::new(Body::File(file), checked, path.to_path_buf()))
+    }
+
+    fn new(body: Body, checked: CheckedPack, path: PathBuf) -> Pack {
+        Pack {
+            body,
+            index: checked.index,
+            words: checked.words,
+            size: checked.size,
             path,
-            delta_objects,
+            delta_objects: checked.delta_objects,
             cache: Mutex::new(DeltaCache::default()),
-        })
+        }
+    }
+
+    /// This pack with its bytes in memory, for a pass that reads every
+    /// record (a gc reads each delta chain link once per target, and a
+    /// buffer serves those links without a read each). The bytes come
+    /// through this pack's own handle, so they are the file it opened.
+    fn buffered(&self) -> Result<Pack> {
+        let data = match &self.body {
+            Body::Bytes(data) => data.clone(),
+            Body::File(_) => self.body.read_at(0, self.size as usize)?.into_owned(),
+        };
+        let checked = CheckedPack {
+            index: self.index.clone(),
+            words: self.words.clone(),
+            size: self.size,
+            delta_objects: self.delta_objects,
+        };
+        Ok(Pack::new(Body::Bytes(data), checked, self.path.clone()))
     }
 
     /// The parsed index.
@@ -793,31 +876,31 @@ impl Pack {
         self.delta_objects
     }
 
-    /// The record at `off`: whether it is a delta, and its payload.
-    fn record_at(&self, off: usize) -> (bool, &[u8]) {
-        let word = u32::from_be_bytes(self.data[off + 20..off + 24].try_into().unwrap());
-        let len = (word & LEN_MASK) as usize;
-        (
-            word & DELTA_FLAG != 0,
-            &self.data[off + RECORD_PREFIX..off + RECORD_PREFIX + len],
-        )
+    /// The record at index position `pos`: whether it is a delta, and
+    /// its payload.
+    fn record_at(&self, pos: usize) -> Result<(bool, Cow<'_, [u8]>)> {
+        let word = self.words[pos];
+        let payload = self.body.read_at(
+            self.index.offsets[pos] + RECORD_PREFIX as u64,
+            (word & LEN_MASK) as usize,
+        )?;
+        Ok((word & DELTA_FLAG != 0, payload))
     }
 
     /// The canonical bytes of `id`, or `Ok(None)` when this pack does
-    /// not hold it. Full records are served straight from the buffer;
-    /// delta records are resolved by walking the base chain (cached).
-    /// Either way the bytes are re-hashed against their id before they
-    /// are served: a record whose bytes do not hash to its id — or a
-    /// delta that does not apply — is [`GitError::Corrupt`], never wrong
-    /// bytes.
+    /// not hold it. A full record is one read of its payload; a delta
+    /// record is resolved by walking its base chain (cached). Either way
+    /// the bytes are re-hashed against their id before they are served:
+    /// a record whose bytes do not hash to its id — or a delta that does
+    /// not apply — is [`GitError::Corrupt`], never wrong bytes.
     pub fn read(&self, id: ObjectId) -> Result<Option<Cow<'_, [u8]>>> {
-        let Some(off) = self.index.offset_of(id) else {
+        let Some(pos) = self.index.position_of(id) else {
             return Ok(None);
         };
-        let (is_delta, payload) = self.record_at(off as usize);
+        let (is_delta, payload) = self.record_at(pos)?;
         if !is_delta {
-            self.verify(id, payload)?;
-            return Ok(Some(Cow::Borrowed(payload)));
+            self.verify(id, &payload)?;
+            return Ok(Some(payload));
         }
         self.resolve(id).map(|bytes| Some(Cow::Owned(bytes)))
     }
@@ -847,29 +930,29 @@ impl Pack {
         // then apply the collected deltas back down, caching each rung
         // (deep chains share prefixes, so the next read starts warm).
         // Parsing checked that every base is a record of this pack.
-        let mut chain: Vec<(ObjectId, &[u8])> = Vec::new();
+        let mut chain: Vec<(ObjectId, Cow<'_, [u8]>)> = Vec::new();
         let mut cur = id;
         let mut base: Vec<u8> = loop {
             if let Some(hit) = self.cache.lock().unwrap().map.get(&cur) {
                 break hit.clone();
             }
-            let off = self
+            let pos = self
                 .index
-                .offset_of(cur)
-                .expect("delta bases are validated at parse") as usize;
-            let (is_delta, payload) = self.record_at(off);
+                .position_of(cur)
+                .expect("delta bases are validated at parse");
+            let (is_delta, payload) = self.record_at(pos)?;
             if !is_delta {
-                self.verify(cur, payload)?;
-                break payload.to_vec();
+                self.verify(cur, &payload)?;
+                break payload.into_owned();
             }
             let mut base_id = [0u8; 20];
             base_id.copy_from_slice(&payload[..20]);
-            chain.push((cur, &payload[20..]));
+            chain.push((cur, payload));
             cur = ObjectId(base_id);
         };
-        for (link_id, delta) in chain.into_iter().rev() {
+        for (link_id, payload) in chain.into_iter().rev() {
             crate::metrics::DELTA_RESOLUTIONS.inc();
-            let out = apply_delta(&base, delta).map_err(|e| match e {
+            let out = apply_delta(&base, &payload[20..]).map_err(|e| match e {
                 GitError::Corrupt(msg) => {
                     GitError::Corrupt(format!("packed object {}: {msg}", link_id.short()))
                 }
@@ -895,6 +978,86 @@ impl Pack {
     }
 }
 
+/// What [`check_pack`] learned about a pack's bytes.
+struct CheckedPack {
+    index: PackIndex,
+    words: Vec<u32>,
+    size: u64,
+    delta_objects: usize,
+}
+
+/// The structural checks behind [`Pack::parse`] and [`Pack::open`].
+fn check_pack(data: &[u8], idx: Option<&[u8]>) -> Result<CheckedPack> {
+    let index = match idx {
+        None => index_pack(data)?,
+        Some(bytes) => {
+            let index = PackIndex::parse(bytes)?;
+            let (count, checksum, version) = pack_header(data)?;
+            if checksum != index.pack_checksum {
+                return Err(GitError::Corrupt(format!(
+                    "index for pack {} paired with pack {}",
+                    index.pack_checksum.short(),
+                    checksum.short()
+                )));
+            }
+            if count != index.len() {
+                return Err(GitError::Corrupt(format!(
+                    "pack holds {count} records, index lists {}",
+                    index.len()
+                )));
+            }
+            let body_len = data.len() - TRAILER_LEN;
+            for (id, &off) in index.ids.iter().zip(&index.offsets) {
+                let off = off as usize;
+                if off + RECORD_PREFIX > body_len {
+                    return Err(GitError::Corrupt(format!(
+                        "indexed offset for {} is out of bounds",
+                        id.short()
+                    )));
+                }
+                if data[off..off + 20] != id.0 {
+                    return Err(GitError::Corrupt(format!(
+                        "indexed offset for {} points at another record",
+                        id.short()
+                    )));
+                }
+                let word = word_at(data, off);
+                if word & DELTA_FLAG != 0 && version < PACK_VERSION_DELTA {
+                    return Err(GitError::Corrupt(format!(
+                        "record for {} is a delta in a version-1 pack",
+                        id.short()
+                    )));
+                }
+                let len = (word & LEN_MASK) as usize;
+                if off + RECORD_PREFIX + len > body_len {
+                    return Err(GitError::Corrupt(format!(
+                        "indexed record for {} overruns the pack",
+                        id.short()
+                    )));
+                }
+            }
+            index
+        }
+    };
+    let delta_objects = validate_delta_chains(data, &index)?;
+    let words = index
+        .offsets
+        .iter()
+        .map(|&off| word_at(data, off as usize))
+        .collect();
+    Ok(CheckedPack {
+        index,
+        words,
+        size: data.len() as u64,
+        delta_objects,
+    })
+}
+
+/// The length word of the record at `off`.
+fn word_at(data: &[u8], off: usize) -> u32 {
+    u32::from_be_bytes(data[off + 20..off + 24].try_into().unwrap())
+}
+
 /// Walks every delta record's base chain: bases must be records of the
 /// same pack, chains must be acyclic and bounded by [`MAX_DELTA_DEPTH`].
 /// Returns the number of delta records. Offsets and lengths were already
@@ -905,7 +1068,7 @@ fn validate_delta_chains(data: &[u8], index: &PackIndex) -> Result<usize> {
     // payload.
     let record = |pos: usize| -> (bool, &[u8]) {
         let off = index.offsets[pos] as usize;
-        let word = u32::from_be_bytes(data[off + 20..off + 24].try_into().unwrap());
+        let word = word_at(data, off);
         let len = (word & LEN_MASK) as usize;
         (
             word & DELTA_FLAG != 0,
@@ -992,14 +1155,15 @@ pub struct MaintenanceReport {
     pub bloom_commits: usize,
 }
 
-/// An [`ObjectStore`] serving reads from buffered packs, with a loose
-/// [`DiskStore`] overflow area for new writes.
+/// An [`ObjectStore`] serving reads from packs read in place, with a
+/// loose [`DiskStore`] overflow area for new writes.
 ///
 /// Opening checks each pack's structure, not its bytes: every record is
-/// hashed against its id when it is read ([`Pack::read`]), so a read
-/// never serves wrong bytes, a damaged record reads as
-/// [`GitError::Corrupt`], and a command that reads a handful of objects
-/// hashes only those.
+/// read from the file and hashed against its id when it is served
+/// ([`Pack::read`]), so a read never serves wrong bytes, a damaged
+/// record reads as [`GitError::Corrupt`], and a command that reads a
+/// handful of objects reads and hashes only those. Memory grows with the
+/// packs' indexes, not with their bytes.
 ///
 /// Layout under the root directory:
 ///
@@ -1014,8 +1178,9 @@ pub struct MaintenanceReport {
 /// a two-hex-char shard, so the loose scan ignores it), which means a
 /// `PackStore` opens any pre-existing loose-object directory unchanged and
 /// [`PackStore::repack`] is a pure layout migration. Reads prefer packs;
-/// writes always land loose until the next [`PackStore::repack`] /
-/// [`PackStore::gc`] consolidates them.
+/// writes land loose until the next [`PackStore::repack`] /
+/// [`PackStore::gc`] consolidates them, except a whole set handed to an
+/// empty store ([`ObjectStore::put_raw_all`]), which lands as one pack.
 #[derive(Debug, Clone)]
 pub struct PackStore {
     packs: Vec<Arc<Pack>>,
@@ -1057,13 +1222,12 @@ impl PackStore {
         let mut packs = Vec::with_capacity(pack_paths.len());
         let mut packed = HashSet::new();
         for path in pack_paths {
-            let data = fs::read(&path)?;
             let idx_bytes = fs::read(path.with_extension("idx")).ok();
-            let pack = match Pack::parse(data, idx_bytes.as_deref(), path.clone()) {
+            let pack = match Pack::open(&path, idx_bytes.as_deref()) {
                 Ok(p) => p,
                 // A bad .idx is recoverable as long as the pack itself is
                 // intact: fall back to scanning the pack.
-                Err(_) if idx_bytes.is_some() => Pack::parse(fs::read(&path)?, None, path.clone())?,
+                Err(_) if idx_bytes.is_some() => Pack::open(&path, None)?,
                 Err(e) => return Err(e),
             };
             packed.extend(pack.index().ids().iter().copied());
@@ -1146,17 +1310,7 @@ impl PackStore {
         for pack in &self.packs {
             for &id in pack.index().ids() {
                 let bytes = pack.read(id)?.expect("indexed ids are in the pack");
-                if !bytes.starts_with(b"commit ") {
-                    continue;
-                }
-                let obj = decode_object(&bytes)?;
-                let c = obj.as_commit().expect("commit prefix");
-                entries.push(GraphEntry {
-                    id,
-                    tree: c.tree,
-                    timestamp: c.author.timestamp,
-                    parents: c.parents.clone(),
-                });
+                entries.extend(graph_entry(id, &bytes)?);
             }
         }
         for id in self.loose.ids() {
@@ -1232,16 +1386,26 @@ impl PackStore {
         // Everything must be readable from disk state before we rewrite it.
         self.loose.flush()?;
         let total = self.len();
-        // Each kept object is read once, as its stored bytes.
+        // Each kept object is read once, as its stored bytes, from packs
+        // read into memory for the pass.
+        let reader = PackStore {
+            packs: self
+                .packs
+                .iter()
+                .map(|p| p.buffered().map(Arc::new))
+                .collect::<Result<_>>()?,
+            ..self.clone()
+        };
         let mut objects = Vec::new();
         match roots {
-            Some(roots) => self.walk_raw(roots, &mut |id, bytes| objects.push((id, bytes)))?,
+            Some(roots) => reader.walk_raw(roots, &mut |id, bytes| objects.push((id, bytes)))?,
             None => {
-                for id in self.ids() {
-                    objects.push((id, self.get_raw(id)?));
+                for id in reader.ids() {
+                    objects.push((id, reader.get_raw(id)?));
                 }
             }
         }
+        drop(reader);
         let dropped = total - objects.len();
         // Abort before anything is written or deleted: a record length
         // is 31 bits (the high bit is the delta flag), and silently
@@ -1265,31 +1429,11 @@ impl PackStore {
         // decode per commit and no extra store reads. Build it *before*
         // the pack is written so a failure (impossible for a well-formed
         // closure, but entries are checked) aborts cleanly.
-        let graph = {
-            let mut entries = Vec::new();
-            for (id, bytes) in &objects {
-                if !bytes.starts_with(b"commit ") {
-                    continue;
-                }
-                let obj = decode_object(bytes)?;
-                let c = obj.as_commit().expect("commit prefix");
-                entries.push(GraphEntry {
-                    id: *id,
-                    tree: c.tree,
-                    timestamp: c.author.timestamp,
-                    parents: c.parents.clone(),
-                });
-            }
-            if entries.is_empty() {
-                None
-            } else {
-                // A dangling parent (possible in stores populated by an
-                // interrupted object transfer) must not abort maintenance:
-                // skip the graph, keep consolidating — same degrade policy
-                // as `load_graph`.
-                CommitGraph::from_entries(entries).ok()
-            }
-        };
+        // A dangling parent (possible in stores populated by an
+        // interrupted object transfer) must not abort maintenance: skip
+        // the graph, keep consolidating — same degrade policy as
+        // `load_graph`.
+        let graph = graph_of(&objects)?;
         // Changed-path Bloom filters, diffed from the kept bytes while
         // they are still in hand (one decode per distinct tree, memoized
         // inside `compute_blooms`).
@@ -1377,6 +1521,89 @@ impl PackStore {
     }
 }
 
+/// The commit-graph record of `id` when its bytes are a commit's.
+fn graph_entry(id: ObjectId, bytes: &[u8]) -> Result<Option<GraphEntry>> {
+    if !bytes.starts_with(b"commit ") {
+        return Ok(None);
+    }
+    let obj = decode_object(bytes)?;
+    let c = obj.as_commit().expect("commit prefix");
+    Ok(Some(GraphEntry {
+        id,
+        tree: c.tree,
+        timestamp: c.author.timestamp,
+        parents: c.parents.clone(),
+    }))
+}
+
+/// A commit-graph over the commits among `objects`; `None` when there
+/// are none or one names a parent outside the set (the graph is an
+/// accelerator, so its absence is never an error).
+fn graph_of(objects: &[(ObjectId, Vec<u8>)]) -> Result<Option<CommitGraph>> {
+    let mut entries = Vec::new();
+    for (id, bytes) in objects {
+        entries.extend(graph_entry(*id, bytes)?);
+    }
+    if entries.is_empty() {
+        return Ok(None);
+    }
+    Ok(CommitGraph::from_entries(entries).ok())
+}
+
+/// Streams `objects` (sorted by id, no duplicates) to disk as one
+/// delta-free version-1 pack plus its index under `pack_dir`: each
+/// record goes through a buffered writer and the trailer's SHA-1 as it
+/// is written, so no pack-sized buffer is built. The pack is renamed
+/// into place before its index is written, as [`PackStore::gc`] orders
+/// them, and comes back open for in-place reads.
+fn write_pack(pack_dir: &Path, objects: &[&(ObjectId, Vec<u8>)]) -> Result<Pack> {
+    static TEMP: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let n = TEMP.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let tmp = pack_dir.join(format!(".tmp-pack-{}-{n}", std::process::id()));
+    let write = || -> std::io::Result<(fs::File, Written)> {
+        let file = fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create_new(true)
+            .open(&tmp)?;
+        let mut pack = PackWriter::new(std::io::BufWriter::new(file), PACK_VERSION, objects.len())?;
+        for (id, bytes) in objects.iter().map(|o| (o.0, &o.1)) {
+            pack.full(id, bytes)?;
+        }
+        let (out, written) = pack.finish()?;
+        Ok((out.into_inner().map_err(|e| e.into_error())?, written))
+    };
+    let (file, written) = match write() {
+        Ok(w) => w,
+        Err(e) => {
+            let _ = fs::remove_file(&tmp);
+            return Err(e.into());
+        }
+    };
+    let stem = pack_dir.join(format!("pack-{}", written.checksum.to_hex()));
+    let path = stem.with_extension("pack");
+    if let Err(e) = fs::rename(&tmp, &path) {
+        let _ = fs::remove_file(&tmp);
+        return Err(e.into());
+    }
+    write_atomic(
+        &stem.with_extension("idx"),
+        &encode_index(&written.ids, &written.offsets, written.checksum),
+    )?;
+    let checked = CheckedPack {
+        index: PackIndex {
+            fanout: fanout_of(&written.ids),
+            ids: written.ids,
+            offsets: written.offsets,
+            pack_checksum: written.checksum,
+        },
+        words: written.words,
+        size: written.size,
+        delta_objects: 0,
+    };
+    Ok(Pack::new(Body::File(file), checked, path))
+}
+
 /// Removes loose shard directories that became empty after consolidation.
 fn prune_empty_shards(root: &PathBuf) -> Result<()> {
     for entry in fs::read_dir(root)? {
@@ -1445,6 +1672,45 @@ impl ObjectStore for PackStore {
             return Ok(id);
         }
         self.loose.put_raw(id, bytes)
+    }
+
+    /// A store that holds nothing yet takes the set as one delta-free
+    /// pack, streamed to disk record by record, plus a commit-graph over
+    /// its commits. The graph has no changed-path Bloom filters: those
+    /// stay a [`PackStore::gc`] product, since computing them decodes
+    /// and keeps every tree of the history. A store that already holds
+    /// objects takes the set loose, as [`ObjectStore::put_raw`] would.
+    fn put_raw_all(&mut self, objects: &[(ObjectId, Vec<u8>)]) -> Result<()> {
+        if objects.is_empty() || !self.is_empty() {
+            for (id, bytes) in objects {
+                self.put_raw(*id, bytes)?;
+            }
+            return Ok(());
+        }
+        if let Some((id, bytes)) = objects.iter().find(|(_, b)| b.len() > LEN_MASK as usize) {
+            return Err(GitError::Io(format!(
+                "object {} is {} bytes, exceeding the 2 GiB pack record limit",
+                id.short(),
+                bytes.len()
+            )));
+        }
+        debug_assert!(objects
+            .iter()
+            .all(|(id, b)| verify_claimed_id(*id, b).is_ok()));
+        let mut sorted: Vec<&(ObjectId, Vec<u8>)> = objects.iter().collect();
+        sorted.sort_by_key(|o| o.0);
+        sorted.dedup_by_key(|o| o.0);
+        let graph = graph_of(objects)?;
+        let pack_dir = self.root().join(PACK_DIR);
+        fs::create_dir_all(&pack_dir)?;
+        let pack = write_pack(&pack_dir, &sorted)?;
+        if let Some(graph) = &graph {
+            write_atomic(&pack_dir.join(GRAPH_FILE), &graph.encode())?;
+        }
+        self.packed = Arc::new(pack.index().ids().iter().copied().collect());
+        self.packs = vec![Arc::new(pack)];
+        self.graph = graph.map(Arc::new);
+        Ok(())
     }
 
     fn put_many(&mut self, objects: Vec<(ObjectId, Arc<Object>)>) {
@@ -2095,9 +2361,10 @@ mod tests {
             .index()
             .ids()
             .iter()
-            .find_map(|&id| {
+            .enumerate()
+            .find_map(|(pos, &id)| {
                 let off = pack.index().offset_of(id).unwrap() as usize;
-                let (is_delta, payload) = pack.record_at(off);
+                let (is_delta, payload) = pack.record_at(pos).unwrap();
                 is_delta.then(|| (id, off + RECORD_PREFIX + payload.len()))
             })
             .expect("versioned blobs deltify");

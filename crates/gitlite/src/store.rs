@@ -15,14 +15,16 @@
 //!   (`"<kind> <len>\0<body>"`, hashed to its id). Writes go straight to
 //!   disk (atomically, via temp file + rename); reads decode on demand.
 //! * [`crate::PackStore`] — the packfile backend ([`crate::pack`]): reads
-//!   served from buffered `pack-<checksum>.pack` files through a sorted
-//!   fanout index (O(log n) id→offset, one file read per pack instead of
-//!   one per object), with new writes overflowing into a loose
-//!   [`DiskStore`] area under the same root. `PackStore::repack`/`gc`
-//!   consolidate the overflow into a fresh pack (and `gc` drops objects
-//!   unreachable from the given roots) — run `gitcite gc` after enough
-//!   loose objects accumulate to matter (hundreds). This is what the
-//!   local tool persists repositories with.
+//!   served in place from `pack-<checksum>.pack` files through a sorted
+//!   fanout index (O(log n) id→offset, one positioned read per object
+//!   from one open file per pack), with new writes overflowing into a
+//!   loose [`DiskStore`] area under the same root. An empty store takes
+//!   a whole imported set as one pack ([`ObjectStore::put_raw_all`]).
+//!   `PackStore::repack`/`gc` consolidate the overflow into a fresh pack
+//!   (and `gc` drops objects unreachable from the given roots) — run
+//!   `gitcite gc` after enough loose objects accumulate to matter
+//!   (hundreds). This is what the local tool and a hub with a data
+//!   directory persist repositories with.
 //! * [`CachedStore<S>`] — an LRU read-through cache over any other
 //!   backend, for hot resolution paths (snapshot listing, citation
 //!   resolution, diff/merge walks) where the same trees and blobs are
@@ -150,6 +152,20 @@ pub trait ObjectStore: fmt::Debug + Send + Sync {
         }
     }
 
+    /// Stores a whole set of objects given as canonical bytes, each under
+    /// an id the caller has already checked against its bytes (the same
+    /// contract as [`ObjectStore::put_with_id`]): the call a new
+    /// repository's objects arrive through once a loader has proved them
+    /// complete. The default stores them one by one through
+    /// [`ObjectStore::put_raw`]; [`crate::PackStore`] writes a store's
+    /// first set as one pack.
+    fn put_raw_all(&mut self, objects: &[(ObjectId, Vec<u8>)]) -> Result<()> {
+        for (id, bytes) in objects {
+            self.put_raw(*id, bytes)?;
+        }
+        Ok(())
+    }
+
     /// Fetches an object expected to be a blob.
     fn blob(&self, id: ObjectId) -> Result<Arc<Object>> {
         expect_kind(self, id, "blob")
@@ -247,8 +263,9 @@ pub trait ObjectStore: fmt::Debug + Send + Sync {
 
     /// Visits every object reachable from `roots` once, as its stored
     /// bytes ([`ObjectStore::get_raw`]): commits lead to their tree and
-    /// parents, trees to their entries. Only commits and trees are
-    /// decoded, to find those edges; a blob is known by its `blob `
+    /// parents, trees to their entries. Only commits are decoded; a
+    /// tree's entry ids are read straight from its bytes
+    /// ([`crate::codec::object_links`]), a blob is known by its `blob `
     /// prefix, and nothing is re-encoded. Objects are visited in a fixed
     /// depth-first order (a commit's parents before its tree, a tree's
     /// entries last-first), the order bundles are shipped in. Missing
@@ -262,14 +279,7 @@ pub trait ObjectStore: fmt::Debug + Send + Sync {
             }
             let bytes = self.get_raw(id)?;
             if !bytes.starts_with(b"blob ") {
-                match decode_object(&bytes)? {
-                    Object::Blob(_) => {}
-                    Object::Tree(t) => stack.extend(t.iter().map(|(_, entry)| entry.id)),
-                    Object::Commit(c) => {
-                        stack.push(c.tree);
-                        stack.extend_from_slice(&c.parents);
-                    }
-                }
+                stack.extend(crate::codec::object_links(&bytes)?);
             }
             visit(id, bytes);
         }
@@ -360,6 +370,9 @@ impl ObjectStore for Box<dyn ObjectStore> {
     fn put_many(&mut self, objects: Vec<(ObjectId, Arc<Object>)>) {
         (**self).put_many(objects)
     }
+    fn put_raw_all(&mut self, objects: &[(ObjectId, Vec<u8>)]) -> Result<()> {
+        (**self).put_raw_all(objects)
+    }
     fn commit_ref(&self, id: ObjectId) -> Result<Arc<Object>> {
         (**self).commit_ref(id)
     }
@@ -439,6 +452,19 @@ impl ObjectStore for MemStore {
 
     fn ids(&self) -> Vec<ObjectId> {
         self.objects.keys().copied().collect()
+    }
+
+    /// Decodes each object once; the ids are checked already, so none is
+    /// hashed again.
+    fn put_raw_all(&mut self, objects: &[(ObjectId, Vec<u8>)]) -> Result<()> {
+        self.objects.reserve(objects.len());
+        for (id, bytes) in objects {
+            debug_assert!(verify_claimed_id(*id, bytes).is_ok());
+            if !self.objects.contains_key(id) {
+                self.objects.insert(*id, Arc::new(decode_object(bytes)?));
+            }
+        }
+        Ok(())
     }
 
     fn clone_box(&self) -> Box<dyn ObjectStore> {
@@ -933,6 +959,12 @@ impl<S: ObjectStore + Clone + 'static> ObjectStore for CachedStore<S> {
     /// (`DiskStore` writes the bytes without decoding them).
     fn put_raw(&mut self, id: ObjectId, bytes: &[u8]) -> Result<ObjectId> {
         self.inner.put_raw(id, bytes)
+    }
+
+    /// Delegates to the inner backend without priming the cache: a whole
+    /// set is a history, most of which no reader asks for next.
+    fn put_raw_all(&mut self, objects: &[(ObjectId, Vec<u8>)]) -> Result<()> {
+        self.inner.put_raw_all(objects)
     }
 
     /// Delegates the batch to the inner backend (keeping its amortized

@@ -1015,25 +1015,32 @@ impl RepoBundle {
 /// `tips`: the only code that writes wire objects into a hosted
 /// repository, and the one safety ladder an import, a push and a replica
 /// round share. The bundle must be *anchored* (every basis commit already
-/// present), `put_raw` hash-checks every object, and the bundle must be
-/// *complete*: a walk from each tip finds its whole closure. A corrupt,
-/// truncated or garbled bundle fails here, before any ref moves.
+/// present), every object must hash to its claimed id, and the bundle
+/// must be *complete*: a walk from each tip finds its whole closure. A
+/// corrupt, truncated or garbled bundle fails here, before any ref moves.
 ///
 /// The walk reads an object the bundle carries from the bundle's own
-/// bytes, which `put_raw` has just checked; only objects the bundle
-/// leaves out are read back from the store. Into a repository with refs
-/// (a push, a replica round) it hands each decoded object to the store
-/// as well, so a caching store keeps what the next reads of the moved
-/// refs want. A new repository's whole history would only crowd its
-/// cache, so there a blob needs only its `blob ` header. The walk stops
-/// at commits whose closures are complete already: `repo`'s current ref
-/// tips (a ref moves only after a successful load or a complete local
-/// write) and commits the commit-graph indexes (they were reachable at
-/// the last gc). That bounds the walk to the objects the bundle adds,
-/// even when a full bundle lands on a deep history. A basis commit is no
-/// stop of its own: a refused load leaves its objects behind, so being
-/// present proves nothing, and the walk from an honest sender's tips
-/// meets a ref tip before it gets that deep.
+/// bytes, checked before the walk; only objects the bundle leaves out
+/// are read back from the store. The walk stops at commits whose
+/// closures are complete already: `repo`'s current ref tips (a ref moves
+/// only after a successful load or a complete local write) and commits
+/// the commit-graph indexes (a graph is written over a proved import or
+/// a gc's reachable set). That bounds the walk to the objects the bundle
+/// adds, even when a full bundle lands on a deep history. A basis commit
+/// is no stop of its own: a refused push leaves its objects behind, so
+/// being present proves nothing, and the walk from an honest sender's
+/// tips meets a ref tip before it gets that deep.
+///
+/// A new repository (no refs yet: an import, a follower's bootstrap,
+/// [`RepoBundle::into_repository`]) takes the whole set in one
+/// [`ObjectStore::put_raw_all`] call, made only once the walk has proved
+/// it complete, so a refused load writes nothing; its walk reads trees'
+/// entry ids without decoding them and needs only a blob's `blob `
+/// header, and its whole history does not crowd a caching store. Into a
+/// repository with refs (a push, a replica round) each object is stored
+/// as it is checked, and the walk hands each object it decodes to the
+/// store as well, so a caching store keeps what the next reads of the
+/// moved refs want.
 pub(crate) fn load_bundle(
     repo: &mut Repository,
     bundle: &RepoBundle,
@@ -1044,12 +1051,23 @@ pub(crate) fn load_bundle(
             return Err(gitlite::GitError::ObjectNotFound(b));
         }
     }
+    let fresh = repo.branches().next().is_none();
     let mut carried: HashMap<ObjectId, &[u8]> = HashMap::with_capacity(bundle.objects.len());
     for (id, bytes) in &bundle.objects {
-        repo.odb_mut().put_raw(*id, bytes)?;
+        if fresh {
+            let actual = ObjectId::hash_bytes(bytes);
+            if actual != *id {
+                return Err(gitlite::GitError::Corrupt(format!(
+                    "object {} does not match its content: bytes hash to {}",
+                    id.short(),
+                    actual.short()
+                )));
+            }
+        } else {
+            repo.odb_mut().put_raw(*id, bytes)?;
+        }
         carried.insert(*id, bytes);
     }
-    let prime = repo.branches().next().is_some();
     let graph = repo.odb().commit_graph();
     let mut seen: HashSet<ObjectId> = repo.branches().map(|(_, tip)| tip).collect();
     let mut stack = tips.to_vec();
@@ -1057,27 +1075,37 @@ pub(crate) fn load_bundle(
         if !seen.insert(id) || graph.as_ref().is_some_and(|g| g.lookup(id).is_some()) {
             continue;
         }
-        let obj = match carried.get(&id) {
-            Some(bytes) if !prime && bytes.starts_with(b"blob ") => continue,
+        match carried.get(&id) {
+            Some(bytes) if fresh => {
+                if !bytes.starts_with(b"blob ") {
+                    stack.extend(gitlite::codec::object_links(bytes)?);
+                }
+            }
             Some(bytes) => {
                 let obj = Arc::new(gitlite::codec::decode_object(bytes)?);
-                if prime {
-                    repo.odb_mut().put_with_id(id, Arc::clone(&obj));
-                }
-                obj
+                push_links(&obj, &mut stack);
+                repo.odb_mut().put_with_id(id, obj);
             }
-            None => repo.odb().get(id)?, // ObjectNotFound if the bundle is short
-        };
-        match &*obj {
-            gitlite::Object::Commit(c) => {
-                stack.push(c.tree);
-                stack.extend_from_slice(&c.parents);
-            }
-            gitlite::Object::Tree(t) => stack.extend(t.iter().map(|(_, e)| e.id)),
-            gitlite::Object::Blob(_) => {}
+            // ObjectNotFound if the bundle is short.
+            None => push_links(&*repo.odb().get(id)?, &mut stack),
         }
     }
+    if fresh {
+        repo.odb_mut().put_raw_all(&bundle.objects)?;
+    }
     Ok(())
+}
+
+/// Pushes the ids `obj` points at onto a walk's stack.
+fn push_links(obj: &gitlite::Object, stack: &mut Vec<ObjectId>) {
+    match obj {
+        gitlite::Object::Commit(c) => {
+            stack.push(c.tree);
+            stack.extend_from_slice(&c.parents);
+        }
+        gitlite::Object::Tree(t) => stack.extend(t.iter().map(|(_, e)| e.id)),
+        gitlite::Object::Blob(_) => {}
+    }
 }
 
 /// Loads `bundle` into `repo` from **every** advertised tip and makes
@@ -2441,6 +2469,25 @@ impl ApiResponse {
         (text, side.into_objects())
     }
 
+    /// [`ApiResponse::encode_ext`] for a response the caller is done
+    /// with: a bundle's objects move into the side channel instead of
+    /// being copied there, so a clone's history is held once, not twice,
+    /// while it is framed. The bytes are the same.
+    pub fn into_ext(mut self) -> (String, Vec<(ObjectId, Vec<u8>)>) {
+        let ApiResponse::Bundle(bundle) = &mut self else {
+            return self.encode_ext();
+        };
+        // The envelope counts the objects; id-only stand-ins (an empty
+        // `Vec` allocates nothing) are what the encoder copies.
+        let stand_ins = bundle
+            .objects
+            .iter()
+            .map(|(id, _)| (*id, Vec::new()))
+            .collect();
+        let objects = std::mem::replace(&mut bundle.objects, stand_ins);
+        (self.encode_ext().0, objects)
+    }
+
     /// Parses a wire envelope.
     pub fn parse(text: &str) -> WireResult<ApiResponse> {
         let v = sjson::parse(text).map_err(|e| proto(format!("unparseable response: {e}")))?;
@@ -2756,12 +2803,15 @@ mod tests {
         assert!(text.starts_with("{\"v\":3,"), "{text}");
         assert!(text.contains("\"objects_ext\":1"), "{text}");
         assert_eq!(objects.len(), 1);
+        // Moving the objects out encodes the same bytes.
+        assert_eq!(resp.clone().into_ext(), (text.clone(), objects.clone()));
         assert_eq!(ApiResponse::parse_ext(&text, objects).unwrap(), resp);
         // Responses with nothing to externalize keep their plain encoding.
         let plain = ApiResponse::Bool(true);
         let (text, objects) = plain.encode_ext();
         assert_eq!(text, plain.encode());
         assert!(objects.is_empty());
+        assert_eq!(plain.into_ext(), (text, objects));
     }
 
     #[test]

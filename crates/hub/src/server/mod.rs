@@ -393,8 +393,9 @@ impl Hub {
 
     /// [`Hub::new`] with durable packfile storage: each hosted repository
     /// is created on a `CachedStore<PackStore>` rooted under its own
-    /// subdirectory of `data_dir` (`repo-0`, `repo-1`, ...). Reads hit
-    /// the LRU, cold loads come from buffered packs, and new pushes land
+    /// subdirectory of `data_dir` (`repo-0`, `repo-1`, ...). An import
+    /// lands as one pack with a commit-graph, reads hit the LRU, cold
+    /// loads are positioned reads of the pack file, and new pushes land
     /// as loose objects until maintenance repacks them — the server-side
     /// counterpart of the local tool's `.gitcite/objects` layout.
     ///

@@ -1048,7 +1048,7 @@ fn respond(
         Ok(request) => execute(hub, minted, request),
         Err(e) => ApiResponse::Error(e),
     };
-    let (text, objects) = response.encode_ext();
+    let (text, objects) = response.into_ext();
     let message = frame::encode_message(&text, &objects);
     if !objects.is_empty() {
         // Compression ratio on the object side channel: raw record bytes

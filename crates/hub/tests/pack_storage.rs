@@ -1,11 +1,13 @@
 //! Hub on durable packfile storage: server-side repositories created
 //! through `Hub::with_pack_storage` live on `CachedStore<PackStore>`, so
 //! pushed objects are durable on disk, survive maintenance repacks, and
-//! keep serving clones and citation generation.
+//! keep serving clones and citation generation. An import lands as one
+//! pack with a commit-graph, and a refused one writes no file at all.
 
-use gitlite::{path, ObjectStore, PackStore, Signature};
-use hub::Hub;
-use std::path::PathBuf;
+use gitlite::{path, ObjectStore, PackStore, Repository, Signature};
+use hub::api::{ApiRequest, ApiResponse};
+use hub::{Hub, RepoBundle};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -43,8 +45,9 @@ fn hosted_repos_persist_through_pack_storage() {
     let fresh = PackStore::open(&repo_root).unwrap();
     assert!(fresh.contains(tip), "pushed tip is durable on disk");
 
-    // Server-side maintenance: repack the repository's store, then make
-    // sure the hub still serves reads (its buffered handle is
+    // Server-side maintenance: repack the repository's store from another
+    // handle, then make sure the hub still serves reads (the push handed
+    // what it walked to the hub's object cache, and objects are
     // content-addressed, so the rewrite is invisible to it).
     let mut maintenance = PackStore::open(&repo_root).unwrap();
     let report = maintenance.gc(&[tip]).unwrap();
@@ -123,5 +126,96 @@ fn maintenance_builds_the_commit_graph_and_stats_report_it() {
         log_before,
         "graph-served log is identical to the pre-graph one"
     );
+    std::fs::remove_dir_all(&data_dir).unwrap();
+}
+
+/// Every file under `dir`, at any depth.
+fn files_under(dir: &Path) -> Vec<PathBuf> {
+    let mut out = Vec::new();
+    let mut stack = vec![dir.to_path_buf()];
+    while let Some(dir) = stack.pop() {
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                stack.push(path);
+            } else {
+                out.push(path);
+            }
+        }
+    }
+    out
+}
+
+/// A three-commit history, each commit adding one file.
+fn three_commits() -> Repository {
+    let mut local = Repository::init("p");
+    for i in 0..3 {
+        local
+            .worktree_mut()
+            .write(&path(&format!("f{i}.txt")), format!("v{i}\n").into_bytes())
+            .unwrap();
+        local
+            .commit(Signature::new("The Owner", "o@x", 100 + i), format!("V{i}"))
+            .unwrap();
+    }
+    local
+}
+
+#[test]
+fn an_import_lands_as_one_pack_with_a_commit_graph() {
+    let data_dir = temp_dir("import");
+    let hub = Hub::with_pack_storage("https://hub.example", &data_dir).unwrap();
+    hub.register_user("owner", "The Owner").unwrap();
+    let token = hub.login("owner").unwrap();
+    let local = three_commits();
+    let repo_id = hub.import_repo(&token, "p", local.clone()).unwrap();
+
+    // One pack, its index and the commit-graph; nothing loose.
+    let mut names: Vec<String> = files_under(&data_dir)
+        .iter()
+        .map(|p| p.strip_prefix(&data_dir).unwrap().display().to_string())
+        .collect();
+    names.sort();
+    assert_eq!(names.len(), 3, "{names:?}");
+    assert!(
+        names[0].starts_with("repo-0/pack/commit-graph"),
+        "{names:?}"
+    );
+    assert!(names[1].ends_with(".idx") && names[2].ends_with(".pack"));
+    let store = PackStore::open(data_dir.join("repo-0")).unwrap();
+    assert_eq!((store.pack_count(), store.loose_len()), (1, 0));
+    let graph = store.commit_graph().expect("the import wrote a graph");
+    assert_eq!(graph.len(), 3);
+    assert_eq!(graph.bloom_coverage(), 0, "Bloom filters are a gc product");
+    assert_eq!(hub.store_stats(&repo_id).unwrap().graph_commits, Some(3));
+
+    let clone = hub.clone_repo(&repo_id).unwrap();
+    assert_eq!(clone.head_commit().unwrap(), local.head_commit().unwrap());
+    std::fs::remove_dir_all(&data_dir).unwrap();
+}
+
+#[test]
+fn a_refused_import_writes_nothing() {
+    let data_dir = temp_dir("refused");
+    let hub = Hub::with_pack_storage("https://hub.example", &data_dir).unwrap();
+    hub.register_user("owner", "The Owner").unwrap();
+    let token = hub.login("owner").unwrap();
+    let local = three_commits();
+    // A hole: the first commit's tree is left out.
+    let first = *local.log_head().unwrap().last().unwrap();
+    let hole = local.odb().commit(first).unwrap().tree;
+    let mut bundle = RepoBundle::from_repository(&local).unwrap();
+    bundle.objects.retain(|(id, _)| *id != hole);
+
+    let response = hub.dispatch(ApiRequest::ImportRepo {
+        token: token.as_str().to_owned(),
+        name: "p".into(),
+        bundle,
+    });
+    match response {
+        ApiResponse::Error(err) => assert!(err.message.contains(&hole.short()), "{err:?}"),
+        other => panic!("a holed import must be refused, got {other:?}"),
+    }
+    assert_eq!(files_under(&data_dir), Vec::<PathBuf>::new());
     std::fs::remove_dir_all(&data_dir).unwrap();
 }

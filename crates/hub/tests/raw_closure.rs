@@ -3,16 +3,18 @@
 //! deltified packed objects with loose ones and a partly warm cache, a
 //! clone's bundle is the decode-and-re-encode walk it replaced, object for
 //! object and in order, and gc keeps the same id set. A corrupt loose
-//! file fails a clone instead of being shipped, and a clone leaves the
-//! hub's object cache as it found it.
+//! file or pack record fails a clone instead of being shipped, and a
+//! clone leaves the hub's object cache as it found it.
 
 use gitlite::{
-    path, Blob, CachedStore, Object, ObjectId, ObjectStore, PackStore, Repository, Signature,
+    path, Blob, CachedStore, Object, ObjectId, ObjectStore, PackIndex, PackStore, Repository,
+    Signature, PACK_DIR,
 };
+use hub::api::{ApiRequest, ApiResponse, ErrorCode};
 use hub::{Hub, RepoBundle};
 use proptest::prelude::*;
 use std::collections::HashSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -168,13 +170,25 @@ fn the_generated_histories_pack_deltas() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A pack-storage hub hosting a small imported project: its objects sit
-/// loose under `<data>/repo-0`, as an import leaves them.
-fn imported(dir: &PathBuf) -> (Hub, String, Repository) {
-    let hub = Hub::with_pack_storage("https://hub.example", dir).unwrap();
+/// A pack-storage hub hosting a small project under `<dir>/repo-0`: its
+/// first three commits imported, which writes them as one pack, and its
+/// fourth pushed, which lands that commit's new objects loose. With
+/// `cached`, the hub is `Hub::with_pack_storage`, whose object cache
+/// keeps what the push walked; without, every read reaches the disk.
+fn imported(dir: &Path, cached: bool) -> (Hub, String, Repository) {
+    let hub = if cached {
+        Hub::with_pack_storage("https://hub.example", dir).unwrap()
+    } else {
+        let root = dir.join("repo-0");
+        Hub::with_store_factory(
+            "https://hub.example",
+            Box::new(move || Box::new(PackStore::open(&root).unwrap())),
+        )
+    };
     hub.register_user("ann", "Ann").unwrap();
     let token = hub.login("ann").unwrap();
     let mut local = Repository::init("p");
+    let mut repo_id = String::new();
     for i in 0..4 {
         local
             .worktree_mut()
@@ -186,19 +200,27 @@ fn imported(dir: &PathBuf) -> (Hub, String, Repository) {
                 format!("v{i}"),
             )
             .unwrap();
+        if i == 2 {
+            repo_id = hub.import_repo(&token, "p", local.clone()).unwrap();
+        }
     }
-    let repo_id = hub.import_repo(&token, "p", local.clone()).unwrap();
+    hub.push(&token, &repo_id, "main", &local, "main", false)
+        .unwrap();
     (hub, repo_id, local)
+}
+
+/// The id of `src/<name>` at `local`'s HEAD.
+fn src_blob(local: &Repository, name: &str) -> ObjectId {
+    let head = local.head_commit().unwrap();
+    local.blob_at(head, &path(&format!("src/{name}"))).unwrap()
 }
 
 #[test]
 fn a_flipped_byte_in_a_loose_object_fails_the_clone() {
     let dir = temp_dir("corrupt");
-    let (hub, repo_id, local) = imported(&dir);
-    let head = local.head_commit().unwrap();
-    let tree = local.odb().commit(head).unwrap().tree;
-    let blob = local.odb().tree(tree).unwrap().get("src").unwrap().id;
-    let blob = local.odb().tree(blob).unwrap().get("f0.txt").unwrap().id;
+    let (hub, repo_id, local) = imported(&dir, false);
+    // Added by the pushed commit, so stored loose.
+    let blob = src_blob(&local, "f3.txt");
     let hex = blob.to_hex();
     let file = dir.join("repo-0").join(&hex[..2]).join(&hex[2..]);
     let mut bytes = std::fs::read(&file).unwrap();
@@ -217,9 +239,52 @@ fn a_flipped_byte_in_a_loose_object_fails_the_clone() {
 }
 
 #[test]
+fn a_flipped_byte_in_an_import_pack_record_fails_the_clone() {
+    let dir = temp_dir("corrupt-pack");
+    let (hub, repo_id, local) = imported(&dir, false);
+    // Imported, so stored as a record of the import's pack.
+    let blob = src_blob(&local, "f0.txt");
+    let pack_dir = dir.join("repo-0").join(PACK_DIR);
+    let file = |ext: &str| {
+        std::fs::read_dir(&pack_dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .find(|p| p.extension().is_some_and(|e| e == ext))
+            .unwrap()
+    };
+    let index = PackIndex::parse(&std::fs::read(file("idx")).unwrap()).unwrap();
+    let off = index.offset_of(blob).expect("the import packed it") as usize;
+    let pack = file("pack");
+    let mut bytes = std::fs::read(&pack).unwrap();
+    let len = u32::from_be_bytes(bytes[off + 20..off + 24].try_into().unwrap()) as usize;
+    bytes[off + 24 + len - 1] ^= 0x01;
+    std::fs::write(&pack, bytes).unwrap();
+
+    let request = ApiRequest::CloneRepo {
+        repo_id: repo_id.clone(),
+    };
+    let err = match hub.dispatch(request) {
+        ApiResponse::Error(err) => err,
+        other => panic!("the clone must fail, got {other:?}"),
+    };
+    assert_eq!(err.code, ErrorCode::CorruptObject);
+    let detail = err.detail.unwrap_or_default();
+    assert!(detail.contains(&blob.short()), "{detail}");
+    let err = hub.clone_repo(&repo_id).unwrap_err().to_string();
+    assert!(
+        err.contains(&format!(
+            "packed object {} holds bytes hashing to",
+            blob.short()
+        )),
+        "{err}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn a_clone_leaves_the_object_cache_as_it_found_it() {
     let dir = temp_dir("cache");
-    let (hub, repo_id, local) = imported(&dir);
+    let (hub, repo_id, local) = imported(&dir, true);
     // Warm the cache with the reads a popup makes.
     hub.log(&repo_id, "main").unwrap();
     hub.list_files(&repo_id, "main").unwrap();

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Runs the transfer benchmark (full-closure vs negotiated push of 10 new
-# commits onto a 5k-commit hosted repository, and a clone of that
-# history from pack storage) and writes the headline numbers — bytes on
+# commits onto a 5k-commit hosted repository; a clone of that history
+# from the one pack its import wrote, the raw walk behind it, and the
+# framing of its response) and writes the headline numbers — bytes on
 # the wire, object counts and wall times — to
 # BENCH_transfer.json at the repository root, so the transport trajectory
 # is tracked PR over PR.
@@ -48,7 +49,7 @@ $1 ~ /^transfer\// {
 }
 END {
     printf "{\n  \"benchmark\": \"transfer\",\n"
-    printf "  \"workload\": \"10 new commits onto a 5000-commit repository; clone_pack_storage clones it from loose pack storage\",\n"
+    printf "  \"workload\": \"10 new commits onto a 5000-commit repository; clone_pack_storage clones it from its import pack; walk_raw and frame_encode time the walk and the framing of that clone\",\n"
     printf "  \"wire_bytes\": {\"full\": %d, \"negotiated\": %d, \"ratio\": %.1f},\n", \
         bytes["full"], bytes["negotiated"], bytes["ratio"]
     printf "  \"objects\": {\"full\": %d, \"negotiated\": %d},\n", \
