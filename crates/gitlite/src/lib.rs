@@ -78,8 +78,8 @@ pub use snapshot::{
     flatten_tree, read_tree, resolve_path, tree_directories, write_tree, write_tree_from_listing,
 };
 pub use store::{
-    CacheStats, CachedStore, DiskStore, MemStore, ObjectStore, ObjectStoreExt, Odb,
-    DEFAULT_CACHE_CAPACITY,
+    verify_claimed_id, CacheStats, CachedStore, DiskStore, MemStore, ObjectStore, ObjectStoreExt,
+    Odb, DEFAULT_CACHE_CAPACITY,
 };
 pub use textdiff::{
     bag_similarity, diff3_merge, lcs_matches, sequence_similarity, Diff3Result, MergeLabels,

@@ -750,10 +750,14 @@ pub struct Pack {
     /// Each record's length word (delta flag and payload length), by
     /// index position: what a positioned read needs besides the offset.
     words: Vec<u32>,
+    /// Each delta record's base, by index position, as parsing proved
+    /// the chains: a read follows these links, so a record changed on
+    /// disk after open can fail its checks but never lead a read off
+    /// the validated chains.
+    bases: HashMap<u32, u32>,
     /// Bytes in the whole pack, trailer included.
     size: u64,
     path: PathBuf,
-    delta_objects: usize,
     cache: Mutex<DeltaCache>,
 }
 
@@ -791,7 +795,7 @@ impl fmt::Debug for Pack {
         f.debug_struct("Pack")
             .field("path", &self.path)
             .field("objects", &self.index.len())
-            .field("deltas", &self.delta_objects)
+            .field("deltas", &self.bases.len())
             .field("bytes", &self.size)
             .finish()
     }
@@ -836,9 +840,9 @@ impl Pack {
             body,
             index: checked.index,
             words: checked.words,
+            bases: checked.bases,
             size: checked.size,
             path,
-            delta_objects: checked.delta_objects,
             cache: Mutex::new(DeltaCache::default()),
         }
     }
@@ -855,8 +859,8 @@ impl Pack {
         let checked = CheckedPack {
             index: self.index.clone(),
             words: self.words.clone(),
+            bases: self.bases.clone(),
             size: self.size,
-            delta_objects: self.delta_objects,
         };
         Ok(Pack::new(Body::Bytes(data), checked, self.path.clone()))
     }
@@ -873,7 +877,7 @@ impl Pack {
 
     /// Records stored as deltas in this pack.
     pub fn delta_objects(&self) -> usize {
-        self.delta_objects
+        self.bases.len()
     }
 
     /// The record at index position `pos`: whether it is a delta, and
@@ -902,7 +906,7 @@ impl Pack {
             self.verify(id, &payload)?;
             return Ok(Some(payload));
         }
-        self.resolve(id).map(|bytes| Some(Cow::Owned(bytes)))
+        self.resolve(pos).map(|bytes| Some(Cow::Owned(bytes)))
     }
 
     /// [`Pack::read`] without the reason: the canonical bytes of `id`,
@@ -925,30 +929,34 @@ impl Pack {
         Ok(())
     }
 
-    fn resolve(&self, id: ObjectId) -> Result<Vec<u8>> {
+    /// The canonical bytes of the delta record at index position `pos`.
+    fn resolve(&self, mut pos: usize) -> Result<Vec<u8>> {
         // Walk up the chain until a full record or a cached resolution,
         // then apply the collected deltas back down, caching each rung
         // (deep chains share prefixes, so the next read starts warm).
-        // Parsing checked that every base is a record of this pack.
+        // The links are the ones parsing proved acyclic and bounded; a
+        // base id that no longer names its link's base was changed on
+        // disk since, and the read fails naming the record.
         let mut chain: Vec<(ObjectId, Cow<'_, [u8]>)> = Vec::new();
-        let mut cur = id;
         let mut base: Vec<u8> = loop {
+            let cur = self.index.ids[pos];
             if let Some(hit) = self.cache.lock().unwrap().map.get(&cur) {
                 break hit.clone();
             }
-            let pos = self
-                .index
-                .position_of(cur)
-                .expect("delta bases are validated at parse");
             let (is_delta, payload) = self.record_at(pos)?;
             if !is_delta {
                 self.verify(cur, &payload)?;
                 break payload.into_owned();
             }
-            let mut base_id = [0u8; 20];
-            base_id.copy_from_slice(&payload[..20]);
+            let base_pos = self.bases[&(pos as u32)] as usize;
+            if payload[..20] != self.index.ids[base_pos].0 {
+                return Err(GitError::Corrupt(format!(
+                    "packed object {}: delta base changed since the pack was opened",
+                    cur.short()
+                )));
+            }
             chain.push((cur, payload));
-            cur = ObjectId(base_id);
+            pos = base_pos;
         };
         for (link_id, payload) in chain.into_iter().rev() {
             crate::metrics::DELTA_RESOLUTIONS.inc();
@@ -982,8 +990,8 @@ impl Pack {
 struct CheckedPack {
     index: PackIndex,
     words: Vec<u32>,
+    bases: HashMap<u32, u32>,
     size: u64,
-    delta_objects: usize,
 }
 
 /// The structural checks behind [`Pack::parse`] and [`Pack::open`].
@@ -1039,7 +1047,7 @@ fn check_pack(data: &[u8], idx: Option<&[u8]>) -> Result<CheckedPack> {
             index
         }
     };
-    let delta_objects = validate_delta_chains(data, &index)?;
+    let bases = validate_delta_chains(data, &index)?;
     let words = index
         .offsets
         .iter()
@@ -1048,8 +1056,8 @@ fn check_pack(data: &[u8], idx: Option<&[u8]>) -> Result<CheckedPack> {
     Ok(CheckedPack {
         index,
         words,
+        bases,
         size: data.len() as u64,
-        delta_objects,
     })
 }
 
@@ -1060,9 +1068,9 @@ fn word_at(data: &[u8], off: usize) -> u32 {
 
 /// Walks every delta record's base chain: bases must be records of the
 /// same pack, chains must be acyclic and bounded by [`MAX_DELTA_DEPTH`].
-/// Returns the number of delta records. Offsets and lengths were already
-/// bounds-checked by the caller.
-fn validate_delta_chains(data: &[u8], index: &PackIndex) -> Result<usize> {
+/// Returns each delta record's base, by index position. Offsets and
+/// lengths were already bounds-checked by the caller.
+fn validate_delta_chains(data: &[u8], index: &PackIndex) -> Result<HashMap<u32, u32>> {
     let corrupt = |msg: String| GitError::Corrupt(format!("pack file: {msg}"));
     // The record at index position `pos`: whether it is a delta, and its
     // payload.
@@ -1075,7 +1083,7 @@ fn validate_delta_chains(data: &[u8], index: &PackIndex) -> Result<usize> {
             &data[off + RECORD_PREFIX..off + RECORD_PREFIX + len],
         )
     };
-    let mut deltas = 0;
+    let mut bases = HashMap::new();
     // Chain depth by index position, once known; full records are 0.
     let mut depth: Vec<Option<u32>> = vec![None; index.len()];
     for (start, id) in index.ids().iter().enumerate() {
@@ -1106,11 +1114,12 @@ fn validate_delta_chains(data: &[u8], index: &PackIndex) -> Result<usize> {
             let mut base_id = [0u8; 20];
             base_id.copy_from_slice(&payload[..20]);
             let base = ObjectId(base_id);
-            cur = index.position_of(base).ok_or_else(|| {
+            let base_pos = index.position_of(base).ok_or_else(|| {
                 corrupt(format!("delta base {} is not in the pack", base.short()))
             })?;
+            bases.insert(cur as u32, base_pos as u32);
+            cur = base_pos;
         };
-        deltas += chain.len();
         for (i, &link) in chain.iter().rev().enumerate() {
             let d = base_depth + i as u32 + 1;
             if d > MAX_DELTA_DEPTH {
@@ -1122,7 +1131,7 @@ fn validate_delta_chains(data: &[u8], index: &PackIndex) -> Result<usize> {
             depth[link] = Some(d);
         }
     }
-    Ok(deltas)
+    Ok(bases)
 }
 
 /// What a [`PackStore::repack`] / [`PackStore::gc`] pass did.
@@ -1539,10 +1548,10 @@ fn graph_entry(id: ObjectId, bytes: &[u8]) -> Result<Option<GraphEntry>> {
 /// A commit-graph over the commits among `objects`; `None` when there
 /// are none or one names a parent outside the set (the graph is an
 /// accelerator, so its absence is never an error).
-fn graph_of(objects: &[(ObjectId, Vec<u8>)]) -> Result<Option<CommitGraph>> {
+fn graph_of<B: AsRef<[u8]>>(objects: &[(ObjectId, B)]) -> Result<Option<CommitGraph>> {
     let mut entries = Vec::new();
     for (id, bytes) in objects {
-        entries.extend(graph_entry(*id, bytes)?);
+        entries.extend(graph_entry(*id, bytes.as_ref())?);
     }
     if entries.is_empty() {
         return Ok(None);
@@ -1556,7 +1565,7 @@ fn graph_of(objects: &[(ObjectId, Vec<u8>)]) -> Result<Option<CommitGraph>> {
 /// is written, so no pack-sized buffer is built. The pack is renamed
 /// into place before its index is written, as [`PackStore::gc`] orders
 /// them, and comes back open for in-place reads.
-fn write_pack(pack_dir: &Path, objects: &[&(ObjectId, Vec<u8>)]) -> Result<Pack> {
+fn write_pack(pack_dir: &Path, objects: &[(ObjectId, &[u8])]) -> Result<Pack> {
     static TEMP: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let n = TEMP.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let tmp = pack_dir.join(format!(".tmp-pack-{}-{n}", std::process::id()));
@@ -1567,7 +1576,7 @@ fn write_pack(pack_dir: &Path, objects: &[&(ObjectId, Vec<u8>)]) -> Result<Pack>
             .create_new(true)
             .open(&tmp)?;
         let mut pack = PackWriter::new(std::io::BufWriter::new(file), PACK_VERSION, objects.len())?;
-        for (id, bytes) in objects.iter().map(|o| (o.0, &o.1)) {
+        for &(id, bytes) in objects {
             pack.full(id, bytes)?;
         }
         let (out, written) = pack.finish()?;
@@ -1598,8 +1607,8 @@ fn write_pack(pack_dir: &Path, objects: &[&(ObjectId, Vec<u8>)]) -> Result<Pack>
             pack_checksum: written.checksum,
         },
         words: written.words,
+        bases: HashMap::new(),
         size: written.size,
-        delta_objects: 0,
     };
     Ok(Pack::new(Body::File(file), checked, path))
 }
@@ -1680,10 +1689,10 @@ impl ObjectStore for PackStore {
     /// stay a [`PackStore::gc`] product, since computing them decodes
     /// and keeps every tree of the history. A store that already holds
     /// objects takes the set loose, as [`ObjectStore::put_raw`] would.
-    fn put_raw_all(&mut self, objects: &[(ObjectId, Vec<u8>)]) -> Result<()> {
+    fn put_raw_all(&mut self, objects: &[(ObjectId, &[u8])]) -> Result<()> {
         if objects.is_empty() || !self.is_empty() {
-            for (id, bytes) in objects {
-                self.put_raw(*id, bytes)?;
+            for &(id, bytes) in objects {
+                self.put_raw(id, bytes)?;
             }
             return Ok(());
         }
@@ -1696,8 +1705,8 @@ impl ObjectStore for PackStore {
         }
         debug_assert!(objects
             .iter()
-            .all(|(id, b)| verify_claimed_id(*id, b).is_ok()));
-        let mut sorted: Vec<&(ObjectId, Vec<u8>)> = objects.iter().collect();
+            .all(|&(id, b)| verify_claimed_id(id, b).is_ok()));
+        let mut sorted = objects.to_vec();
         sorted.sort_by_key(|o| o.0);
         sorted.dedup_by_key(|o| o.0);
         let graph = graph_of(objects)?;
@@ -2375,6 +2384,58 @@ mod tests {
         let store = PackStore::open(&dir).unwrap();
         assert_corrupt_naming(store.get(delta_id), delta_id);
         assert_corrupt_naming(store.get_raw(delta_id), delta_id);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_delta_base_changed_after_open_reads_as_corrupt() {
+        // The base id inside a delta record is rewritten on disk after the
+        // store opened the pack: once to name no record of the pack, once
+        // to name the record itself (a cycle). Both reads are Corrupt
+        // naming the record; neither panics nor loops.
+        let dir = temp_dir("base-after-open");
+        let mut store = PackStore::open(&dir).unwrap();
+        for (id, bytes) in blob_versions(20) {
+            store.put_raw(id, &bytes).unwrap();
+        }
+        store.repack().unwrap();
+        drop(store);
+        let store = PackStore::open(&dir).unwrap();
+        let pack = &store.packs[0];
+        let (delta_id, base_at) = pack
+            .index()
+            .ids()
+            .iter()
+            .enumerate()
+            .find_map(|(pos, &id)| {
+                let off = pack.index().offset_of(id).unwrap() as usize;
+                let is_delta = pack.words[pos] & DELTA_FLAG != 0;
+                is_delta.then_some((id, off + RECORD_PREFIX))
+            })
+            .expect("versioned blobs deltify");
+        let pack_file = pack.path().to_path_buf();
+        let original = fs::read(&pack_file).unwrap();
+
+        let mut bytes = original.clone();
+        bytes[base_at] ^= 0xff;
+        fs::write(&pack_file, &bytes).unwrap();
+        assert_corrupt_naming(store.get_raw(delta_id), delta_id);
+
+        let mut bytes = original.clone();
+        bytes[base_at..base_at + 20].copy_from_slice(&delta_id.0);
+        fs::write(&pack_file, &bytes).unwrap();
+        assert_corrupt_naming(store.get(delta_id), delta_id);
+
+        // Restored, the record reads again.
+        fs::write(&pack_file, &original).unwrap();
+        assert_eq!(store.get_raw(delta_id).unwrap(), {
+            let versions = blob_versions(20);
+            versions
+                .into_iter()
+                .find(|(id, _)| *id == delta_id)
+                .unwrap()
+                .1
+        });
         fs::remove_dir_all(&dir).unwrap();
     }
 

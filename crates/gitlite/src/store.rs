@@ -159,9 +159,9 @@ pub trait ObjectStore: fmt::Debug + Send + Sync {
     /// complete. The default stores them one by one through
     /// [`ObjectStore::put_raw`]; [`crate::PackStore`] writes a store's
     /// first set as one pack.
-    fn put_raw_all(&mut self, objects: &[(ObjectId, Vec<u8>)]) -> Result<()> {
-        for (id, bytes) in objects {
-            self.put_raw(*id, bytes)?;
+    fn put_raw_all(&mut self, objects: &[(ObjectId, &[u8])]) -> Result<()> {
+        for &(id, bytes) in objects {
+            self.put_raw(id, bytes)?;
         }
         Ok(())
     }
@@ -297,7 +297,7 @@ pub trait ObjectStore: fmt::Debug + Send + Sync {
 
 /// Verifies that `bytes` really hash to the claimed `id` — the integrity
 /// check shared by every raw-bytes path.
-pub(crate) fn verify_claimed_id(id: ObjectId, bytes: &[u8]) -> Result<()> {
+pub fn verify_claimed_id(id: ObjectId, bytes: &[u8]) -> Result<()> {
     let actual = ObjectId::hash_bytes(bytes);
     if actual != id {
         return Err(GitError::Corrupt(format!(
@@ -370,7 +370,7 @@ impl ObjectStore for Box<dyn ObjectStore> {
     fn put_many(&mut self, objects: Vec<(ObjectId, Arc<Object>)>) {
         (**self).put_many(objects)
     }
-    fn put_raw_all(&mut self, objects: &[(ObjectId, Vec<u8>)]) -> Result<()> {
+    fn put_raw_all(&mut self, objects: &[(ObjectId, &[u8])]) -> Result<()> {
         (**self).put_raw_all(objects)
     }
     fn commit_ref(&self, id: ObjectId) -> Result<Arc<Object>> {
@@ -452,19 +452,6 @@ impl ObjectStore for MemStore {
 
     fn ids(&self) -> Vec<ObjectId> {
         self.objects.keys().copied().collect()
-    }
-
-    /// Decodes each object once; the ids are checked already, so none is
-    /// hashed again.
-    fn put_raw_all(&mut self, objects: &[(ObjectId, Vec<u8>)]) -> Result<()> {
-        self.objects.reserve(objects.len());
-        for (id, bytes) in objects {
-            debug_assert!(verify_claimed_id(*id, bytes).is_ok());
-            if !self.objects.contains_key(id) {
-                self.objects.insert(*id, Arc::new(decode_object(bytes)?));
-            }
-        }
-        Ok(())
     }
 
     fn clone_box(&self) -> Box<dyn ObjectStore> {
@@ -963,7 +950,7 @@ impl<S: ObjectStore + Clone + 'static> ObjectStore for CachedStore<S> {
 
     /// Delegates to the inner backend without priming the cache: a whole
     /// set is a history, most of which no reader asks for next.
-    fn put_raw_all(&mut self, objects: &[(ObjectId, Vec<u8>)]) -> Result<()> {
+    fn put_raw_all(&mut self, objects: &[(ObjectId, &[u8])]) -> Result<()> {
         self.inner.put_raw_all(objects)
     }
 

@@ -156,7 +156,9 @@ proptest! {
             loose.ids().into_iter().map(|id| (id, loose.get_raw(id).unwrap())).collect();
         objects.sort();
         let mut packed = PackStore::open(&pack_dir).unwrap();
-        packed.put_raw_all(&objects).unwrap();
+        let borrowed: Vec<(ObjectId, &[u8])> =
+            objects.iter().map(|(id, b)| (*id, &b[..])).collect();
+        packed.put_raw_all(&borrowed).unwrap();
         prop_assert_eq!((packed.pack_count(), packed.loose_len()), (1, 0));
         prop_assert!(packed.commit_graph().is_some());
         // Reopened, as the next process would see it.

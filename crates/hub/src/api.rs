@@ -1032,9 +1032,11 @@ impl RepoBundle {
 /// tips meets a ref tip before it gets that deep.
 ///
 /// A new repository (no refs yet: an import, a follower's bootstrap,
-/// [`RepoBundle::into_repository`]) takes the whole set in one
-/// [`ObjectStore::put_raw_all`] call, made only once the walk has proved
-/// it complete, so a refused load writes nothing; its walk reads trees'
+/// [`RepoBundle::into_repository`]) takes the carried objects the walk
+/// reached in one [`ObjectStore::put_raw_all`] call, made only once the
+/// walk has proved them complete, so a refused load writes nothing and a
+/// carried object no tip reaches is dropped (a store's import graph thus
+/// indexes only commits whose closures were proved); its walk reads trees'
 /// entry ids without decoding them and needs only a blob's `blob `
 /// header, and its whole history does not crowd a caching store. Into a
 /// repository with refs (a push, a replica round) each object is stored
@@ -1055,14 +1057,7 @@ pub(crate) fn load_bundle(
     let mut carried: HashMap<ObjectId, &[u8]> = HashMap::with_capacity(bundle.objects.len());
     for (id, bytes) in &bundle.objects {
         if fresh {
-            let actual = ObjectId::hash_bytes(bytes);
-            if actual != *id {
-                return Err(gitlite::GitError::Corrupt(format!(
-                    "object {} does not match its content: bytes hash to {}",
-                    id.short(),
-                    actual.short()
-                )));
-            }
+            gitlite::verify_claimed_id(*id, bytes)?;
         } else {
             repo.odb_mut().put_raw(*id, bytes)?;
         }
@@ -1071,15 +1066,18 @@ pub(crate) fn load_bundle(
     let graph = repo.odb().commit_graph();
     let mut seen: HashSet<ObjectId> = repo.branches().map(|(_, tip)| tip).collect();
     let mut stack = tips.to_vec();
+    // A new repository's share of the bundle: what the walk reached.
+    let mut reached: Vec<(ObjectId, &[u8])> = Vec::new();
     while let Some(id) = stack.pop() {
         if !seen.insert(id) || graph.as_ref().is_some_and(|g| g.lookup(id).is_some()) {
             continue;
         }
         match carried.get(&id) {
-            Some(bytes) if fresh => {
+            Some(&bytes) if fresh => {
                 if !bytes.starts_with(b"blob ") {
                     stack.extend(gitlite::codec::object_links(bytes)?);
                 }
+                reached.push((id, bytes));
             }
             Some(bytes) => {
                 let obj = Arc::new(gitlite::codec::decode_object(bytes)?);
@@ -1091,7 +1089,7 @@ pub(crate) fn load_bundle(
         }
     }
     if fresh {
-        repo.odb_mut().put_raw_all(&bundle.objects)?;
+        repo.odb_mut().put_raw_all(&reached)?;
     }
     Ok(())
 }

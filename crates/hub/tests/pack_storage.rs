@@ -3,8 +3,9 @@
 //! pushed objects are durable on disk, survive maintenance repacks, and
 //! keep serving clones and citation generation. An import lands as one
 //! pack with a commit-graph, and a refused one writes no file at all.
+//! What an import carries beyond its tips' closures is not kept.
 
-use gitlite::{path, ObjectStore, PackStore, Repository, Signature};
+use gitlite::{path, Commit, Object, ObjectId, ObjectStore, PackStore, Repository, Signature};
 use hub::api::{ApiRequest, ApiResponse};
 use hub::{Hub, RepoBundle};
 use std::path::{Path, PathBuf};
@@ -217,5 +218,60 @@ fn a_refused_import_writes_nothing() {
         other => panic!("a holed import must be refused, got {other:?}"),
     }
     assert_eq!(files_under(&data_dir), Vec::<PathBuf>::new());
+    std::fs::remove_dir_all(&data_dir).unwrap();
+}
+
+#[test]
+fn an_import_keeps_only_what_its_tips_reach() {
+    let data_dir = temp_dir("unreached");
+    let hub = Hub::with_pack_storage("https://hub.example", &data_dir).unwrap();
+    hub.register_user("owner", "The Owner").unwrap();
+    let token = hub.login("owner").unwrap();
+    let local = three_commits();
+    // An extra root commit no ref names, whose tree nobody carries.
+    let absent_tree = ObjectId::hash_bytes(b"tree 0\0never sent");
+    let extra = Object::Commit(Commit {
+        tree: absent_tree,
+        parents: vec![],
+        author: Signature::new("The Owner", "o@x", 50),
+        message: "unreached".into(),
+    });
+    let extra_id = extra.id();
+    let mut bundle = RepoBundle::from_repository(&local).unwrap();
+    bundle.objects.push((extra_id, extra.canonical_bytes()));
+    let repo_id = match hub.dispatch(ApiRequest::ImportRepo {
+        token: token.as_str().to_owned(),
+        name: "p".into(),
+        bundle,
+    }) {
+        ApiResponse::Id(id) => id,
+        other => panic!("the tips' closures are complete, got {other:?}"),
+    };
+    let store = PackStore::open(data_dir.join("repo-0")).unwrap();
+    assert!(!store.contains(extra_id));
+    assert_eq!(store.commit_graph().unwrap().len(), 3);
+    drop(store);
+
+    // A push naming the unreached commit finds its closure missing.
+    let push = hub.dispatch(ApiRequest::Push {
+        token: token.as_str().to_owned(),
+        repo_id: repo_id.clone(),
+        branch: "side".into(),
+        force: false,
+        bundle: RepoBundle {
+            name: "p".into(),
+            head: None,
+            refs: vec![("side".into(), extra_id)],
+            objects: vec![],
+            basis: vec![],
+        },
+    });
+    match push {
+        ApiResponse::Error(err) => assert!(err.message.contains(&extra_id.short()), "{err:?}"),
+        other => panic!("a push onto a missing closure must be refused, got {other:?}"),
+    }
+    let clone = hub.clone_repo(&repo_id).unwrap();
+    assert_eq!(clone.branches().count(), 1);
+    assert_eq!(clone.head_commit().unwrap(), local.head_commit().unwrap());
     std::fs::remove_dir_all(&data_dir).unwrap();
 }
